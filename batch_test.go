@@ -136,7 +136,7 @@ func TestBatchWhileWriting(t *testing.T) {
 			t.Fatalf("batch under writes: query %d: %v", i, r.Err)
 		}
 	}
-	if err := db.Index().CheckInvariants(); err != nil {
+	if err := db.Index().Current().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

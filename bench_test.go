@@ -627,39 +627,6 @@ func BenchmarkPrecomputation(b *testing.B) {
 	}
 }
 
-// BenchmarkMonitorScale sweeps the number of standing queries against
-// localized vs uniform movement churn: one iteration is one coalesced
-// 16-move batch through the subscription engine (snapshot swap + routed
-// reconciliation) on the shared bench.MonitorWorkload. The reported
-// routed/op and affected-subs/op metrics are the scaling argument: under
-// localized churn the inverted unit→query router admits a near-constant
-// subscription subset, so per-update cost grows sublinearly in registered
-// subscriptions (routed ≪ registered).
-func BenchmarkMonitorScale(b *testing.B) {
-	for _, nq := range []int{10, 100, 1000, 10000} {
-		for _, churn := range []string{"localized", "uniform"} {
-			b.Run(fmt.Sprintf("subs=%d/churn=%s", nq, churn), func(b *testing.B) {
-				w, err := bench.NewMonitorWorkload(nq, churn == "localized")
-				if err != nil {
-					b.Fatal(err)
-				}
-				before := w.Engine.Stats()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := w.Engine.ApplyObjectUpdates(w.Batches[i%len(w.Batches)]); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				st := w.Engine.Stats()
-				n := float64(b.N)
-				b.ReportMetric(float64(st.RoutedPairs-before.RoutedPairs)/n, "routed/op")
-				b.ReportMetric(float64(st.AffectedSubs-before.AffectedSubs)/n, "affected-subs/op")
-			})
-		}
-	}
-}
-
 // BenchmarkReconcileSharded sweeps reconciliation shard width against
 // subscription count on the city-scale churn workload: one iteration is
 // one coalesced 32-move batch (snapshot swap + sharded reconciliation).

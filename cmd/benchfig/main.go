@@ -22,12 +22,7 @@
 // p50/p99 under MVCC snapshot isolation: the writer re-reports object
 // positions at a fixed offered rate through coalesced ApplyObjectUpdates
 // ticks while query batches run, reporting reader latency, the sustained
-// update rate, and snapshot swaps per second. The "monitor" panel sweeps
-// the continuous-query subscription engine over 10/100/1k/10k standing
-// range queries under localized vs uniform movement churn, reporting
-// per-update-batch reconciliation cost next to how many subscriptions the
-// inverted unit→query router actually admitted — the routed ≪ registered
-// gap is the engine's scaling argument.
+// update rate, and snapshot swaps per second.
 package main
 
 import (
@@ -79,7 +74,7 @@ func main() {
 		{"14a", fig14a}, {"14b", fig14b}, {"14c", fig14c}, {"14d", fig14d},
 		{"15a", fig15a}, {"15b", fig15b}, {"15c", fig15c}, {"15d", fig15d},
 		{"conc", figConc}, {"hotpath", figHotPath}, {"mvcc", figMVCC},
-		{"monitor", figMonitor}, {"city", figCity}, {"history", figHistory},
+		{"city", figCity}, {"history", figHistory},
 	}
 	ran := 0
 	for _, p := range panels {
@@ -560,9 +555,7 @@ func figHotPath() error {
 		return err
 	}
 	idx := f.Idx
-	idx.RLock()
-	dg := idx.DoorGraph()
-	idx.RUnlock()
+	dg := idx.Current().DoorGraph()
 	fmt.Printf("doors %d, unit slots %d, directed edges %d, compile %s ms\n",
 		dg.NumDoors(), dg.NumUnits(), dg.Graph().NumEdges(), ms(f.BuildStats.DoorGraph))
 
@@ -604,50 +597,6 @@ func figHotPath() error {
 			return err
 		}
 		fmt.Printf("topology mutation incl. graph recompile + snapshot publish: %s ms\n", ms(time.Since(start)))
-	}
-	return nil
-}
-
-// --- Continuous-query subscription engine (not in the paper) ---
-
-// figMonitor sweeps standing-query count × churn locality through the
-// subscription engine (the shared bench.MonitorWorkload). Each data point
-// applies 64 coalesced 16-move batches and reports the mean per-batch
-// reconciliation cost alongside the router's admission counters: affected
-// subscriptions and routed (subscription, object) re-evaluations per
-// batch. The pre-router monitor paid one evaluation per standing query per
-// update — 16 × registered per batch; routed ≪ that product is the win
-// this panel records.
-func figMonitor() error {
-	header("Continuous queries — reconciliation cost vs standing-query count")
-	fmt.Printf("%8s %-10s %14s %14s %16s %18s\n",
-		"subs", "churn", "ms/batch", "routed/batch", "affected/batch", "old-cost/batch")
-	for _, nq := range []int{10, 100, 1000, 10000} {
-		for _, localized := range []bool{true, false} {
-			w, err := bench.NewMonitorWorkload(nq, localized)
-			if err != nil {
-				return err
-			}
-			before := w.Engine.Stats()
-			start := time.Now()
-			for _, ups := range w.Batches {
-				if _, err := w.Engine.ApplyObjectUpdates(ups); err != nil {
-					return err
-				}
-			}
-			elapsed := time.Since(start)
-			st := w.Engine.Stats()
-			batches := time.Duration(len(w.Batches))
-			churn := "uniform"
-			if localized {
-				churn = "localized"
-			}
-			fmt.Printf("%8d %-10s %s %14.1f %16.1f %18d\n",
-				nq, churn, ms(elapsed/batches),
-				float64(st.RoutedPairs-before.RoutedPairs)/float64(len(w.Batches)),
-				float64(st.AffectedSubs-before.AffectedSubs)/float64(len(w.Batches)),
-				bench.MonitorBatchSize*nq)
-		}
 	}
 	return nil
 }

@@ -170,7 +170,7 @@ func TestConcurrentReadWriteStress(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	if err := db.Index().CheckInvariants(); err != nil {
+	if err := db.Index().Current().CheckInvariants(); err != nil {
 		t.Fatalf("invariants after stress: %v", err)
 	}
 }
@@ -228,7 +228,7 @@ func TestConcurrentInsertDeleteStress(t *testing.T) {
 	}
 	wg.Wait()
 
-	if err := db.Index().CheckInvariants(); err != nil {
+	if err := db.Index().Current().CheckInvariants(); err != nil {
 		t.Fatalf("invariants after churn: %v", err)
 	}
 	if got := db.NumObjects(); got != 200 {

@@ -309,7 +309,7 @@ func TestCrashRecoveryKillAtAnyOffset(t *testing.T) {
 				t.Helper()
 				rdb := recoverAt(cut)
 				defer rdb.Close()
-				if err := rdb.Index().CheckInvariants(); err != nil {
+				if err := rdb.Index().Current().CheckInvariants(); err != nil {
 					t.Fatalf("cut %d (%d ops durable): invariants: %v", cut, k, err)
 				}
 				want, got := saveBytes(t, oracle), saveBytes(t, rdb)

@@ -123,7 +123,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	if got := saveBytes(t, db2); !bytes.Equal(want, got) {
 		t.Fatal("recovered serde state differs")
 	}
-	if err := db2.Index().CheckInvariants(); err != nil {
+	if err := db2.Index().Current().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	assertSameAnswers(t, "durable", db, db2, queries)

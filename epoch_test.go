@@ -40,10 +40,10 @@ func epochFixture(t testing.TB) (*Building, []*Object, *index.Index) {
 
 // liveObjects snapshots the store's current objects for a fresh rebuild.
 func liveObjects(idx *index.Index) []*Object {
-	ids := idx.Objects().IDs()
+	ids := idx.Current().Objects().IDs()
 	out := make([]*Object, 0, len(ids))
 	for _, id := range ids {
-		out = append(out, idx.Objects().Get(id))
+		out = append(out, idx.Current().Objects().Get(id))
 	}
 	return out
 }
@@ -221,7 +221,7 @@ func TestEpochInvalidationPerMutator(t *testing.T) {
 			if got := currentEpoch(idx); got == epochBefore {
 				t.Fatalf("mutator %s did not advance the topology epoch (%d)", tc.name, got)
 			}
-			if err := idx.CheckInvariants(); err != nil {
+			if err := idx.Current().CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
 			assertMatchesFreshIndex(t, tc.name, b, idx)
@@ -233,7 +233,7 @@ func TestEpochInvalidationPerMutator(t *testing.T) {
 func currentEpoch(idx *index.Index) uint64 {
 	idx.RLock()
 	defer idx.RUnlock()
-	return idx.TopoEpoch()
+	return idx.Current().TopoEpoch()
 }
 
 // TestObjectMutatorsKeepEpoch pins the counterpart property: object-layer
@@ -332,7 +332,7 @@ func TestBatchQueriesUnderTopologyChurn(t *testing.T) {
 				}
 				cur = merged
 			case 2:
-				if err := idx.CheckInvariants(); err != nil {
+				if err := idx.Current().CheckInvariants(); err != nil {
 					t.Error(err)
 					return
 				}
@@ -365,7 +365,7 @@ func TestBatchQueriesUnderTopologyChurn(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if err := idx.CheckInvariants(); err != nil {
+	if err := idx.Current().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	assertMatchesFreshIndex(t, "post-churn", b, idx)

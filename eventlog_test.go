@@ -58,7 +58,7 @@ func bounce(t *testing.T, db *DB, near, far Position, n int) {
 // log must stay at its cap no matter how many events accrue, and the
 // drain must say so.
 func TestEventLogBounded(t *testing.T) {
-	db, _, near, far := eventChurnDB(t)
+	db, sub, near, far := eventChurnDB(t)
 	const logCap = 64
 	db.SetEventLogCap(logCap)
 
@@ -87,6 +87,15 @@ func TestEventLogBounded(t *testing.T) {
 	}
 	if len(evs) != 4 {
 		t.Fatalf("post-drain burst: got %d events, want 4", len(evs))
+	}
+
+	// An object inserted at the query point enters the subscription.
+	if err := db.InsertObject(object.PointObject(777777, near)); err != nil {
+		t.Fatal(err)
+	}
+	evs = db.Events()
+	if len(evs) != 1 || evs[0].Sub != sub || evs[0].Object != 777777 || evs[0].Kind != SubEnter {
+		t.Fatalf("insert at the query point: events %+v, want one enter of 777777", evs)
 	}
 }
 

@@ -41,39 +41,6 @@ func TestFacadeSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFacadeMonitor(t *testing.T) {
-	db := openSmall(t)
-	mon := db.NewMonitor()
-	q := GenerateQueryPoints(db.Building(), 1, 10)[0]
-	id, initial, err := mon.Register(q, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Standing result must equal the one-shot query.
-	fresh, _, err := db.RangeQuery(q, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(initial) != len(fresh) {
-		t.Fatalf("standing %d vs fresh %d", len(initial), len(fresh))
-	}
-	// Drop a new object onto the query point through the monitor.
-	o := &Object{ID: 777777, Instances: []Instance{{Pos: q, P: 1}}}
-	events, err := mon.ObjectInserted(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := false
-	for _, e := range events {
-		if e.Query == id && e.Object == 777777 && e.Entered {
-			seen = true
-		}
-	}
-	if !seen {
-		t.Fatal("monitor missed the inserted object")
-	}
-}
-
 func TestFacadeEstimator(t *testing.T) {
 	db := openSmall(t)
 	est := db.NewEstimator()

@@ -63,7 +63,7 @@ func FuzzTopologyMutations(f *testing.F) {
 		var splits []splitPair
 
 		check := func() {
-			if err := db.Index().CheckInvariants(); err != nil {
+			if err := db.Index().Current().CheckInvariants(); err != nil {
 				t.Fatalf("invariants: %v", err)
 			}
 			// One-shot queries vs the brute-force oracle.

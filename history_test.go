@@ -178,7 +178,7 @@ func TestAsOfFuzzOracle(t *testing.T) {
 // center (absent objects are simply missing).
 func pidTable(db *DB) map[ObjectID]PartitionID {
 	m := make(map[ObjectID]PartitionID)
-	objs := db.idx.Objects()
+	objs := db.idx.Current().Objects()
 	for _, id := range objs.IDs() {
 		m[id] = db.LocatePartition(objs.Get(id).Center)
 	}

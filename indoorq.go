@@ -54,10 +54,9 @@
 // events accumulate in a drainable log (Events). Subscription update
 // operations serialise internally, so event streams match a serial
 // replay of the same updates and replaying a subscription's events over
-// its initial result set reproduces its current result set. The legacy
-// Monitor wraps the same engine with the original per-object API. While
-// serving concurrently, mutate the building only through the DB (or the
-// Monitor), never through *Building directly.
+// its initial result set reproduces its current result set. While serving
+// concurrently, mutate the building only through the DB, never through
+// *Building directly.
 //
 // For throughput, fan query batches across CPUs with the serving layer:
 //
@@ -247,13 +246,13 @@ func (db *DB) Building() *Building { return db.idx.Building() }
 // NumObjects returns the number of indexed objects in the current
 // snapshot.
 func (db *DB) NumObjects() int {
-	return db.idx.Objects().Len()
+	return db.idx.Current().Objects().Len()
 }
 
 // Object returns an indexed object by id from the current snapshot, or
 // nil.
 func (db *DB) Object(id ObjectID) *Object {
-	return db.idx.Objects().Get(id)
+	return db.idx.Current().Objects().Get(id)
 }
 
 // RangeQuery evaluates iRQ(q, r): objects whose expected indoor distance
@@ -398,7 +397,7 @@ func (db *DB) MergePartitions(pa, pb PartitionID) (PartitionID, error) {
 // LocatePartition returns the partition containing a position via the
 // current snapshot's tree tier, or -1.
 func (db *DB) LocatePartition(q Position) PartitionID {
-	return db.idx.LocatePartition(q)
+	return db.idx.Current().LocatePartition(q)
 }
 
 // Continuous queries (the subscription engine). Subscriptions are standing
@@ -461,8 +460,7 @@ func (db *DB) subscriptions() *query.Subscriptions {
 // result set (ascending ids). From the first subscription on, route every
 // update through the DB (not through Index() directly): mutators reconcile
 // the affected subscriptions as part of the operation, and the resulting
-// enter/leave/update events accumulate for Events. Subscription state is
-// separate from monitors created by NewMonitor.
+// enter/leave/update events accumulate for Events.
 //
 // The FIRST Subscribe creates the engine, and only mutators that observe
 // it route through it — a mutation racing with that first call may apply
@@ -604,20 +602,6 @@ func (db *DB) SubscriptionStatsSnapshot() SubscriptionStats {
 func (db *DB) SetReconcileShards(n int) {
 	db.subscriptions().SetShards(n)
 }
-
-// Monitor maintains standing (continuous) range queries over the index,
-// reconciled incrementally as objects move. See NewMonitor.
-type Monitor = query.Monitor
-
-// MonitorEvent reports one membership change of a standing query.
-type MonitorEvent = query.Event
-
-// NewMonitor returns a continuous-query monitor over the database's index,
-// evaluating with the same query options as the database's own queries.
-// Route object updates and door toggles through the monitor so standing
-// results stay consistent. New code should prefer Subscribe, which adds
-// kNN subscriptions, batch reconciliation and the Events log.
-func (db *DB) NewMonitor() *Monitor { return query.NewMonitor(db.idx, db.qopts) }
 
 // Estimator predicts iRQ cardinalities without running the query.
 type Estimator = query.Estimator

@@ -46,7 +46,7 @@ func doorGraph(idx *index.Index) (*graph.Graph, int) {
 		return n
 	}
 	var units []*index.Unit
-	idx.SearchTree(func(boxAny) bool { return true }, func(u *index.Unit) {
+	idx.Current().SearchTree(func(boxAny) bool { return true }, func(u *index.Unit) {
 		units = append(units, u)
 	})
 	sort.Slice(units, func(i, j int) bool { return units[i].ID < units[j].ID })

@@ -76,8 +76,8 @@ func TestOracleConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != idx.Objects().Len() {
-		t.Fatalf("oracle covered %d of %d objects", len(all), idx.Objects().Len())
+	if len(all) != idx.Current().Objects().Len() {
+		t.Fatalf("oracle covered %d of %d objects", len(all), idx.Current().Objects().Len())
 	}
 	for i := 1; i < len(all); i++ {
 		if all[i].D < all[i-1].D {
@@ -121,7 +121,7 @@ func TestOracleConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, od := range all[:10] {
-		d, _ := eng.ExactDist(idx.Objects().Get(od.ID))
+		d, _ := eng.ExactDist(idx.Current().Objects().Get(od.ID))
 		if math.Abs(d-od.D) > 1e-9 {
 			t.Fatalf("oracle %g != engine %g", od.D, d)
 		}

@@ -171,6 +171,7 @@ func NewCityChurn(cfg CityConfig, nsubs int) (*CityChurn, error) {
 		}
 	}
 	rng := rand.New(rand.NewSource(7104))
+	snap := f.Idx.Current()
 	const batches = 64
 	ups := make([][]index.ObjectUpdate, batches)
 	perBatch := CityChurnBatchSize
@@ -188,7 +189,7 @@ func NewCityChurn(cfg CityConfig, nsubs int) (*CityChurn, error) {
 			seen[o.ID] = true
 			c := o.Center
 			next := indoor.Pos(c.Pt.X+rng.Float64()*30-15, c.Pt.Y+rng.Float64()*30-15, c.Floor)
-			if f.Idx.LocatePartition(next) < 0 {
+			if snap.LocatePartition(next) < 0 {
 				next = c
 			}
 			batch = append(batch, index.ObjectUpdate{

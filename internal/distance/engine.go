@@ -124,7 +124,7 @@ func (e *Engine) run(unitIDs []index.UnitID, bound float64) {
 // same topology epoch: the engine's cached door distances, query unit,
 // anchor and compiled graph are all topology-derived, so they stay exact,
 // while subsequent ObjectBounds/TLU/ExactDist calls read the new
-// snapshot's object records. The continuous-query monitor rebinds its
+// snapshot's object records. The subscription engine rebinds its
 // standing engines after every object update instead of re-running the
 // subgraph phase; a topology change fails the rebind and forces a refresh.
 func (e *Engine) Rebind(s *index.Snapshot) bool {

@@ -298,7 +298,7 @@ func TestExactDistBracketCapDiscipline(t *testing.T) {
 	// Engine restricted to rooms A and B. The object's room C is reached
 	// through the shared door at (20,5), whose restricted distance (15) is
 	// exact, so a cap at or above 15 closes the bracket at the true value.
-	units := append(idx.UnitsOf(parts[0].ID), idx.UnitsOf(parts[1].ID)...)
+	units := append(idx.Current().UnitsOf(parts[0].ID), idx.Current().UnitsOf(parts[1].ID)...)
 	e, err := New(idx.Current(), indoor.Pos(5, 5, 0), units, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
@@ -394,7 +394,7 @@ func TestRestrictedAgreesWithFullOnMall(t *testing.T) {
 	// Candidate set: units within skeleton bound 250 of q (a realistic
 	// filtering-phase output).
 	var units []index.UnitID
-	idx.SearchTree(
+	idx.Current().SearchTree(
 		func(box geom.Rect3) bool { return idx.MinSkelDistBox(q, box) <= 250 },
 		func(u *index.Unit) { units = append(units, u.ID) },
 	)

@@ -36,7 +36,7 @@ func TestPartialMassBoundsSound(t *testing.T) {
 			t.Fatal(err)
 		}
 		mass := 0.0
-		for _, sub := range idx.ObjectSubregions(o.ID) {
+		for _, sub := range idx.Current().ObjectSubregions(o.ID) {
 			mass += sub.Prob
 		}
 		if mass < 1-1e-9 && mass > 0 {

@@ -189,12 +189,8 @@ func (s BuildStats) Total() time.Duration {
 // serialise on a writer mutex, build the successor snapshot copy-on-write
 // — object updates share the whole topology, topology updates share the
 // object store's untouched storage — and publish it with one atomic swap,
-// so writers never block readers and readers never block writers.
-//
-// The read accessors mirrored on Index itself (LocateUnit, SearchTree,
-// BucketObjects, ...) are conveniences that pin the current snapshot per
-// call; code composing several reads that must agree should pin one
-// Snapshot and read through it.
+// so writers never block readers and readers never block writers. Index
+// itself has no read accessors: every read goes through a pinned Snapshot.
 //
 // The building is owned by the writer side. RLock/RUnlock bracket direct
 // reads of the building's partition/door structure (rendering,
@@ -316,10 +312,6 @@ func unitBox(b *indoor.Building, u *Unit) geom.Rect3 {
 	return geom.R3(u.Rect, zlo, zhi)
 }
 
-// The accessors below mirror Snapshot's read API, pinning the current
-// snapshot per call. They keep single-goroutine code and diagnostics
-// simple; multi-read consistency needs an explicitly pinned Snapshot.
-
 // Building returns the indexed building.
 func (idx *Index) Building() *indoor.Building { return idx.b }
 
@@ -327,76 +319,3 @@ func (idx *Index) Building() *indoor.Building { return idx.b }
 // the durable store persists them so a recovered index decomposes the
 // restored building identically.
 func (idx *Index) Options() Options { return idx.opts }
-
-// Objects returns the object store of the current snapshot.
-func (idx *Index) Objects() *object.Store { return idx.Current().Objects() }
-
-// Skeleton returns the current skeleton tier.
-func (idx *Index) Skeleton() *Skeleton { return idx.Current().Skeleton() }
-
-// Unit returns the unit with the given id in the current snapshot, or nil.
-func (idx *Index) Unit(id UnitID) *Unit { return idx.Current().Unit(id) }
-
-// NumUnits returns the number of index units.
-func (idx *Index) NumUnits() int { return idx.Current().NumUnits() }
-
-// UnitIDBound returns the current snapshot's exclusive unit-id bound.
-func (idx *Index) UnitIDBound() UnitID { return idx.Current().UnitIDBound() }
-
-// TreeHeight exposes the tree tier's height (diagnostics).
-func (idx *Index) TreeHeight() int { return idx.Current().TreeHeight() }
-
-// PartitionOf implements the h-table lookup.
-func (idx *Index) PartitionOf(u UnitID) indoor.PartitionID { return idx.Current().PartitionOf(u) }
-
-// UnitsOf returns the index units of a partition, ascending.
-func (idx *Index) UnitsOf(pid indoor.PartitionID) []UnitID { return idx.Current().UnitsOf(pid) }
-
-// ObjectUnits implements the o-table lookup. The slice is a copy.
-func (idx *Index) ObjectUnits(id object.ID) []UnitID { return idx.Current().ObjectUnits(id) }
-
-// ObjectUnitsView is ObjectUnits without the copy; the slice must not be
-// modified.
-func (idx *Index) ObjectUnitsView(id object.ID) []UnitID { return idx.Current().ObjectUnitsView(id) }
-
-// BucketObjects returns a copy of the ids in a unit's object bucket.
-func (idx *Index) BucketObjects(u UnitID) []object.ID { return idx.Current().BucketObjects(u) }
-
-// BucketObjectsView returns a unit's bucket without the copy; the slice
-// must not be modified.
-func (idx *Index) BucketObjectsView(u UnitID) []object.ID { return idx.Current().BucketObjectsView(u) }
-
-// LocateUnit finds the index unit containing pos in the current snapshot.
-func (idx *Index) LocateUnit(pos indoor.Position) *Unit { return idx.Current().LocateUnit(pos) }
-
-// LocatePartition returns the partition containing pos, or NoPartition.
-func (idx *Index) LocatePartition(pos indoor.Position) indoor.PartitionID {
-	return idx.Current().LocatePartition(pos)
-}
-
-// SearchTree walks the current snapshot's tree tier.
-func (idx *Index) SearchTree(descend func(geom.Rect3) bool, emit func(*Unit)) {
-	idx.Current().SearchTree(descend, emit)
-}
-
-// FloorsOfBox recovers the floor interval covered by a tree-tier box.
-func (idx *Index) FloorsOfBox(b geom.Rect3) (lo, hi int) { return idx.Current().FloorsOfBox(b) }
-
-// TopoEpoch returns the current snapshot's topology epoch.
-func (idx *Index) TopoEpoch() uint64 { return idx.Current().TopoEpoch() }
-
-// DoorGraph returns the current snapshot's compiled door-graph tier.
-func (idx *Index) DoorGraph() *DoorGraph { return idx.Current().DoorGraph() }
-
-// ObjectSubregions returns the current subregion split of an object.
-func (idx *Index) ObjectSubregions(id object.ID) []Subregion {
-	return idx.Current().ObjectSubregions(id)
-}
-
-// MultiPartition reports whether the object spans several partitions.
-func (idx *Index) MultiPartition(id object.ID) bool { return idx.Current().MultiPartition(id) }
-
-// CheckInvariants validates cross-layer consistency of the current
-// snapshot. Snapshots are immutable, so stress tests may call it
-// concurrently with mutators.
-func (idx *Index) CheckInvariants() error { return idx.Current().CheckInvariants() }

@@ -35,16 +35,16 @@ func TestBuildSmallMall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.NumUnits() < b.NumPartitions() {
-		t.Errorf("units %d < partitions %d; corridors must decompose", idx.NumUnits(), b.NumPartitions())
+	if idx.Current().NumUnits() < b.NumPartitions() {
+		t.Errorf("units %d < partitions %d; corridors must decompose", idx.Current().NumUnits(), b.NumPartitions())
 	}
-	if idx.Objects().Len() != 100 {
-		t.Errorf("stored objects = %d", idx.Objects().Len())
+	if idx.Current().Objects().Len() != 100 {
+		t.Errorf("stored objects = %d", idx.Current().Objects().Len())
 	}
 	if stats.Total() <= 0 {
 		t.Error("construction stats must be positive")
 	}
-	if err := idx.CheckInvariants(); err != nil {
+	if err := idx.Current().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -53,16 +53,16 @@ func TestHTableMapsUnitsToPartitions(t *testing.T) {
 	b := mall(t, 1)
 	idx := buildIdx(t, b, nil)
 	for _, p := range b.Partitions() {
-		units := idx.UnitsOf(p.ID)
+		units := idx.Current().UnitsOf(p.ID)
 		if len(units) == 0 {
 			t.Fatalf("partition %d has no units", p.ID)
 		}
 		var area float64
 		for _, uid := range units {
-			if idx.PartitionOf(uid) != p.ID {
+			if idx.Current().PartitionOf(uid) != p.ID {
 				t.Fatalf("h-table mismatch for unit %d", uid)
 			}
-			area += idx.Unit(uid).Rect.Area()
+			area += idx.Current().Unit(uid).Rect.Area()
 		}
 		if math.Abs(area-p.Shape.Area()) > 1e-6*p.Shape.Area() {
 			t.Errorf("partition %d: unit area %g != shape area %g", p.ID, area, p.Shape.Area())
@@ -74,7 +74,7 @@ func TestLocateUnitAgreesWithBuilding(t *testing.T) {
 	b := mall(t, 3)
 	idx := buildIdx(t, b, nil)
 	for i, q := range gen.QueryPoints(b, 200, 9) {
-		u := idx.LocateUnit(q)
+		u := idx.Current().LocateUnit(q)
 		if u == nil {
 			t.Fatalf("point %d (%v) not located", i, q)
 		}
@@ -91,10 +91,10 @@ func TestLocateUnitAgreesWithBuilding(t *testing.T) {
 			t.Fatalf("unit partition %d does not contain %v", u.Part, q)
 		}
 	}
-	if got := idx.LocateUnit(indoor.Pos(-50, -50, 0)); got != nil {
+	if got := idx.Current().LocateUnit(indoor.Pos(-50, -50, 0)); got != nil {
 		t.Error("outside point must not locate")
 	}
-	if got := idx.LocatePartition(indoor.Pos(-50, -50, 0)); got != indoor.NoPartition {
+	if got := idx.Current().LocatePartition(indoor.Pos(-50, -50, 0)); got != indoor.NoPartition {
 		t.Error("outside point must yield NoPartition")
 	}
 }
@@ -128,9 +128,9 @@ func TestTopologicalLayerConnectivity(t *testing.T) {
 			queue = append(queue, next)
 		}
 	}
-	if len(visited) != idx.NumUnits() {
+	if len(visited) != idx.Current().NumUnits() {
 		t.Errorf("reached %d of %d units through the topological layer",
-			len(visited), idx.NumUnits())
+			len(visited), idx.Current().NumUnits())
 	}
 }
 
@@ -145,7 +145,7 @@ func TestVirtualDoorsAlwaysEnterable(t *testing.T) {
 				if !d.CanEnter(u) {
 					t.Fatal("virtual door must always be enterable")
 				}
-				if idx.PartitionOf(d.U1) != idx.PartitionOf(d.U2) {
+				if idx.Current().PartitionOf(d.U1) != idx.Current().PartitionOf(d.U2) {
 					t.Fatal("virtual door must not cross partitions")
 				}
 			}
@@ -171,8 +171,8 @@ func TestDoorRefDirectionality(t *testing.T) {
 		if ref == nil {
 			t.Fatalf("door %d has no ref", d.ID)
 		}
-		intoRoom := idx.Unit(ref.U1)
-		other := idx.Unit(ref.U2)
+		intoRoom := idx.Current().Unit(ref.U1)
+		other := idx.Current().Unit(ref.U2)
 		if intoRoom.Part != d.To {
 			intoRoom, other = other, intoRoom
 		}
@@ -223,7 +223,7 @@ func TestObjectLayer(t *testing.T) {
 
 	multi := 0
 	for _, o := range objs {
-		units := idx.ObjectUnits(o.ID)
+		units := idx.Current().ObjectUnits(o.ID)
 		if len(units) == 0 {
 			t.Fatalf("object %d has no units", o.ID)
 		}
@@ -233,7 +233,7 @@ func TestObjectLayer(t *testing.T) {
 		// Inverse mapping: the object appears in each listed bucket.
 		for _, uid := range units {
 			found := false
-			for _, oid := range idx.BucketObjects(uid) {
+			for _, oid := range idx.Current().BucketObjects(uid) {
 				if oid == o.ID {
 					found = true
 					break
@@ -247,7 +247,7 @@ func TestObjectLayer(t *testing.T) {
 		for _, in := range o.Instances {
 			ok := false
 			for _, uid := range units {
-				if idx.Unit(uid).Contains(in.Pos) {
+				if idx.Current().Unit(uid).Contains(in.Pos) {
 					ok = true
 					break
 				}
@@ -272,7 +272,7 @@ func TestInsertDeleteObject(t *testing.T) {
 	if err := idx.InsertObject(o); err == nil {
 		t.Error("double insert must error")
 	}
-	if len(idx.ObjectUnits(1)) != 1 {
+	if len(idx.Current().ObjectUnits(1)) != 1 {
 		t.Error("point object must occupy one unit")
 	}
 	if err := idx.DeleteObject(1); err != nil {
@@ -281,7 +281,7 @@ func TestInsertDeleteObject(t *testing.T) {
 	if err := idx.DeleteObject(1); err == nil {
 		t.Error("double delete must error")
 	}
-	if err := idx.CheckInvariants(); err != nil {
+	if err := idx.Current().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -299,8 +299,8 @@ func TestUpdateAndMoveObject(t *testing.T) {
 	if err := idx.UpdateObject(o2); err != nil {
 		t.Fatal(err)
 	}
-	u := idx.LocateUnit(qs[1])
-	if got := idx.ObjectUnits(1); len(got) != 1 || got[0] != u.ID {
+	u := idx.Current().LocateUnit(qs[1])
+	if got := idx.Current().ObjectUnits(1); len(got) != 1 || got[0] != u.ID {
 		t.Errorf("o-table after update = %v, want [%d]", got, u.ID)
 	}
 	// Adjacency-accelerated move to a nearby point in the same unit.
@@ -309,7 +309,7 @@ func TestUpdateAndMoveObject(t *testing.T) {
 	if err := idx.MoveObject(o3); err != nil {
 		t.Fatal(err)
 	}
-	if got := idx.ObjectUnits(1); len(got) != 1 || got[0] != u.ID {
+	if got := idx.Current().ObjectUnits(1); len(got) != 1 || got[0] != u.ID {
 		t.Errorf("o-table after move = %v", got)
 	}
 	// Move with fallback: far jump still lands correctly.
@@ -317,14 +317,14 @@ func TestUpdateAndMoveObject(t *testing.T) {
 	if err := idx.MoveObject(o4); err != nil {
 		t.Fatal(err)
 	}
-	u4 := idx.LocateUnit(qs[2])
-	if got := idx.ObjectUnits(1); len(got) != 1 || got[0] != u4.ID {
+	u4 := idx.Current().LocateUnit(qs[2])
+	if got := idx.Current().ObjectUnits(1); len(got) != 1 || got[0] != u4.ID {
 		t.Errorf("o-table after far move = %v, want [%d]", got, u4.ID)
 	}
 	if err := idx.MoveObject(object.PointObject(99, qs[3])); err == nil {
 		t.Error("moving an unknown object must error")
 	}
-	if err := idx.CheckInvariants(); err != nil {
+	if err := idx.Current().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -332,7 +332,7 @@ func TestUpdateAndMoveObject(t *testing.T) {
 func TestAddRemovePartitionDynamic(t *testing.T) {
 	b := mall(t, 1)
 	idx := buildIdx(t, b, nil)
-	before := idx.NumUnits()
+	before := idx.Current().NumUnits()
 
 	// Insert a kiosk room inside nothing (isolated partition) then connect
 	// it to a corridor with a door.
@@ -359,13 +359,13 @@ func TestAddRemovePartitionDynamic(t *testing.T) {
 	if err := idx.RemovePartition(room.ID); err != nil {
 		t.Fatal(err)
 	}
-	if idx.NumUnits() != before-1 {
-		t.Errorf("units = %d, want %d", idx.NumUnits(), before-1)
+	if idx.Current().NumUnits() != before-1 {
+		t.Errorf("units = %d, want %d", idx.Current().NumUnits(), before-1)
 	}
 	if b.Partition(room.ID) != nil {
 		t.Error("partition must be gone from the building")
 	}
-	if err := idx.CheckInvariants(); err != nil {
+	if err := idx.Current().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -375,11 +375,11 @@ func TestAddRemovePartitionDynamic(t *testing.T) {
 	if err := idx.AddPartition(r2.ID); err != nil {
 		t.Fatal(err)
 	}
-	if idx.NumUnits() != before {
-		t.Errorf("units = %d after re-add, want %d", idx.NumUnits(), before)
+	if idx.Current().NumUnits() != before {
+		t.Errorf("units = %d after re-add, want %d", idx.Current().NumUnits(), before)
 	}
 	// Connect it back to its corridor and attach the door.
-	c := idx.LocateUnit(indoor.Pos(r2.Bounds().Center().X, r2.Bounds().MaxY+1, 0))
+	c := idx.Current().LocateUnit(indoor.Pos(r2.Bounds().Center().X, r2.Bounds().MaxY+1, 0))
 	if c == nil {
 		t.Fatal("no corridor above the re-added room")
 	}
@@ -393,7 +393,7 @@ func TestAddRemovePartitionDynamic(t *testing.T) {
 	if err := idx.AttachDoor(d.ID); err == nil {
 		t.Error("double attach must error")
 	}
-	if err := idx.CheckInvariants(); err != nil {
+	if err := idx.Current().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -415,14 +415,14 @@ func TestSplitMergeThroughIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.CheckInvariants(); err != nil {
+	if err := idx.Current().CheckInvariants(); err != nil {
 		t.Fatalf("after split: %v", err)
 	}
 	merged, err := idx.MergePartitions(pa, pb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.CheckInvariants(); err != nil {
+	if err := idx.Current().CheckInvariants(); err != nil {
 		t.Fatalf("after merge: %v", err)
 	}
 	if b.Partition(merged) == nil {
@@ -430,11 +430,11 @@ func TestSplitMergeThroughIndex(t *testing.T) {
 	}
 	// Objects relocated: every object still has every instance covered.
 	for _, o := range objs {
-		units := idx.ObjectUnits(o.ID)
+		units := idx.Current().ObjectUnits(o.ID)
 		for _, in := range o.Instances {
 			ok := false
 			for _, uid := range units {
-				if u := idx.Unit(uid); u != nil && u.Contains(in.Pos) {
+				if u := idx.Current().Unit(uid); u != nil && u.Contains(in.Pos) {
 					ok = true
 					break
 				}
@@ -456,15 +456,15 @@ func TestSplitFailureRestoresIndex(t *testing.T) {
 			break
 		}
 	}
-	before := idx.NumUnits()
+	before := idx.Current().NumUnits()
 	// Split line outside the room: must fail and restore.
 	if _, _, err := idx.SplitPartition(room.ID, true, -1000); err == nil {
 		t.Fatal("expected split failure")
 	}
-	if idx.NumUnits() != before {
-		t.Errorf("units = %d after failed split, want %d", idx.NumUnits(), before)
+	if idx.Current().NumUnits() != before {
+		t.Errorf("units = %d after failed split, want %d", idx.Current().NumUnits(), before)
 	}
-	if err := idx.CheckInvariants(); err != nil {
+	if err := idx.Current().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

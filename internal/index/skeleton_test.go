@@ -13,7 +13,7 @@ func TestSkeletonEntranceCount(t *testing.T) {
 	b := mall(t, 3)
 	idx := buildIdx(t, b, nil)
 	// 4 staircases per floor gap × 2 entrances × 2 gaps.
-	if got := idx.Skeleton().NumEntrances(); got != 16 {
+	if got := idx.Current().Skeleton().NumEntrances(); got != 16 {
 		t.Errorf("entrances = %d, want 16", got)
 	}
 }
@@ -21,7 +21,7 @@ func TestSkeletonEntranceCount(t *testing.T) {
 func TestSkeletonMatrixProperties(t *testing.T) {
 	b := mall(t, 3)
 	idx := buildIdx(t, b, nil)
-	sk := idx.Skeleton()
+	sk := idx.Current().Skeleton()
 	n := sk.NumEntrances()
 	for i := 0; i < n; i++ {
 		if sk.Ms2s(i, i) != 0 {
@@ -90,7 +90,7 @@ func TestSkeletonDistCrossFloor(t *testing.T) {
 func TestSkeletonDistUnreachableWithoutStairs(t *testing.T) {
 	b := mall(t, 1) // single floor: no staircases
 	idx := buildIdx(t, b, nil)
-	d := idx.Skeleton().Dist(indoor.Pos(10, 10, 0), indoor.Pos(10, 10, 5))
+	d := idx.Current().Skeleton().Dist(indoor.Pos(10, 10, 0), indoor.Pos(10, 10, 5))
 	if !math.IsInf(d, 1) {
 		t.Errorf("skeleton dist without stairs = %g, want +Inf", d)
 	}
@@ -105,15 +105,15 @@ func TestMinSkelDistMonotoneInContainment(t *testing.T) {
 	inner := geom.R(400, 400, 420, 420)
 	outer := geom.R(390, 390, 470, 470)
 	for _, floors := range [][2]int{{0, 0}, {1, 1}, {1, 2}} {
-		di := idx.Skeleton().MinDistRect(q, inner, floors[0], floors[1])
-		do := idx.Skeleton().MinDistRect(q, outer, floors[0], floors[1])
+		di := idx.Current().Skeleton().MinDistRect(q, inner, floors[0], floors[1])
+		do := idx.Current().Skeleton().MinDistRect(q, outer, floors[0], floors[1])
 		if do > di+1e-9 {
 			t.Errorf("floors %v: outer box farther than inner (%g > %g)", floors, do, di)
 		}
 	}
 	// Widening the floor interval to include q's floor can only shrink it.
-	dNarrow := idx.Skeleton().MinDistRect(q, inner, 1, 1)
-	dWide := idx.Skeleton().MinDistRect(q, inner, 0, 1)
+	dNarrow := idx.Current().Skeleton().MinDistRect(q, inner, 1, 1)
+	dWide := idx.Current().Skeleton().MinDistRect(q, inner, 0, 1)
 	if dWide > dNarrow+1e-9 {
 		t.Errorf("wider floor span increased the bound: %g > %g", dWide, dNarrow)
 	}
@@ -128,7 +128,7 @@ func TestMinSkelDistBoxLowerBoundsPoints(t *testing.T) {
 	ps := gen.QueryPoints(b, 50, 22)
 	for _, q := range qs {
 		for _, p := range ps {
-			u := idx.LocateUnit(p)
+			u := idx.Current().LocateUnit(p)
 			if u == nil {
 				continue
 			}
@@ -147,7 +147,7 @@ func TestFloorsOfBox(t *testing.T) {
 	idx := buildIdx(t, b, nil)
 	for _, u := range idx.Current().topo.units {
 		box := unitBox(b, u)
-		lo, hi := idx.FloorsOfBox(box)
+		lo, hi := idx.Current().FloorsOfBox(box)
 		if lo != u.FloorLo || hi != u.FloorHi {
 			t.Fatalf("unit %d floors [%d,%d] recovered as [%d,%d]",
 				u.ID, u.FloorLo, u.FloorHi, lo, hi)
@@ -158,7 +158,7 @@ func TestFloorsOfBox(t *testing.T) {
 func TestRebuildSkeletonAfterStairRemoval(t *testing.T) {
 	b := mall(t, 2)
 	idx := buildIdx(t, b, nil)
-	before := idx.Skeleton().NumEntrances()
+	before := idx.Current().Skeleton().NumEntrances()
 	var stair *indoor.Partition
 	for _, p := range b.Partitions() {
 		if p.Kind == indoor.Staircase {
@@ -169,7 +169,7 @@ func TestRebuildSkeletonAfterStairRemoval(t *testing.T) {
 	if err := idx.RemovePartition(stair.ID); err != nil {
 		t.Fatal(err)
 	}
-	after := idx.Skeleton().NumEntrances()
+	after := idx.Current().Skeleton().NumEntrances()
 	if after != before-2 {
 		t.Errorf("entrances %d -> %d, want -2", before, after)
 	}

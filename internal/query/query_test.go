@@ -261,7 +261,7 @@ func TestCrossFloorRange(t *testing.T) {
 		if r >= 900 {
 			cross := false
 			for _, res := range got {
-				if f.idx.Objects().Get(res.ID).Floor() != q.Floor {
+				if f.idx.Current().Objects().Get(res.ID).Floor() != q.Floor {
 					cross = true
 					break
 				}
@@ -313,7 +313,7 @@ func TestQueryAfterDoorClosure(t *testing.T) {
 	}
 	// Close the query partition's doors: everything beyond becomes
 	// unreachable, so only same-partition objects remain.
-	pid := f.idx.LocatePartition(q)
+	pid := f.idx.Current().LocatePartition(q)
 	part := f.b.Partition(pid)
 	for _, did := range part.Doors {
 		if err := f.idx.SetDoorClosed(did, true); err != nil {
@@ -328,10 +328,10 @@ func TestQueryAfterDoorClosure(t *testing.T) {
 		t.Error("closing doors must not grow the result")
 	}
 	for _, res := range after {
-		units := f.idx.ObjectUnits(res.ID)
+		units := f.idx.Current().ObjectUnits(res.ID)
 		inPart := false
 		for _, uid := range units {
-			if f.idx.PartitionOf(uid) == pid {
+			if f.idx.Current().PartitionOf(uid) == pid {
 				inPart = true
 			}
 		}

@@ -33,12 +33,12 @@ func TestKSeedsClosedAndFinite(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, oid := range seeds {
-			for _, ou := range f.idx.ObjectUnits(oid) {
+			for _, ou := range f.idx.Current().ObjectUnits(oid) {
 				if !inSet[ou] {
 					t.Fatalf("seed %d has unit %d outside the seed set", oid, ou)
 				}
 			}
-			if tlu := eng.TLU(f.idx.Objects().Get(oid)); math.IsInf(tlu, 1) {
+			if tlu := eng.TLU(f.idx.Current().Objects().Get(oid)); math.IsInf(tlu, 1) {
 				t.Fatalf("seed %d has infinite TLU", oid)
 			}
 		}
@@ -67,7 +67,7 @@ func TestKboundCoversKthNeighbor(t *testing.T) {
 			}
 			tlus := make([]float64, 0, len(seeds))
 			for _, oid := range seeds {
-				tlus = append(tlus, eng.TLU(f.idx.Objects().Get(oid)))
+				tlus = append(tlus, eng.TLU(f.idx.Current().Objects().Get(oid)))
 			}
 			// kbound as KNNQuery computes it: the k-th smallest TLU.
 			for i := 1; i < len(tlus); i++ {

@@ -35,16 +35,16 @@ func NewEstimator(idx *index.Index) *Estimator {
 	return &Estimator{idx: idx, Alpha: 1.25, grid: 3}
 }
 
-// multiplicity returns the mean number of buckets an object occupies, the
-// double-count correction.
-func (e *Estimator) multiplicity() float64 {
-	objs := e.idx.Objects().Len()
+// multiplicity returns the mean number of buckets an object occupies in
+// snapshot s, the double-count correction.
+func multiplicity(s *index.Snapshot) float64 {
+	objs := s.Objects().Len()
 	if objs == 0 {
 		return 1
 	}
 	entries := 0
-	for _, id := range e.idx.Objects().IDs() {
-		entries += len(e.idx.ObjectUnits(id))
+	for _, id := range s.Objects().IDs() {
+		entries += len(s.ObjectUnitsView(id))
 	}
 	m := float64(entries) / float64(objs)
 	if m < 1 {
@@ -53,9 +53,9 @@ func (e *Estimator) multiplicity() float64 {
 	return m
 }
 
-// EstimateRange predicts |iRQ(q, r)|. It pins one snapshot for the walk,
-// so estimates run concurrently with queries and updates and never block
-// either.
+// EstimateRange predicts |iRQ(q, r)|. It pins one snapshot for the walk and
+// the multiplicity correction, so estimates run concurrently with queries
+// and updates, never block either, and never mix two states.
 func (e *Estimator) EstimateRange(q indoor.Position, r float64) float64 {
 	if r < 0 {
 		return 0
@@ -87,7 +87,7 @@ func (e *Estimator) EstimateRange(q indoor.Position, r float64) float64 {
 			sum += float64(n) * float64(inside) / float64(total)
 		},
 	)
-	return sum / e.multiplicity()
+	return sum / multiplicity(s)
 }
 
 // Calibrate fits Alpha by evaluating true queries at the given points and

@@ -83,7 +83,7 @@ func shardWorkloadLog(t *testing.T, seed int64, shards, subsN int) [][]SubEvent 
 				}
 				c := o.Center
 				next := indoor.Pos(c.Pt.X+rng.Float64()*120-60, c.Pt.Y+rng.Float64()*120-60, c.Floor)
-				if idx.LocatePartition(next) < 0 {
+				if idx.Current().LocatePartition(next) < 0 {
 					next = c
 				}
 				upd := object.SampleGaussian(rng, o.ID, next, o.Radius, 8)
@@ -228,7 +228,7 @@ func TestShardedChurnRace(t *testing.T) {
 				o := objs[rng.Intn(len(objs))]
 				c := o.Center
 				next := indoor.Pos(c.Pt.X+rng.Float64()*80-40, c.Pt.Y+rng.Float64()*80-40, c.Floor)
-				if idx.LocatePartition(next) < 0 {
+				if idx.Current().LocatePartition(next) < 0 {
 					next = c
 				}
 				ups = append(ups, index.ObjectUpdate{Op: index.UpdateMove, Object: object.SampleGaussian(rng, o.ID, next, o.Radius, 8)})

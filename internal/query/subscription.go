@@ -73,8 +73,8 @@ type Subscriptions struct {
 	latCount uint64
 
 	// log accumulates events for DrainEvents when logging is enabled (the
-	// facade's pull API); engines used through the Monitor wrapper return
-	// events per call instead and keep the log off. The log is bounded by
+	// facade's pull API); with the log off, events are only returned per
+	// call. The log is bounded by
 	// logCap (DefaultEventLogCap unless overridden): a consumer that stops
 	// draining — a dead streaming client, say — must cost bounded memory,
 	// not an OOM. When the bound is hit the oldest events are dropped and

@@ -132,7 +132,7 @@ func runSubscriptionOracleWorkload(t *testing.T, seed int64, steps int) {
 				}
 				c := o.Center
 				next := indoor.Pos(c.Pt.X+rng.Float64()*120-60, c.Pt.Y+rng.Float64()*120-60, c.Floor)
-				if idx.LocatePartition(next) < 0 {
+				if idx.Current().LocatePartition(next) < 0 {
 					next = c
 				}
 				upd := object.SampleGaussian(rng, o.ID, next, o.Radius, 8)
@@ -266,5 +266,60 @@ func TestSubscriptionRoutingSkipsUnaffected(t *testing.T) {
 	}
 	if after.RoutedPairs != before.RoutedPairs || after.AffectedSubs != before.AffectedSubs {
 		t.Fatalf("far update was routed: %+v -> %+v", before, after)
+	}
+}
+
+// Unsubscribe must report a handle's existence exactly once, and a removed
+// handle has no results.
+func TestSubscriptionUnsubscribe(t *testing.T) {
+	f := newFixture(t, 1, 50, 5)
+	e := NewSubscriptions(f.idx, Options{})
+	q := gen.QueryPoints(f.b, 1, 605)[0]
+	id, _, err := e.SubscribeRange(q, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.Unsubscribe(id) || e.Unsubscribe(id) {
+		t.Error("Unsubscribe must report existence exactly once")
+	}
+	if e.Results(id) != nil {
+		t.Error("results of a removed subscription must be nil")
+	}
+	if e.NumSubscriptions() != 0 {
+		t.Error("subscription count wrong")
+	}
+}
+
+// A refresh that fails (the subscription's partition was removed) must
+// leave the old cached engines in place: later reconciles use them instead
+// of panicking on a nil engine.
+func TestSubscriptionSurvivesFailedRefresh(t *testing.T) {
+	f := newFixture(t, 1, 100, 5)
+	e := NewSubscriptions(f.idx, Options{})
+	q := gen.QueryPoints(f.b, 1, 607)[0]
+	if _, _, err := e.SubscribeRange(q, 60); err != nil {
+		t.Fatal(err)
+	}
+	pid := f.idx.Current().LocatePartition(q)
+	if pid == indoor.NoPartition {
+		t.Fatal("query point not locatable")
+	}
+	if err := f.idx.RemovePartition(pid); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.InvalidateTopology(); err == nil {
+		t.Fatal("refresh over a removed query partition must error")
+	}
+	for _, s := range e.standing {
+		if s.eng == nil {
+			t.Fatal("failed refresh dropped the cached engine")
+		}
+	}
+	// The subscription is stale but must stay usable: object updates keep
+	// flowing through reconcile without a crash.
+	for _, o := range f.objs {
+		if _, err := e.ApplyObjectUpdates([]index.ObjectUpdate{{Op: index.UpdateMove, Object: o}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -87,7 +87,7 @@ func SVG(w io.Writer, b *indoor.Building, opts Options) error {
 	// Index-unit overlay.
 	if opts.Units != nil {
 		var units []*index.Unit
-		opts.Units.SearchTree(
+		opts.Units.Current().SearchTree(
 			func(geom.Rect3) bool { return true },
 			func(u *index.Unit) {
 				if u.OnFloor(opts.Floor) {

@@ -349,7 +349,7 @@ func (r *Replica) queryOptions() query.Options {
 func (r *Replica) Index() *index.Index { return r.st.Load().idx }
 
 // NumObjects returns the object count of the current snapshot.
-func (r *Replica) NumObjects() int { return r.st.Load().idx.Objects().Len() }
+func (r *Replica) NumObjects() int { return r.st.Load().idx.Current().Objects().Len() }
 
 // AppliedLSN returns the newest LSN the replica has applied.
 func (r *Replica) AppliedLSN() uint64 { return r.applied.Load() }

@@ -187,7 +187,7 @@ func TestCreateLogReopen(t *testing.T) {
 		if got := stateBytes(t, idx2); !bytes.Equal(want, got) {
 			t.Fatalf("policy %d: recovered state differs\nwant %s\ngot  %s", policy, want, got)
 		}
-		if err := idx2.CheckInvariants(); err != nil {
+		if err := idx2.Current().CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
 		// The recovered log must keep accepting appends.

@@ -135,7 +135,7 @@ func TestContinuousMonitoringSimulation(t *testing.T) {
 			}
 		}
 
-		if err := db.Index().CheckInvariants(); err != nil {
+		if err := db.Index().Current().CheckInvariants(); err != nil {
 			t.Fatalf("epoch %d: %v", epoch, err)
 		}
 		check(epoch)
