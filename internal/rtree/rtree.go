@@ -309,6 +309,14 @@ func (t *Tree) split(n *node, path []*node, level int, reinserted map[int]bool) 
 		return
 	}
 	parent := path[len(path)-1]
+	// n's stored box predates both the split and the entry that caused it;
+	// it must be exact before the parent itself is reinserted or split.
+	for j, c := range parent.children {
+		if c == n {
+			parent.boxes[j] = n.mbr()
+			break
+		}
+	}
 	parent.boxes = append(parent.boxes, sib.mbr())
 	parent.children = append(parent.children, sib)
 	if parent.len() > t.fanout {
@@ -429,6 +437,9 @@ func (t *Tree) condense(n *node, path []*node) {
 		level int
 	}
 	var orphans []orphan
+	// Tighten the path first: an orphaned subtree carries its stored box
+	// into its new parent, so that box must already reflect the removal.
+	t.refreshPath(path)
 	level := 0
 	cur := n
 	for i := len(path) - 1; i >= 0; i-- {

@@ -218,43 +218,43 @@ func TestDeleteAll(t *testing.T) {
 	}
 }
 
+// Interleaved inserts and deletes must keep every parent MBR exact after
+// every operation. Victims are drawn by the seeded rng, so each seed
+// replays one fixed operation sequence. Before split refreshed the
+// parent's box for the split node, and condense tightened the path before
+// orphaning subtrees, every one of these seeds left stale boxes within
+// 2,000 steps, some smaller than their child, which loses search results.
 func TestMixedWorkloadInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	tr := New(DefaultFanout)
-	live := make(map[int]Entry)
-	nextID := 0
-	for step := 0; step < 5000; step++ {
-		if len(live) == 0 || rng.Float64() < 0.6 {
-			b := randBox(rng)
-			tr.Insert(b, nextID)
-			live[nextID] = Entry{Box: b, ID: nextID}
-			nextID++
-		} else {
-			// Delete a pseudo-random live entry.
-			for id, e := range live {
-				if !tr.Delete(e.Box, id) {
-					t.Fatalf("step %d: delete %d failed", step, id)
+	for _, seed := range []int64{0, 1, 7} {
+		rng := rand.New(rand.NewSource(seed))
+		tr := New(DefaultFanout)
+		var live []Entry
+		nextID := 0
+		for step := 0; step < 2000; step++ {
+			if len(live) == 0 || rng.Float64() < 0.6 {
+				b := randBox(rng)
+				tr.Insert(b, nextID)
+				live = append(live, Entry{Box: b, ID: nextID})
+				nextID++
+			} else {
+				i := rng.Intn(len(live))
+				if !tr.Delete(live[i].Box, live[i].ID) {
+					t.Fatalf("seed %d step %d: delete %d failed", seed, step, live[i].ID)
 				}
-				delete(live, id)
-				break
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
 			}
-		}
-		if step%500 == 0 {
 			if err := tr.CheckInvariants(); err != nil {
-				t.Fatalf("step %d: %v", step, err)
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 		}
-	}
-	if tr.Len() != len(live) {
-		t.Fatalf("len = %d, want %d", tr.Len(), len(live))
-	}
-	var kept []Entry
-	for _, e := range live {
-		kept = append(kept, e)
-	}
-	window := geom.R3(geom.R(100, 100, 400, 400), 0, 80)
-	if !sameSet(treeRange(tr, window), bruteRange(kept, window)) {
-		t.Error("final query mismatch after mixed workload")
+		if tr.Len() != len(live) {
+			t.Fatalf("seed %d: len = %d, want %d", seed, tr.Len(), len(live))
+		}
+		window := geom.R3(geom.R(100, 100, 400, 400), 0, 80)
+		if !sameSet(treeRange(tr, window), bruteRange(live, window)) {
+			t.Errorf("seed %d: final query mismatch after mixed workload", seed)
+		}
 	}
 }
 
