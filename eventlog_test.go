@@ -89,13 +89,21 @@ func TestEventLogBounded(t *testing.T) {
 		t.Fatalf("post-drain burst: got %d events, want 4", len(evs))
 	}
 
-	// An object inserted at the query point enters the subscription.
+	// An object inserted at the query point enters the subscription, and
+	// leaves it when deleted.
 	if err := db.InsertObject(object.PointObject(777777, near)); err != nil {
 		t.Fatal(err)
 	}
 	evs = db.Events()
 	if len(evs) != 1 || evs[0].Sub != sub || evs[0].Object != 777777 || evs[0].Kind != SubEnter {
 		t.Fatalf("insert at the query point: events %+v, want one enter of 777777", evs)
+	}
+	if err := db.DeleteObject(777777); err != nil {
+		t.Fatal(err)
+	}
+	evs = db.Events()
+	if len(evs) != 1 || evs[0].Sub != sub || evs[0].Object != 777777 || evs[0].Kind != SubLeave {
+		t.Fatalf("delete: events %+v, want one leave of 777777", evs)
 	}
 }
 

@@ -74,12 +74,12 @@ type Subscriptions struct {
 
 	// log accumulates events for DrainEvents when logging is enabled (the
 	// facade's pull API); with the log off, events are only returned per
-	// call. The log is bounded by
-	// logCap (DefaultEventLogCap unless overridden): a consumer that stops
-	// draining — a dead streaming client, say — must cost bounded memory,
-	// not an OOM. When the bound is hit the oldest events are dropped and
-	// the overflow flag raised; DrainEventsOverflow reports it so the
-	// consumer knows replay is broken and re-fetches full result sets.
+	// call. The log is bounded by logCap (DefaultEventLogCap unless
+	// overridden): a consumer that stops draining — a dead streaming
+	// client, say — must cost bounded memory, not an OOM. When the bound is
+	// hit the oldest events are dropped and the overflow flag raised;
+	// DrainEventsOverflow reports it so the consumer knows replay is broken
+	// and re-fetches full result sets.
 	logging     bool
 	log         []SubEvent
 	logCap      int

@@ -311,12 +311,7 @@ func (t *Tree) split(n *node, path []*node, level int, reinserted map[int]bool) 
 	parent := path[len(path)-1]
 	// n's stored box predates both the split and the entry that caused it;
 	// it must be exact before the parent itself is reinserted or split.
-	for j, c := range parent.children {
-		if c == n {
-			parent.boxes[j] = n.mbr()
-			break
-		}
-	}
+	t.refreshPath(path[len(path)-1:])
 	parent.boxes = append(parent.boxes, sib.mbr())
 	parent.children = append(parent.children, sib)
 	if parent.len() > t.fanout {
