@@ -41,6 +41,37 @@ func TestFacadeSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+func TestFacadeMonitor(t *testing.T) {
+	db := openSmall(t)
+	q := GenerateQueryPoints(db.Building(), 1, 10)[0]
+	id, initial, err := db.Subscribe(SubscriptionSpec{Q: q, R: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Standing result must equal the one-shot query.
+	fresh, _, err := db.RangeQuery(q, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(initial) != len(fresh) {
+		t.Fatalf("standing %d vs fresh %d", len(initial), len(fresh))
+	}
+	// Drop a new object onto the query point.
+	o := &Object{ID: 777777, Instances: []Instance{{Pos: q, P: 1}}}
+	if err := db.InsertObject(o); err != nil {
+		t.Fatal(err)
+	}
+	seen := false
+	for _, e := range db.Events() {
+		if e.Sub == id && e.Object == 777777 && e.Kind == SubEnter {
+			seen = true
+		}
+	}
+	if !seen {
+		t.Fatal("subscription missed the inserted object")
+	}
+}
+
 func TestFacadeEstimator(t *testing.T) {
 	db := openSmall(t)
 	est := db.NewEstimator()
