@@ -444,7 +444,7 @@ func BenchmarkBatchThroughput(b *testing.B) {
 			var m serve.Metrics
 			for i := 0; i < b.N; i++ {
 				var err error
-				m, err = bench.RunBatchIRQ(f, bench.DefaultRange, batch, workers, query.Options{})
+				m, err = bench.RunBatchIRQ(f, bench.DefaultRange, batch, workers)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -460,7 +460,7 @@ func BenchmarkBatchThroughput(b *testing.B) {
 			var m serve.Metrics
 			for i := 0; i < b.N; i++ {
 				var err error
-				m, err = bench.RunBatchKNN(f, 10, batch, workers, query.Options{})
+				m, err = bench.RunBatchKNN(f, 10, batch, workers)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -498,7 +498,7 @@ func BenchmarkBatchUnderWrites(b *testing.B) {
 	var m serve.Metrics
 	for i := 0; i < b.N; i++ {
 		var err error
-		m, err = bench.RunBatchIRQ(f, bench.DefaultRange, 100, 4, query.Options{})
+		m, err = bench.RunBatchIRQ(f, bench.DefaultRange, 100, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -537,7 +537,7 @@ func BenchmarkQueriesUnderChurn(b *testing.B) {
 				if wal {
 					// The fixture index is cached across benchmarks:
 					// detach the store's hook before returning it.
-					st, err := store.Create(b.TempDir(), f.Idx, 0, nil, store.Options{})
+					st, err := store.Create(b.TempDir(), f.Idx, nil, store.Options{})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -527,9 +527,9 @@ func figConc() error {
 		for _, w := range bench.ConcurrencyWorkers {
 			var m serve.Metrics
 			if kind == "iRQ" {
-				m, err = bench.RunBatchIRQ(f, bench.DefaultRange, batch, w, query.Options{})
+				m, err = bench.RunBatchIRQ(f, bench.DefaultRange, batch, w)
 			} else {
-				m, err = bench.RunBatchKNN(f, 10, batch, w, query.Options{})
+				m, err = bench.RunBatchKNN(f, 10, batch, w)
 			}
 			if err != nil {
 				return err
@@ -662,7 +662,7 @@ func figMVCC() error {
 		var agg serve.Metrics
 		start := time.Now()
 		for r := 0; r < rounds; r++ {
-			m, err := bench.RunBatchIRQ(f, bench.DefaultRange, batch, 4, query.Options{})
+			m, err := bench.RunBatchIRQ(f, bench.DefaultRange, batch, 4)
 			if err != nil {
 				close(stop)
 				wg.Wait()
@@ -738,7 +738,7 @@ func figHistory() error {
 		"distance", "cold (ms)", "records/sec", "advance+1 (ms)", "view hit (ms)")
 	for _, d := range []int{1, 16, 256, 1024, 4096} {
 		// Cold: a fresh provider over the same store — nothing cached.
-		p := history.NewProvider(history.StoreSource{St: db.Store()}, history.Options{})
+		p := history.NewProvider(history.StoreSource{St: db.Store()})
 		start := time.Now()
 		if _, err := p.AsOf(uint64(d)); err != nil {
 			return err

@@ -442,7 +442,7 @@ func TestCrashRecoveryAsOfOracle(t *testing.T) {
 			oracle, ob := freshDB()
 			oracleData := make([]store.Data, len(ops)+1)
 			captureOracle := func(lsn uint64) store.Data {
-				d, err := store.Capture(oracle.idx, qflagsOf(oracle.qopts), oracle.subRecs(), lsn)
+				d, err := store.Capture(oracle.idx, oracle.subRecs(), lsn)
 				if err != nil {
 					t.Fatal(err)
 				}

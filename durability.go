@@ -1,8 +1,8 @@
 package indoorq
 
 // Durability: the facade over internal/store. A DB is either ephemeral
-// (Open / OpenWithQueryOptions) or durable — attached to a store
-// directory holding a checkpoint and a write-ahead log. Persist attaches
+// (Open) or durable — attached to a store directory holding a
+// checkpoint and a write-ahead log. Persist attaches
 // a fresh directory to a live DB; OpenDir recovers a DB from one. Every
 // mutator of a durable DB logs its logical operation to the WAL from
 // inside the index writer mutex, strictly before the MVCC snapshot
@@ -65,7 +65,7 @@ func (db *DB) Persist(dir string, opts DurabilityOptions) error {
 	if db.st != nil {
 		return fmt.Errorf("indoorq: DB already persists to a store")
 	}
-	st, err := store.Create(dir, db.idx, qflagsOf(db.qopts), db.subRecs(), opts)
+	st, err := store.Create(dir, db.idx, db.subRecs(), opts)
 	if err != nil {
 		return err
 	}
@@ -83,8 +83,7 @@ func OpenDir(dir string, opts DurabilityOptions) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := newDB(idx, qoptsOf(info.QueryFlags))
-	db.restoreSubs(info.Subs)
+	db := AdoptIndex(idx, info.Subs)
 	db.recovery = info.Stats
 	db.attachStore(st)
 	return db, nil
@@ -146,13 +145,11 @@ func LoadCheckpoint(path string) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, err := store.Rebuild(data)
+	st, err := store.Load(data)
 	if err != nil {
 		return nil, err
 	}
-	db := newDB(idx, qoptsOf(data.QueryFlags))
-	db.restoreSubs(data.Subs)
-	return db, nil
+	return AdoptIndex(st.Idx, st.Subs()), nil
 }
 
 // Compact folds the write-ahead log into a fresh checkpoint: the log
@@ -225,7 +222,7 @@ func (db *DB) Close() error {
 // the automatic-compaction goroutine.
 func (db *DB) attachStore(st *store.Store) {
 	db.st = st
-	db.hist = history.NewProvider(history.StoreSource{St: st}, history.Options{})
+	db.hist = history.NewProvider(history.StoreSource{St: st})
 	db.closedC = make(chan struct{})
 	db.compactWG.Add(1)
 	go func() {
@@ -255,7 +252,7 @@ func (db *DB) capture(lsn uint64) (store.Data, error) {
 // still (RLock). The subscription capture is wait-free (no engine lock
 // is taken — an engine writer may itself be waiting on the index).
 func (db *DB) capturedLocked(lsn uint64) (store.Data, error) {
-	return store.Capture(db.idx, qflagsOf(db.qopts), db.subRecs(), lsn)
+	return store.Capture(db.idx, db.subRecs(), lsn)
 }
 
 // subRecs returns the current subscription registrations in serde form.
@@ -298,57 +295,29 @@ func specOfRec(rec serde.SubscriptionRec) query.SubSpec {
 	return sp
 }
 
-// restoreSubs re-registers recovered subscriptions. A subscription whose
-// initial evaluation fails against the recovered topology is installed
-// empty and repaired by the next topology operation — the same degraded
-// mode a live subscription enters when its refresh fails.
-func (db *DB) restoreSubs(recs []serde.SubscriptionRec) {
-	if len(recs) == 0 {
-		return
-	}
-	e := db.subscriptions()
-	for _, rec := range recs {
-		_ = e.Restore(specOfRec(rec))
-	}
-}
-
 // SubscriptionRec is a serialized standing-query registration — the form
 // subscriptions take in checkpoints, in the WAL, and on the replication
 // stream.
 type SubscriptionRec = serde.SubscriptionRec
 
-// AdoptIndex wraps an already-built index in a DB facade: query flags are
-// applied and the standing-query registrations re-installed, exactly as
-// recovery does after replaying a log. Its purpose is failover — a read
-// replica's Promote hands back (index, flags, subs), and AdoptIndex turns
+// AdoptIndex wraps an already-built index in a DB facade and re-installs
+// the standing-query registrations under their original handles. It is
+// the last step of recovery and checkpoint loading, and of failover: a
+// read replica's Promote hands back (index, subs), and AdoptIndex turns
 // them into a primary. The DB is ephemeral; attach durability by
 // checkpointing it into a fresh directory.
-func AdoptIndex(idx *index.Index, qflags uint8, subs []SubscriptionRec) *DB {
-	db := newDB(idx, qoptsOf(qflags))
-	db.restoreSubs(subs)
+//
+// A subscription whose initial evaluation fails against the adopted
+// topology is installed empty and repaired by the next topology
+// operation — the same degraded mode a live subscription enters when its
+// refresh fails.
+func AdoptIndex(idx *index.Index, subs []SubscriptionRec) *DB {
+	db := newDB(idx)
+	if len(subs) > 0 {
+		e := db.subscriptions()
+		for _, rec := range subs {
+			_ = e.Restore(specOfRec(rec))
+		}
+	}
 	return db
-}
-
-// Query-processor ablation flags in the checkpoint header.
-const (
-	qflagDisablePruning  = 1 << 0
-	qflagDisableSkeleton = 1 << 1
-)
-
-func qflagsOf(o QueryOptions) uint8 {
-	var f uint8
-	if o.DisablePruning {
-		f |= qflagDisablePruning
-	}
-	if o.DisableSkeleton {
-		f |= qflagDisableSkeleton
-	}
-	return f
-}
-
-func qoptsOf(f uint8) QueryOptions {
-	return QueryOptions{
-		DisablePruning:  f&qflagDisablePruning != 0,
-		DisableSkeleton: f&qflagDisableSkeleton != 0,
-	}
 }

@@ -272,7 +272,7 @@ func TestBatchQueriesUnderTopologyChurn(t *testing.T) {
 		t.Skip("stress test in -short mode")
 	}
 	b, _, idx := epochFixture(t)
-	pool := serve.NewPool(idx, query.Options{}, serve.Config{Workers: 4})
+	pool := serve.NewPool(idx, serve.Config{Workers: 4})
 	queries := gen.QueryPoints(b, 16, 11)
 	reqs := make([]serve.RangeRequest, len(queries))
 	for i, q := range queries {

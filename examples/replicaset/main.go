@@ -6,8 +6,8 @@
 //
 // The leader runs the same serving stack cmd/indoorqd uses; each replica
 // bootstraps from the leader's checkpoint over /v1/repl/checkpoint and
-// tails /v1/repl/wal, replaying every record through the commit pipeline
-// into its own MVCC snapshots. After the leader dies, one replica is
+// tails /v1/repl/wal, folding every record into its own MVCC snapshots
+// exactly as crash recovery would. After the leader dies, one replica is
 // promoted with indoorq.AdoptIndex and keeps answering — and accepting
 // writes — from exactly the state it had applied.
 package main
@@ -131,8 +131,8 @@ func run() error {
 		return err
 	}
 	fmt.Println("leader down; promoting replica 0")
-	idx, qflags, subs := reps[0].Promote()
-	promoted := indoorq.AdoptIndex(idx, qflags, subs)
+	idx, subs := reps[0].Promote()
+	promoted := indoorq.AdoptIndex(idx, subs)
 	nn, _, err := promoted.KNNQuery(q, 5)
 	if err != nil {
 		return err

@@ -86,7 +86,7 @@ func oracleCaptures(t *testing.T, ops []durableOp) []store.Data {
 		t.Fatal(err)
 	}
 	capture := func(lsn uint64) store.Data {
-		d, err := store.Capture(oracle.idx, qflagsOf(oracle.qopts), oracle.subRecs(), lsn)
+		d, err := store.Capture(oracle.idx, oracle.subRecs(), lsn)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,6 +13,8 @@
 //     skeleton layers) with dynamic maintenance
 //   - internal/distance: expected indoor distances and all pruning bounds
 //   - internal/query:    the iRQ and ikNNQ processors
+//   - internal/store:    checkpoints, the write-ahead log and store.State,
+//     the one log fold behind recovery, replicas and history
 //   - internal/gen:      the paper's synthetic mall workload
 //
 // Quick start:
@@ -96,7 +98,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/indoor"
 	"repro/internal/object"
-	"repro/internal/pipeline"
 	"repro/internal/query"
 	"repro/internal/render"
 	"repro/internal/serde"
@@ -135,8 +136,6 @@ type (
 	Options = index.Options
 	// BuildStats reports per-layer index construction time.
 	BuildStats = index.BuildStats
-	// QueryOptions switches query-processor ablations.
-	QueryOptions = query.Options
 	// QueryStats reports per-phase query cost and pruning counters.
 	QueryStats = query.Stats
 	// Result is one query answer.
@@ -178,15 +177,8 @@ func GenerateQueryPoints(b *Building, n int, seed int64) []Position {
 // durable one from OpenDir (recovery) or Persist (attachment) — see
 // durability.go for the checkpoint/WAL lifecycle.
 type DB struct {
-	idx   *index.Index
-	proc  *query.Processor
-	qopts QueryOptions
-
-	// pipe is the commit pipeline every mutator delegates to: it owns the
-	// routing between the raw index and the subscription engine, and is
-	// shared with the network server and the replica replayer so all
-	// three commit paths are literally the same code.
-	pipe *pipeline.Pipeline
+	idx  *index.Index
+	proc *query.Processor
 
 	// subs is the continuous-query engine, created lazily by the first
 	// Subscribe. Once active, every DB mutator routes through it so
@@ -209,32 +201,17 @@ type DB struct {
 // Open builds the composite index over the building and object set and
 // returns the database handle with per-layer construction statistics.
 func Open(b *Building, objs []*Object, opts Options) (*DB, BuildStats, error) {
-	return OpenWithQueryOptions(b, objs, opts, QueryOptions{})
-}
-
-// OpenWithQueryOptions is Open with explicit query-processor options (used
-// by the ablation benchmarks).
-func OpenWithQueryOptions(b *Building, objs []*Object, opts Options, qopts QueryOptions) (*DB, BuildStats, error) {
 	idx, stats, err := index.Build(b, objs, opts)
 	if err != nil {
 		return nil, stats, err
 	}
-	return newDB(idx, qopts), stats, nil
+	return newDB(idx), stats, nil
 }
 
-// newDB assembles a DB over a built or recovered index: query processor,
-// and the commit pipeline wired to the lazily created subscription
-// engine.
-func newDB(idx *index.Index, qopts QueryOptions) *DB {
-	db := &DB{idx: idx, proc: query.New(idx, qopts), qopts: qopts}
-	db.pipe = pipeline.New(idx, func() *query.Subscriptions { return db.subs.Load() })
-	return db
+// newDB assembles a DB over a built or recovered index.
+func newDB(idx *index.Index) *DB {
+	return &DB{idx: idx, proc: query.New(idx, query.Options{})}
 }
-
-// Pipeline exposes the DB's commit pipeline — the mutation path shared by
-// the facade, the network server and replica replay. Mutating through it
-// is identical to mutating through the DB's own methods.
-func (db *DB) Pipeline() *pipeline.Pipeline { return db.pipe }
 
 // Index exposes the underlying composite index for advanced use (the
 // benchmark harness and the baseline comparisons).
@@ -291,34 +268,47 @@ type (
 // consistent point-in-time state. Writers are never blocked by a running
 // batch; their snapshots take effect from the next batch.
 func (db *DB) BatchRangeQuery(reqs []RangeRequest, cfg ServeConfig) ([]BatchResponse, BatchMetrics) {
-	return serve.NewPool(db.idx, db.qopts, cfg).RangeBatch(reqs)
+	return serve.NewPool(db.idx, cfg).RangeBatch(reqs)
 }
 
 // BatchKNNQuery is BatchRangeQuery for k-nearest-neighbour queries.
 func (db *DB) BatchKNNQuery(reqs []KNNRequest, cfg ServeConfig) ([]BatchResponse, BatchMetrics) {
-	return serve.NewPool(db.idx, db.qopts, cfg).KNNBatch(reqs)
+	return serve.NewPool(db.idx, cfg).KNNBatch(reqs)
 }
 
-// With active subscriptions, each single-object mutator below routes
-// through the subscription engine as a one-element batch: the index
-// mutation commits first, then the affected standing queries reconcile. A
-// returned error may therefore come from the reconciliation pass AFTER
-// the mutation committed — see ApplyObjectUpdates for the full
-// error/commit semantics; do not blindly retry inserts or deletes.
+// Every mutator below is the commit path. With active subscriptions,
+// object updates and door toggles route through the subscription engine,
+// so the snapshot swap and the reconciliation pass form one serialised
+// operation whose events land in the ordered log; topology mutations
+// commit to the index first and then refresh every standing query.
+// Without an engine, mutations apply to the index directly.
+//
+// Each single-object mutator is a one-element ApplyObjectUpdates batch. A
+// returned error may come from the reconciliation pass AFTER the mutation
+// committed — see ApplyObjectUpdates for the full error/commit semantics;
+// do not blindly retry inserts or deletes.
 
 // InsertObject adds an uncertain object (§III-C.2).
-func (db *DB) InsertObject(o *Object) error { return db.pipe.InsertObject(o) }
+func (db *DB) InsertObject(o *Object) error {
+	return db.ApplyObjectUpdates([]ObjectUpdate{{Op: UpdateInsert, Object: o}})
+}
 
 // DeleteObject removes an object (§III-C.2).
-func (db *DB) DeleteObject(id ObjectID) error { return db.pipe.DeleteObject(id) }
+func (db *DB) DeleteObject(id ObjectID) error {
+	return db.ApplyObjectUpdates([]ObjectUpdate{{Op: UpdateDelete, ID: id}})
+}
 
 // UpdateObject replaces an object's uncertainty information (deletion
 // followed by insertion).
-func (db *DB) UpdateObject(o *Object) error { return db.pipe.UpdateObject(o) }
+func (db *DB) UpdateObject(o *Object) error {
+	return db.ApplyObjectUpdates([]ObjectUpdate{{Op: UpdateReplace, Object: o}})
+}
 
 // MoveObject is the adjacency-accelerated location update for frequently
 // reporting objects.
-func (db *DB) MoveObject(o *Object) error { return db.pipe.MoveObject(o) }
+func (db *DB) MoveObject(o *Object) error {
+	return db.ApplyObjectUpdates([]ObjectUpdate{{Op: UpdateMove, Object: o}})
+}
 
 // ObjectUpdate is one element of an ApplyObjectUpdates batch.
 type ObjectUpdate = index.ObjectUpdate
@@ -351,7 +341,11 @@ const (
 // advanced iff the batch committed). Do not blindly retry a failed batch
 // containing inserts or deletes without checking.
 func (db *DB) ApplyObjectUpdates(ups []ObjectUpdate) error {
-	return db.pipe.ApplyObjectUpdates(ups)
+	if s := db.subs.Load(); s != nil {
+		_, err := s.ApplyObjectUpdates(ups)
+		return err
+	}
+	return db.idx.ApplyObjectUpdates(ups)
 }
 
 // SnapshotSwaps returns the number of index snapshots published so far
@@ -359,39 +353,66 @@ func (db *DB) ApplyObjectUpdates(ups []ObjectUpdate) error {
 // coalescing: a movement tick through ApplyObjectUpdates advances it once.
 func (db *DB) SnapshotSwaps() uint64 { return db.idx.SnapshotSwaps() }
 
+// refreshAfter refreshes active subscriptions once a topology mutation
+// committed (err == nil) and passes err through. A refresh failure is
+// deliberately not an error of the mutation: the subscription keeps
+// answering from its last good snapshot until a later operation repairs
+// it.
+func (db *DB) refreshAfter(err error) error {
+	if s := db.subs.Load(); s != nil && err == nil {
+		_, _ = s.InvalidateTopology()
+	}
+	return err
+}
+
 // AddPartition indexes a partition previously added to the building.
-func (db *DB) AddPartition(pid PartitionID) error { return db.pipe.AddPartition(pid) }
+func (db *DB) AddPartition(pid PartitionID) error { return db.refreshAfter(db.idx.AddPartition(pid)) }
 
 // RemovePartition removes a partition and its doors from the building and
 // the index.
-func (db *DB) RemovePartition(pid PartitionID) error { return db.pipe.RemovePartition(pid) }
+func (db *DB) RemovePartition(pid PartitionID) error {
+	return db.refreshAfter(db.idx.RemovePartition(pid))
+}
 
 // AttachDoor indexes a door previously added to the building.
-func (db *DB) AttachDoor(did DoorID) error { return db.pipe.AttachDoor(did) }
+func (db *DB) AttachDoor(did DoorID) error { return db.refreshAfter(db.idx.AttachDoor(did)) }
 
 // DetachDoor removes a door from the building and the index. An unknown
 // door is a no-op; the only possible error is a refused durability log
 // (fail-stop store), in which case nothing was detached.
-func (db *DB) DetachDoor(did DoorID) error { return db.pipe.DetachDoor(did) }
+func (db *DB) DetachDoor(did DoorID) error { return db.refreshAfter(db.idx.DetachDoor(did)) }
 
 // SetDoorClosed closes or reopens a door; queries observe the change
 // immediately with no index maintenance. Active subscriptions refresh
 // (door distances changed) and emit their membership deltas to the Events
 // log.
 func (db *DB) SetDoorClosed(did DoorID, closed bool) error {
-	return db.pipe.SetDoorClosed(did, closed)
+	if s := db.subs.Load(); s != nil {
+		_, err := s.SetDoorClosed(did, closed)
+		return err
+	}
+	return db.idx.SetDoorClosed(did, closed)
 }
 
 // SplitPartition mounts a sliding wall, dividing a rectangular partition in
 // two (the paper's room-21 meeting-style scenario).
 func (db *DB) SplitPartition(pid PartitionID, alongX bool, at float64) (PartitionID, PartitionID, error) {
-	return db.pipe.SplitPartition(pid, alongX, at)
+	pa, pb, err := db.idx.SplitPartition(pid, alongX, at)
+	return pa, pb, db.refreshAfter(err)
 }
 
 // MergePartitions dismounts a sliding wall, merging two rectangular
 // partitions (banquet style).
 func (db *DB) MergePartitions(pa, pb PartitionID) (PartitionID, error) {
-	return db.pipe.MergePartitions(pa, pb)
+	merged, err := db.idx.MergePartitions(pa, pb)
+	return merged, db.refreshAfter(err)
+}
+
+// RebuildSkeleton recomputes the index's skeleton tier and refreshes
+// standing queries (skeleton anchors feed their bounds).
+func (db *DB) RebuildSkeleton() {
+	db.idx.RebuildSkeleton()
+	db.refreshAfter(nil)
 }
 
 // LocatePartition returns the partition containing a position via the
@@ -449,7 +470,7 @@ func (db *DB) subscriptions() *query.Subscriptions {
 	if s := db.subs.Load(); s != nil {
 		return s
 	}
-	s := query.NewSubscriptions(db.idx, db.qopts)
+	s := query.NewSubscriptions(db.idx)
 	s.EnableEventLog()
 	s.SetFanOut(func(n int, fn func(int)) { serve.FanOut(0, n, fn) })
 	db.subs.Store(s)

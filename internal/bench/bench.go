@@ -177,23 +177,23 @@ func RunKNN(f *F, k int, nq int, opts query.Options) (Point, error) {
 // fixture's pool) fanned over the given worker count, returning the
 // batch's aggregate metrics. Per-query answers are identical to the serial
 // path; only scheduling differs.
-func RunBatchIRQ(f *F, r float64, nq, workers int, opts query.Options) (serve.Metrics, error) {
+func RunBatchIRQ(f *F, r float64, nq, workers int) (serve.Metrics, error) {
 	reqs := make([]serve.RangeRequest, nq)
 	for i := range reqs {
 		reqs[i] = serve.RangeRequest{Q: f.Queries[i%len(f.Queries)], R: r}
 	}
-	pool := serve.NewPool(f.Idx, opts, serve.Config{Workers: workers})
+	pool := serve.NewPool(f.Idx, serve.Config{Workers: workers})
 	resps, m := pool.RangeBatch(reqs)
 	return m, firstErr(resps)
 }
 
 // RunBatchKNN is RunBatchIRQ for k-nearest-neighbour batches.
-func RunBatchKNN(f *F, k, nq, workers int, opts query.Options) (serve.Metrics, error) {
+func RunBatchKNN(f *F, k, nq, workers int) (serve.Metrics, error) {
 	reqs := make([]serve.KNNRequest, nq)
 	for i := range reqs {
 		reqs[i] = serve.KNNRequest{Q: f.Queries[i%len(f.Queries)], K: k}
 	}
-	pool := serve.NewPool(f.Idx, opts, serve.Config{Workers: workers})
+	pool := serve.NewPool(f.Idx, serve.Config{Workers: workers})
 	resps, m := pool.KNNBatch(reqs)
 	return m, firstErr(resps)
 }

@@ -157,7 +157,7 @@ func NewCityChurn(cfg CityConfig, nsubs int) (*CityChurn, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := query.NewSubscriptions(f.Idx, query.Options{})
+	e := query.NewSubscriptions(f.Idx)
 	e.SetFanOut(func(n int, fn func(int)) { serve.FanOut(0, n, fn) })
 	for i, q := range gen.QueryPoints(f.Layout.B, nsubs, 7102) {
 		if i%8 == 7 {

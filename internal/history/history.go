@@ -1,13 +1,13 @@
 // Package history serves time-travel reads over the write-ahead log:
 // AsOf(lsn) reconstructs the exact index state the system held after
 // committing LSN — the newest checkpoint at or below the target plus a
-// deterministic replay of the WAL prefix through the same ApplyRecord
+// deterministic replay of the WAL prefix through the same store.State
 // fold recovery and replication use — and pins it behind a read-only
 // View answering the paper's distance-aware queries (range, kNN,
 // partition location) against the past.
 //
 // Reconstruction is cached two ways. A small LRU of materialized states
-// ("mats": a live index plus its commit pipeline) is advanced in place:
+// ("mats": a store.State plus a query processor) is advanced in place:
 // an AsOf above a cached mat replays only the gap, never from scratch,
 // so walking forward through history (replay tools, trajectory scans)
 // costs one record per step instead of one checkpoint load per step.
@@ -31,14 +31,11 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/index"
 	"repro/internal/indoor"
-	"repro/internal/pipeline"
 	"repro/internal/query"
-	"repro/internal/serde"
 	"repro/internal/store"
 )
 
@@ -120,15 +117,14 @@ func (s StoreSource) Records(after, to uint64, fn func(store.Record) error) erro
 	return nil
 }
 
-// Options tunes a Provider's caches.
-type Options struct {
-	// MatCache is the number of materialized replayable states kept
-	// (each one a full live index); 4 when zero or negative.
-	MatCache int
-	// ViewCache is the number of pinned per-LSN Views kept for exact-hit
-	// reuse; 64 when zero or negative.
-	ViewCache int
-}
+const (
+	// matCache is the number of materialized replayable states kept, each
+	// one a full live index.
+	matCache = 4
+	// viewCache is the number of pinned per-LSN Views kept for exact-hit
+	// reuse; backward AsOf revisits rely on it.
+	viewCache = 64
+)
 
 // Stats counts the Provider's work, for /v1/stats and benchmarks.
 type Stats struct {
@@ -152,18 +148,12 @@ type Stats struct {
 	ScannedRecords uint64
 }
 
-// mat is one materialized replayable state: a live index at exactly
-// lsn, the pipeline that advances it (reconciling standing queries the
-// way a replica does), and the processor Views query through. Advancing
-// a mat re-keys it; Views pinned earlier keep their snapshots.
+// mat is one materialized replayable state: the log fold at its LSN and
+// the processor Views query through. Advancing a mat re-keys it; Views
+// pinned earlier keep their snapshots.
 type mat struct {
-	lsn    uint64
-	idx    *index.Index
-	pipe   *pipeline.Pipeline
-	proc   *query.Processor
-	b      *indoor.Building
-	qflags uint8
-	subs   map[int64]serde.SubscriptionRec
+	*store.State
+	proc *query.Processor
 }
 
 // Provider serves historical reads from a Source, caching materialized
@@ -173,29 +163,15 @@ type mat struct {
 type Provider struct {
 	src Source
 
-	mu      sync.Mutex
-	matCap  int
-	viewCap int
-	mats    *list.List // *mat, most recently used first
-	views   *list.List // *View, most recently used first
-	stats   Stats
+	mu    sync.Mutex
+	mats  *list.List // *mat, most recently used first
+	views *list.List // *View, most recently used first
+	stats Stats
 }
 
 // NewProvider builds a Provider over src.
-func NewProvider(src Source, opts Options) *Provider {
-	if opts.MatCache <= 0 {
-		opts.MatCache = 4
-	}
-	if opts.ViewCache <= 0 {
-		opts.ViewCache = 64
-	}
-	return &Provider{
-		src:     src,
-		matCap:  opts.MatCache,
-		viewCap: opts.ViewCache,
-		mats:    list.New(),
-		views:   list.New(),
-	}
+func NewProvider(src Source) *Provider {
+	return &Provider{src: src, mats: list.New(), views: list.New()}
 }
 
 // Horizon returns the newest LSN this provider can reconstruct.
@@ -269,9 +245,9 @@ func (p *Provider) asOfLocked(lsn uint64) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &View{lsn: lsn, snap: m.idx.Current(), proc: m.proc}
+	v := &View{lsn: lsn, snap: m.Idx.Current(), proc: m.proc}
 	p.views.PushFront(v)
-	for p.views.Len() > p.viewCap {
+	for p.views.Len() > viewCache {
 		p.views.Remove(p.views.Back())
 	}
 	return v, nil
@@ -293,12 +269,7 @@ func (p *Provider) CaptureAt(lsn uint64) (store.Data, error) {
 	if err != nil {
 		return store.Data{}, err
 	}
-	subs := make([]serde.SubscriptionRec, 0, len(m.subs))
-	for _, sr := range m.subs {
-		subs = append(subs, sr)
-	}
-	sort.Slice(subs, func(i, j int) bool { return subs[i].ID < subs[j].ID })
-	return store.Capture(m.idx, m.qflags, subs, lsn)
+	return m.Capture()
 }
 
 // matAtLocked returns a materialized state advanced to exactly lsn,
@@ -307,10 +278,10 @@ func (p *Provider) matAtLocked(lsn uint64) (*mat, error) {
 	var best *list.Element
 	for e := p.mats.Front(); e != nil; e = e.Next() {
 		m := e.Value.(*mat)
-		if m.lsn > lsn {
+		if m.LSN() > lsn {
 			continue
 		}
-		if best == nil || m.lsn > best.Value.(*mat).lsn {
+		if best == nil || m.LSN() > best.Value.(*mat).LSN() {
 			best = e
 		}
 	}
@@ -318,7 +289,7 @@ func (p *Provider) matAtLocked(lsn uint64) (*mat, error) {
 	if best != nil {
 		p.mats.MoveToFront(best)
 		m = best.Value.(*mat)
-		if m.lsn < lsn {
+		if m.LSN() < lsn {
 			p.stats.Advances++
 		}
 	} else {
@@ -329,13 +300,14 @@ func (p *Provider) matAtLocked(lsn uint64) (*mat, error) {
 			}
 			return nil, err
 		}
-		m, err = materialize(data)
+		fold, err := store.Load(data)
 		if err != nil {
 			return nil, err
 		}
+		m = &mat{State: fold, proc: query.New(fold.Idx, query.Options{})}
 		p.stats.Materializations++
 		p.mats.PushFront(m)
-		for p.mats.Len() > p.matCap {
+		for p.mats.Len() > matCache {
 			p.mats.Remove(p.mats.Back())
 		}
 	}
@@ -345,61 +317,27 @@ func (p *Provider) matAtLocked(lsn uint64) (*mat, error) {
 	return m, nil
 }
 
-// materialize rebuilds a live state from checkpoint data — the
-// expensive cold path.
-func materialize(data store.Data) (*mat, error) {
-	idx, err := store.Rebuild(data)
-	if err != nil {
-		return nil, err
-	}
-	subs := make(map[int64]serde.SubscriptionRec, len(data.Subs))
-	for _, sr := range data.Subs {
-		subs[sr.ID] = sr
-	}
-	qopts := query.Options{
-		DisablePruning:  data.QueryFlags&1 != 0,
-		DisableSkeleton: data.QueryFlags&2 != 0,
-	}
-	return &mat{
-		lsn:    data.LSN,
-		idx:    idx,
-		pipe:   pipeline.New(idx, nil),
-		proc:   query.New(idx, qopts),
-		b:      idx.Building(),
-		qflags: data.QueryFlags,
-		subs:   subs,
-	}, nil
-}
-
-// advance replays m forward to exactly lsn, enforcing contiguity the
-// way recovery does. A mat left mid-way by an error is still a valid
-// state at its reached LSN and stays cached.
+// advance replays m forward to exactly lsn. A mat left mid-way by an
+// error is still a valid state at its reached LSN and stays cached.
 func (p *Provider) advance(m *mat, lsn uint64) error {
-	if m.lsn >= lsn {
+	if m.LSN() >= lsn {
 		return nil
 	}
-	err := p.src.Records(m.lsn, lsn, func(rec store.Record) error {
-		if rec.LSN <= m.lsn {
-			return nil // stale re-log racing a rotation
-		}
-		if rec.LSN != m.lsn+1 {
-			return fmt.Errorf("history: replay jumped %d -> %d: %w", m.lsn, rec.LSN, store.ErrLogGap)
-		}
-		if err := store.ApplyRecord(m.pipe, m.b, m.subs, rec); err != nil {
-			return fmt.Errorf("history: replay lsn %d: %w", rec.LSN, err)
-		}
-		m.lsn = rec.LSN
-		p.stats.ReplayedRecords++
-		return nil
-	})
-	if err != nil {
-		if errors.Is(err, store.ErrLogGap) {
-			return fmt.Errorf("history: replay to lsn %d: %w", lsn, ErrPruned)
+	err := p.src.Records(m.LSN(), lsn, func(rec store.Record) error {
+		applied, err := m.Apply(rec)
+		if applied {
+			p.stats.ReplayedRecords++
 		}
 		return err
+	})
+	if errors.Is(err, store.ErrLogGap) {
+		return fmt.Errorf("history: replay to lsn %d: %w", lsn, ErrPruned)
 	}
-	if m.lsn != lsn {
-		return fmt.Errorf("history: replay stopped at lsn %d of %d: %w", m.lsn, lsn, ErrPruned)
+	if err != nil {
+		return fmt.Errorf("history: %w", err)
+	}
+	if m.LSN() != lsn {
+		return fmt.Errorf("history: replay stopped at lsn %d of %d: %w", m.LSN(), lsn, ErrPruned)
 	}
 	return nil
 }

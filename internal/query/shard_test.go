@@ -43,7 +43,7 @@ func shardWorkloadLog(t *testing.T, seed int64, shards, subsN int) [][]SubEvent 
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewSubscriptions(idx, Options{})
+	e := NewSubscriptions(idx)
 	e.SetShards(shards)
 	if shards > 1 {
 		e.SetFanOut(goroutineFan)
@@ -198,7 +198,7 @@ func TestShardedChurnRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewSubscriptions(idx, Options{})
+	e := NewSubscriptions(idx)
 	e.SetFanOut(goroutineFan) // width floats with GOMAXPROCS (-cpu)
 
 	qs := gen.QueryPoints(b, 16, 77)

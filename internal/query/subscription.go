@@ -266,9 +266,9 @@ func (p *phase) release() {
 }
 
 // NewSubscriptions returns a subscription engine over the index.
-func NewSubscriptions(idx *index.Index, opts Options) *Subscriptions {
+func NewSubscriptions(idx *index.Index) *Subscriptions {
 	return &Subscriptions{
-		p:             New(idx, opts),
+		p:             New(idx, Options{}),
 		standing:      make(map[int]*standingQuery),
 		lastTopoEpoch: idx.Current().TopoEpoch(),
 	}

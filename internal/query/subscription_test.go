@@ -46,7 +46,7 @@ func runSubscriptionOracleWorkload(t *testing.T, seed int64, steps int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewSubscriptions(idx, Options{})
+	e := NewSubscriptions(idx)
 	p := New(idx, Options{})
 
 	type sub struct {
@@ -202,7 +202,7 @@ func randomLive(rng *rand.Rand, live map[object.ID]*object.Object) *object.Objec
 // membership view.
 func TestSubscriptionTopKOrdering(t *testing.T) {
 	f := newFixture(t, 1, 150, 8)
-	e := NewSubscriptions(f.idx, Options{})
+	e := NewSubscriptions(f.idx)
 	q := gen.QueryPoints(f.b, 1, 610)[0]
 	id, initial, err := e.SubscribeKNN(q, 12)
 	if err != nil {
@@ -236,7 +236,7 @@ func TestSubscriptionTopKOrdering(t *testing.T) {
 // footprint reconciles nothing.
 func TestSubscriptionRoutingSkipsUnaffected(t *testing.T) {
 	f := newFixture(t, 2, 200, 8)
-	e := NewSubscriptions(f.idx, Options{})
+	e := NewSubscriptions(f.idx)
 	// A tight footprint on floor 0.
 	q := gen.QueryPoints(f.b, 1, 620)[0]
 	q.Floor = 0
@@ -273,7 +273,7 @@ func TestSubscriptionRoutingSkipsUnaffected(t *testing.T) {
 // handle has no results.
 func TestSubscriptionUnsubscribe(t *testing.T) {
 	f := newFixture(t, 1, 50, 5)
-	e := NewSubscriptions(f.idx, Options{})
+	e := NewSubscriptions(f.idx)
 	q := gen.QueryPoints(f.b, 1, 605)[0]
 	id, _, err := e.SubscribeRange(q, 50)
 	if err != nil {
@@ -295,7 +295,7 @@ func TestSubscriptionUnsubscribe(t *testing.T) {
 // of panicking on a nil engine.
 func TestSubscriptionSurvivesFailedRefresh(t *testing.T) {
 	f := newFixture(t, 1, 100, 5)
-	e := NewSubscriptions(f.idx, Options{})
+	e := NewSubscriptions(f.idx)
 	q := gen.QueryPoints(f.b, 1, 607)[0]
 	if _, _, err := e.SubscribeRange(q, 60); err != nil {
 		t.Fatal(err)

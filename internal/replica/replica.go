@@ -1,17 +1,17 @@
 // Package replica implements WAL-shipping read replicas: a Replica
-// bootstraps from a leader checkpoint, replays the shipped record stream
-// through the same commit pipeline the leader's facade mutates through,
-// and serves range/kNN queries from its own MVCC snapshots — reads scale
-// out across processes while the leader keeps sole ownership of the log.
+// bootstraps from a leader checkpoint, folds the shipped record stream
+// into a store.State — the same fold crash recovery runs — and serves
+// range/kNN queries from its own MVCC snapshots — reads scale out across
+// processes while the leader keeps sole ownership of the log.
 //
 // The replication contract, in terms of the store's LSN sequence:
 //
 //   - Bootstrap: fetch the leader's newest checkpoint (covering LSN c),
-//     rebuild the index from it, start streaming records with LSN > c.
-//   - Contiguity: a record is applied iff its LSN is exactly applied+1.
-//     Records at or below the applied LSN are stale re-logs racing a
-//     leader-side rotation and are skipped; a record JUMPING past
-//     applied+1 means the replica missed history and MUST NOT be applied.
+//     load a store.State from it, start streaming records with LSN > c.
+//   - Contiguity: store.State.Apply's rule. Records at or below the
+//     applied LSN are stale re-logs racing a leader-side rotation and
+//     are skipped; a record JUMPING past applied+1 means the replica
+//     missed history, is refused with store.ErrLogGap and never applied.
 //   - Resync: on a gap (jump, or the leader signalling that compaction
 //     pruned the replica's position) the replica discards its state and
 //     re-bootstraps from a fresh checkpoint. Catch-up after arbitrary
@@ -42,7 +42,6 @@ import (
 	"repro/internal/history"
 	"repro/internal/index"
 	"repro/internal/indoor"
-	"repro/internal/pipeline"
 	"repro/internal/query"
 	"repro/internal/serde"
 	"repro/internal/serve"
@@ -96,13 +95,11 @@ func backoffDelay(base, max time.Duration, streak int) time.Duration {
 var errResync = errors.New("replica: stream gap; resync from checkpoint")
 
 // state is the replica's serving state, swapped wholesale on resync.
-// Queries pin it with one atomic load; replay mutates idx through pipe,
-// publishing MVCC snapshots exactly as a leader does.
+// Queries pin it with one atomic load; replay folds records into the
+// store.State, publishing MVCC snapshots exactly as a leader does.
 type state struct {
-	idx  *index.Index
-	pipe *pipeline.Pipeline
+	*store.State
 	proc *query.Processor
-	b    *indoor.Building
 }
 
 // Replica follows a leader through a Source. Create with New, start the
@@ -113,14 +110,11 @@ type Replica struct {
 	src Source
 	cfg Config
 
-	st     atomic.Pointer[state]
-	qflags atomic.Uint32
+	st atomic.Pointer[state]
 
-	// subsMu guards subs — the standing-query registrations replayed from
-	// the stream, carried so a promoted replica restores them like
-	// recovery does.
+	// subsMu orders Subscriptions against Apply: a folded subscription
+	// record edits the registrations a promoted replica restores.
 	subsMu sync.Mutex
-	subs   map[int64]serde.SubscriptionRec
 
 	applied       atomic.Uint64 // newest LSN applied to the index
 	leaderDurable atomic.Uint64 // newest durable LSN a heartbeat advertised
@@ -152,7 +146,7 @@ func New(src Source, cfg Config) *Replica {
 	}
 	r := &Replica{src: src, cfg: cfg}
 	r.hist = history.NewBuffer(cfg.HistoryRecords)
-	r.histProv = history.NewProvider(r.hist, history.Options{})
+	r.histProv = history.NewProvider(r.hist)
 	return r
 }
 
@@ -185,30 +179,12 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	if data.LSN != lsn {
 		return fmt.Errorf("replica: checkpoint advertises lsn %d but decodes to %d", lsn, data.LSN)
 	}
-	idx, err := store.Rebuild(data)
+	fold, err := store.Load(data)
 	if err != nil {
 		return fmt.Errorf("replica: checkpoint rebuild: %w", err)
 	}
-	qopts := query.Options{
-		DisablePruning:  data.QueryFlags&1 != 0,
-		DisableSkeleton: data.QueryFlags&2 != 0,
-	}
-	st := &state{
-		idx:  idx,
-		pipe: pipeline.New(idx, nil),
-		proc: query.New(idx, qopts),
-		b:    idx.Building(),
-	}
-	subs := make(map[int64]serde.SubscriptionRec, len(data.Subs))
-	for _, sr := range data.Subs {
-		subs[sr.ID] = sr
-	}
-	r.subsMu.Lock()
-	r.subs = subs
-	r.subsMu.Unlock()
-	r.qflags.Store(uint32(data.QueryFlags))
+	r.st.Store(&state{State: fold, proc: query.New(fold.Idx, query.Options{})})
 	r.applied.Store(data.LSN)
-	r.st.Store(st)
 	r.hist.Reset(data)
 	return nil
 }
@@ -279,26 +255,26 @@ func (r *Replica) onFrame(f wire.Frame) error {
 		return errResync
 	}
 	r.healthy.Store(true)
-	applied := r.applied.Load()
-	if f.LSN <= applied {
-		return nil // stale re-log racing a leader rotation; already applied
-	}
-	if f.LSN != applied+1 {
+	st := r.st.Load()
+	rec := store.Record{LSN: f.LSN, Kind: f.Kind, Body: f.Body}
+	r.subsMu.Lock()
+	applied, err := st.Apply(rec)
+	r.subsMu.Unlock()
+	if errors.Is(err, store.ErrLogGap) {
 		return errResync // missed history; replaying would diverge silently
 	}
-	st := r.st.Load()
-	r.subsMu.Lock()
-	subs := r.subs
-	r.subsMu.Unlock()
-	if err := store.ApplyRecord(st.pipe, st.b, subs, store.Record{LSN: f.LSN, Kind: f.Kind, Body: f.Body}); err != nil {
-		return fmt.Errorf("replica: apply lsn %d: %w", f.LSN, err)
+	if err != nil {
+		return fmt.Errorf("replica: %w", err)
+	}
+	if !applied {
+		return nil // stale re-log racing a leader rotation; already applied
 	}
 	r.applied.Store(f.LSN)
-	if r.hist.Append(store.Record{LSN: f.LSN, Kind: f.Kind, Body: f.Body}) {
+	if r.hist.Append(rec) {
 		// The open history segment is full: capture the state just
 		// applied as a fresh base so the window slides instead of
 		// growing. A capture failure only shortens retained history.
-		if data, cerr := store.Capture(st.idx, uint8(r.qflags.Load()), r.Subscriptions(), f.LSN); cerr == nil {
+		if data, cerr := st.Capture(); cerr == nil {
 			r.hist.Seal(data)
 		}
 	}
@@ -329,27 +305,20 @@ func (r *Replica) KNNQuery(q indoor.Position, k int) ([]query.Result, *query.Sta
 // BatchRangeQuery fans a batch across the serving layer against ONE
 // pinned snapshot, exactly like the leader facade's batch path.
 func (r *Replica) BatchRangeQuery(reqs []serve.RangeRequest, cfg serve.Config) ([]serve.Response, serve.Metrics) {
-	st := r.st.Load()
-	return serve.NewPool(st.idx, r.queryOptions(), cfg).RangeBatch(reqs)
+	return serve.NewPool(r.Index(), cfg).RangeBatch(reqs)
 }
 
 // BatchKNNQuery is BatchRangeQuery for kNN requests.
 func (r *Replica) BatchKNNQuery(reqs []serve.KNNRequest, cfg serve.Config) ([]serve.Response, serve.Metrics) {
-	st := r.st.Load()
-	return serve.NewPool(st.idx, r.queryOptions(), cfg).KNNBatch(reqs)
-}
-
-func (r *Replica) queryOptions() query.Options {
-	f := uint8(r.qflags.Load())
-	return query.Options{DisablePruning: f&1 != 0, DisableSkeleton: f&2 != 0}
+	return serve.NewPool(r.Index(), cfg).KNNBatch(reqs)
 }
 
 // Index returns the replica's current index (snapshot-published like any
 // other).
-func (r *Replica) Index() *index.Index { return r.st.Load().idx }
+func (r *Replica) Index() *index.Index { return r.st.Load().Idx }
 
 // NumObjects returns the object count of the current snapshot.
-func (r *Replica) NumObjects() int { return r.st.Load().idx.Current().Objects().Len() }
+func (r *Replica) NumObjects() int { return r.Index().Current().Objects().Len() }
 
 // AppliedLSN returns the newest LSN the replica has applied.
 func (r *Replica) AppliedLSN() uint64 { return r.applied.Load() }
@@ -382,20 +351,12 @@ func (r *Replica) Stats() wire.ReplicaStats {
 // stops growing).
 func (r *Replica) History() *history.Provider { return r.histProv }
 
-// QueryFlags returns the leader's query-processor flags (from the
-// bootstrap checkpoint) — needed to adopt the index on promotion.
-func (r *Replica) QueryFlags() uint8 { return uint8(r.qflags.Load()) }
-
 // Subscriptions returns the standing-query registrations the replica has
-// replayed, for re-registration on promotion.
+// replayed, sorted by id, for re-registration on promotion.
 func (r *Replica) Subscriptions() []serde.SubscriptionRec {
 	r.subsMu.Lock()
 	defer r.subsMu.Unlock()
-	out := make([]serde.SubscriptionRec, 0, len(r.subs))
-	for _, sr := range r.subs {
-		out = append(out, sr)
-	}
-	return out
+	return r.st.Load().Subs()
 }
 
 // Close stops the streaming loop. The replica keeps answering queries
@@ -409,11 +370,11 @@ func (r *Replica) Close() {
 	r.cancel = nil
 }
 
-// Promote stops replication and hands over the replayed index, the query
-// flags and the standing-query registrations — everything a facade needs
-// to adopt the replica as a primary. The replica's own query methods keep
-// working (same index) but its state is now the caller's to mutate.
-func (r *Replica) Promote() (*index.Index, uint8, []serde.SubscriptionRec) {
+// Promote stops replication and hands over the replayed index and the
+// standing-query registrations — everything a facade needs to adopt the
+// replica as a primary. The replica's own query methods keep working
+// (same index) but its state is now the caller's to mutate.
+func (r *Replica) Promote() (*index.Index, []serde.SubscriptionRec) {
 	r.Close()
-	return r.st.Load().idx, r.QueryFlags(), r.Subscriptions()
+	return r.Index(), r.Subscriptions()
 }

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -130,6 +131,23 @@ func TestReplicasConvergeUnderPacedChurn(t *testing.T) {
 		reps = append(reps, r)
 	}
 
+	// Read the replayed registrations while the stream applies records,
+	// so the race detector checks Subscriptions against Apply.
+	stop, readerDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = reps[0].Subscriptions()
+			}
+		}
+	}()
+	stopReader := sync.OnceFunc(func() { close(stop); <-readerDone })
+	t.Cleanup(stopReader)
+
 	// Paced churn with the replicas already streaming.
 	if _, _, err := db.Subscribe(indoorq.SubscriptionSpec{Q: queries[0], R: 60}); err != nil {
 		t.Fatal(err)
@@ -169,8 +187,12 @@ func TestReplicasConvergeUnderPacedChurn(t *testing.T) {
 		t.Fatal("leader logged nothing")
 	}
 
-	for i, r := range reps {
+	for _, r := range reps {
 		waitApplied(t, r, target)
+	}
+	stopReader()
+
+	for i, r := range reps {
 		st := r.Stats()
 		if st.AppliedLSN != target {
 			t.Fatalf("replica %d applied %d, want %d", i, st.AppliedLSN, target)
@@ -190,11 +212,11 @@ func TestReplicasConvergeUnderPacedChurn(t *testing.T) {
 	// Promote the second replica and adopt it as a primary: its serde
 	// state (building, objects, allocators, subscriptions) must be
 	// byte-equal to the leader's, and it must accept mutations.
-	idx, qflags, subs := reps[1].Promote()
+	idx, subs := reps[1].Promote()
 	if len(subs) != 1 {
 		t.Fatalf("promoted replica carries %d subscriptions, want 1", len(subs))
 	}
-	adopted := indoorq.AdoptIndex(idx, qflags, subs)
+	adopted := indoorq.AdoptIndex(idx, subs)
 	if got, want := saveBytes(t, adopted), saveBytes(t, db); !bytes.Equal(got, want) {
 		t.Fatal("promoted replica's serde state differs from the leader's")
 	}
@@ -372,8 +394,8 @@ func TestReplicaHistoryServesAppliedWindow(t *testing.T) {
 	// Promotion keeps the window readable: forensics on the old timeline
 	// survive the failover.
 	r.Close()
-	idx, qflags, subs := r.Promote()
-	_ = indoorq.AdoptIndex(idx, qflags, subs)
+	idx, subs := r.Promote()
+	_ = indoorq.AdoptIndex(idx, subs)
 	after, err := hp.CaptureAt(target)
 	if err != nil {
 		t.Fatalf("history after promotion: %v", err)

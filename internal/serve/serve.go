@@ -85,10 +85,9 @@ type Pool struct {
 	cfg  Config
 }
 
-// NewPool returns a pool over the index with the given query-processor
-// options.
-func NewPool(idx *index.Index, qopts query.Options, cfg Config) *Pool {
-	return &Pool{proc: query.New(idx, qopts), cfg: cfg}
+// NewPool returns a pool over the index.
+func NewPool(idx *index.Index, cfg Config) *Pool {
+	return &Pool{proc: query.New(idx, query.Options{}), cfg: cfg}
 }
 
 // RangeBatch evaluates a batch of range queries, fanning them across the

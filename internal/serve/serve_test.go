@@ -43,7 +43,7 @@ func TestRangeBatchOrderAndEquivalence(t *testing.T) {
 		want[i] = res
 	}
 	for _, workers := range []int{1, 3, 64} {
-		pool := NewPool(idx, query.Options{}, Config{Workers: workers})
+		pool := NewPool(idx, Config{Workers: workers})
 		resps, m := pool.RangeBatch(reqs)
 		if len(resps) != len(reqs) {
 			t.Fatalf("workers=%d: %d responses for %d requests", workers, len(resps), len(reqs))
@@ -82,7 +82,7 @@ func TestKNNBatchErrorPropagation(t *testing.T) {
 		{Q: outside, K: 5},
 		{Q: queries[1], K: 5},
 	}
-	pool := NewPool(idx, query.Options{}, Config{Workers: 2})
+	pool := NewPool(idx, Config{Workers: 2})
 	resps, m := pool.KNNBatch(reqs)
 	if resps[0].Err != nil || resps[2].Err != nil {
 		t.Fatalf("in-building requests errored: %v, %v", resps[0].Err, resps[2].Err)
@@ -98,7 +98,7 @@ func TestKNNBatchErrorPropagation(t *testing.T) {
 // TestMetrics: aggregates over a batch are internally consistent.
 func TestMetrics(t *testing.T) {
 	_, idx, queries := fixture(t)
-	pool := NewPool(idx, query.Options{}, Config{Workers: 4})
+	pool := NewPool(idx, Config{Workers: 4})
 	reqs := make([]RangeRequest, 20)
 	for i := range reqs {
 		reqs[i] = RangeRequest{Q: queries[i%len(queries)], R: 70}
@@ -140,7 +140,7 @@ func TestMetrics(t *testing.T) {
 // TestEmptyBatch: no requests, no panic, zeroed metrics.
 func TestEmptyBatch(t *testing.T) {
 	_, idx, _ := fixture(t)
-	pool := NewPool(idx, query.Options{}, Config{})
+	pool := NewPool(idx, Config{})
 	resps, m := pool.RangeBatch(nil)
 	if len(resps) != 0 || m.Queries != 0 || m.Throughput != 0 {
 		t.Fatalf("empty batch: %d responses, metrics %+v", len(resps), m)

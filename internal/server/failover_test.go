@@ -233,8 +233,8 @@ func TestLeaderCrashFailover(t *testing.T) {
 			}
 		}
 		// Promote and compare byte-for-byte, then answer queries.
-		idx, qflags, subs := r.Promote()
-		promoted := indoorq.AdoptIndex(idx, qflags, subs)
+		idx, subs := r.Promote()
+		promoted := indoorq.AdoptIndex(idx, subs)
 		var pdoc, odoc bytes.Buffer
 		if err := promoted.Save(&pdoc); err != nil {
 			t.Fatal(err)

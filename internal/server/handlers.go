@@ -193,9 +193,18 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
+// writeJSON encodes v before writing anything, so a value JSON cannot
+// represent (an infinite distance, say) answers 500 with the encode
+// error — counted by the endpoint's error counter — instead of 200 with
+// an empty body.
 func writeJSON(w http.ResponseWriter, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		http.Error(w, "encode response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func errString(err error) string {
@@ -270,7 +279,7 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	case wire.TopoDetachDoor:
 		resp.Err = errString(s.db.DetachDoor(indoorq.DoorID(req.Door)))
 	case wire.TopoRebuildSkeleton:
-		s.db.Pipeline().RebuildSkeleton()
+		s.db.RebuildSkeleton()
 	case wire.TopoAddRoom:
 		if req.Rect == nil {
 			http.Error(w, "add_room requires rect", http.StatusBadRequest)

@@ -8,7 +8,7 @@
 //     state and the per-snapshot costs (pool spin-up, snapshot pin)
 //     amortise across callers.
 //   - Mutation endpoints (updates, topology, subscribe/unsubscribe)
-//     route through the DB's commit pipeline and are rejected on a
+//     route through the DB's mutators and are rejected on a
 //     replica — replicas are read-only by construction.
 //   - The events endpoint streams the subscription engine's ordered
 //     event log as NDJSON chunks, surfacing the log's overflow signal so

@@ -7,14 +7,20 @@ package server_test
 // leader → replica replication chain over HTTP.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	indoorq "repro"
+	"repro/internal/indoor"
 	"repro/internal/object"
 	"repro/internal/replica"
 	"repro/internal/server"
@@ -137,6 +143,63 @@ func TestConcurrentRequestsCoalesce(t *testing.T) {
 	}
 	if max < 2 {
 		t.Fatalf("no request rode a coalesced batch (batch sizes %v)", sizes)
+	}
+}
+
+// TestUnencodableAnswerIs500 pins the transport half of the infinite
+// distance defect: an ikNN from inside a room whose doors are all closed
+// yields +Inf distances, which JSON cannot carry. The server must answer
+// 500 with the encode error, counted as an endpoint error, never 200
+// with an empty body.
+func TestUnencodableAnswerIs500(t *testing.T) {
+	db, c, ts, _ := newLeader(t, server.Config{CoalesceWindow: -1})
+	var room *indoorq.Partition
+	for _, p := range db.Building().Partitions() {
+		if p.Kind == indoor.Room && len(p.Doors) > 0 {
+			room = p
+			break
+		}
+	}
+	if room == nil {
+		t.Fatal("mall has no room with doors")
+	}
+	for _, d := range room.Doors {
+		if err := db.SetDoorClosed(d, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := room.Bounds()
+	q := indoorq.Pos((r.MinX+r.MaxX)/2, (r.MinY+r.MaxY)/2, room.Floor)
+	res, _, err := db.KNNQuery(q, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(res, func(r indoorq.Result) bool { return math.IsInf(r.Distance, 1) }) {
+		t.Fatal("sealed-room ikNN returned no infinite distance; the fixture no longer reproduces the defect")
+	}
+
+	req, err := json.Marshal(wire.KNNBatch{Queries: []wire.KNNQuery{{Q: wire.PositionOf(q), K: 20}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+wire.PathKNNQuery, "application/json", bytes.NewReader(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || len(body) == 0 {
+		t.Fatalf("status %d with %d-byte body %q, want 500 with the encode error", resp.StatusCode, len(body), body)
+	}
+	stats, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Endpoints[wire.PathKNNQuery].Errors == 0 {
+		t.Fatal("the 500 was not counted as an endpoint error")
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 //	magic "IDQSNAP1"                          8 bytes
 //	u32   format version                      = 1
 //	u64   LSN of the last WAL record covered
-//	i64   index fanout | f64 Tshape | u8 query flags
+//	i64   index fanout | f64 Tshape | u8 reserved (= 0)
 //	u32   building length | serde JSON document (id-exact, allocators included)
 //	u64   object count   | binary objects (serde.AppendObject)
 //	u64   subscription count | binary registrations (serde.AppendSubscription)
@@ -47,8 +47,6 @@ type Data struct {
 	// IndexOpts reproduce the original decomposition (fanout, Tshape) —
 	// required for the rebuilt index to behave identically.
 	IndexOpts index.Options
-	// QueryFlags pack the facade's query-processor ablation options.
-	QueryFlags uint8
 	// BuildingJSON is the id-exact serde document of the building
 	// (partitions, doors, id allocators; no objects).
 	BuildingJSON []byte
@@ -62,7 +60,7 @@ type Data struct {
 // have stilled mutators (index.RLock) for the whole call so the building
 // and the pinned snapshot agree; subs is the subscription capture taken
 // under the same stillness.
-func Capture(idx *index.Index, qflags uint8, subs []serde.SubscriptionRec, lsn uint64) (Data, error) {
+func Capture(idx *index.Index, subs []serde.SubscriptionRec, lsn uint64) (Data, error) {
 	var bb bytes.Buffer
 	if err := serde.Encode(&bb, idx.Building(), nil); err != nil {
 		return Data{}, fmt.Errorf("store: encode building: %w", err)
@@ -77,7 +75,6 @@ func Capture(idx *index.Index, qflags uint8, subs []serde.SubscriptionRec, lsn u
 	return Data{
 		LSN:          lsn,
 		IndexOpts:    idx.Options(),
-		QueryFlags:   qflags,
 		BuildingJSON: bb.Bytes(),
 		Objects:      objs,
 		Subs:         subs,
@@ -91,7 +88,7 @@ func encodeSnapshot(d Data) []byte {
 	out = binary.LittleEndian.AppendUint64(out, d.LSN)
 	out = binary.LittleEndian.AppendUint64(out, uint64(int64(d.IndexOpts.Fanout)))
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(d.IndexOpts.Tshape))
-	out = append(out, d.QueryFlags)
+	out = append(out, 0) // reserved
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(d.BuildingJSON)))
 	out = append(out, d.BuildingJSON...)
 	out = serde.AppendObjects(out, d.Objects)
@@ -141,7 +138,9 @@ func decodeSnapshot(raw []byte) (Data, error) {
 	if err != nil {
 		return d, err
 	}
-	d.QueryFlags = b1[0]
+	if b1[0] != 0 {
+		return d, fmt.Errorf("store: checkpoint reserved byte is %d, want 0", b1[0])
+	}
 	if b8, err = take(4); err != nil {
 		return d, err
 	}

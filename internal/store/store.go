@@ -15,7 +15,9 @@
 // silent drift. Records are logical operations (an object batch, a door
 // toggle, a split), not physical page images: the index is rebuilt from
 // the restored state and the operations re-run through the ordinary
-// maintenance algorithms (§III-C of the paper).
+// maintenance algorithms (§III-C of the paper). That fold is State:
+// recovery, replicas and historical reads all Load a checkpoint into one
+// and Apply records to it.
 //
 // Durability levels: SyncAlways fsyncs inside each commit (every
 // acknowledged mutation survives power loss); SyncGrouped (the default)
@@ -30,6 +32,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -129,11 +132,10 @@ type RecoveryStats struct {
 }
 
 // OpenInfo is recovery output the facade needs beyond the index: the
-// query-processor flags and the subscriptions to re-register.
+// subscriptions to re-register.
 type OpenInfo struct {
-	QueryFlags uint8
-	Subs       []serde.SubscriptionRec
-	Stats      RecoveryStats
+	Subs  []serde.SubscriptionRec
+	Stats RecoveryStats
 }
 
 // Create initialises dir as a durable store over a live index: it
@@ -141,7 +143,7 @@ type OpenInfo struct {
 // attaches the commit hook. The index must not be mutated concurrently
 // with Create; subs is the subscription capture at this moment (empty
 // for a fresh database). Fails if dir already holds a store.
-func Create(dir string, idx *index.Index, qflags uint8, subs []serde.SubscriptionRec, opts Options) (*Store, error) {
+func Create(dir string, idx *index.Index, subs []serde.SubscriptionRec, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -154,7 +156,7 @@ func Create(dir string, idx *index.Index, qflags uint8, subs []serde.Subscriptio
 		return nil, fmt.Errorf("store: %s already contains a store (use Open)", dir)
 	}
 	idx.RLock()
-	data, err := Capture(idx, qflags, subs, 0)
+	data, err := Capture(idx, subs, 0)
 	idx.RUnlock()
 	if err != nil {
 		return nil, err
@@ -205,33 +207,20 @@ func Open(dir string, opts Options) (*Store, *index.Index, OpenInfo, error) {
 	if !found {
 		return nil, nil, info, fmt.Errorf("store: no valid checkpoint in %s", dir)
 	}
-	info.QueryFlags = data.QueryFlags
 	info.Stats.CheckpointLSN = data.LSN
 
-	idx, err := Rebuild(data)
+	st, err := Load(data)
 	if err != nil {
 		return nil, nil, info, err
 	}
-	b := idx.Building()
 
 	// Replay the WAL generations at or past the checkpoint, oldest
 	// first. Only the newest generation may legitimately end in a torn
 	// record (it was the active log at crash time); it is truncated to
-	// its valid prefix before appending resumes.
-	subs := make(map[int64]serde.SubscriptionRec, len(data.Subs))
-	for _, sr := range data.Subs {
-		subs[sr.ID] = sr
-	}
-	// LSNs are globally sequential, so replay walks them contiguously
-	// from the checkpoint on. Two deviations have opposite meanings. A
-	// record at or below the running LSN is *stale* — a subscription
-	// record that raced the checkpoint rotation carries an LSN at or
-	// below the cut but lands in the new generation; its registration is
-	// already in the checkpoint's capture, so it is skipped. A record
-	// JUMPING past prev+1 means a log generation went missing (e.g. a
-	// half-finished prune followed by a checkpoint fallback): recovering
-	// past it would silently drop mutations, so it is a hard error.
-	prevLSN := data.LSN
+	// its valid prefix before appending resumes. A stale record is a
+	// subscription registration that raced the checkpoint rotation: it is
+	// already in the checkpoint's capture. A log gap (e.g. a half-finished
+	// prune followed by a checkpoint fallback) is a hard error.
 	activeGen := ckptGen
 	var activeEnd int64
 	for _, gen := range wals {
@@ -246,25 +235,23 @@ func Open(dir string, opts Options) (*Store, *index.Index, OpenInfo, error) {
 			activeGen, activeEnd = gen, validEnd
 		}
 		for _, r := range recs {
-			if r.lsn <= prevLSN {
+			applied, err := st.Apply(Record{LSN: r.lsn, Kind: r.kind, Body: r.body})
+			if errors.Is(err, ErrLogGap) {
+				// Generations are named by the LSN they start after, so
+				// the records missing here belong to walName(st.LSN()).
+				return nil, nil, info, fmt.Errorf("store: replay %s: %s is missing or damaged: %w", walName(gen), walName(st.LSN()), err)
+			}
+			if err != nil {
+				return nil, nil, info, fmt.Errorf("store: replay %s: %w", walName(gen), err)
+			}
+			if applied {
+				info.Stats.Replayed++
+			} else {
 				info.Stats.SkippedStale++
-				continue
 			}
-			if r.lsn != prevLSN+1 {
-				return nil, nil, info, fmt.Errorf("store: log gap in %s: record lsn %d after %d — a generation is missing or damaged", walName(gen), r.lsn, prevLSN)
-			}
-			prevLSN = r.lsn
-			if err := ApplyRecord(idx, b, subs, Record{LSN: r.lsn, Kind: r.kind, Body: r.body}); err != nil {
-				return nil, nil, info, fmt.Errorf("store: replay record lsn %d (%s): %w", r.lsn, walName(gen), err)
-			}
-			info.Stats.Replayed++
 		}
 	}
-	maxLSN := prevLSN
-	for _, sr := range subs {
-		info.Subs = append(info.Subs, sr)
-	}
-	sortSubs(info.Subs)
+	info.Subs = st.Subs()
 
 	if st, err := opts.FS.Stat(walPath(dir, activeGen)); err == nil && st.Size() > activeEnd {
 		info.Stats.TruncatedBytes = st.Size() - activeEnd
@@ -272,32 +259,13 @@ func Open(dir string, opts Options) (*Store, *index.Index, OpenInfo, error) {
 			return nil, nil, info, fmt.Errorf("store: truncate torn tail: %w", err)
 		}
 	}
-	w, err := openWAL(opts.FS, dir, activeGen, maxLSN+1, opts.Sync)
+	w, err := openWAL(opts.FS, dir, activeGen, st.LSN()+1, opts.Sync)
 	if err != nil {
 		return nil, nil, info, err
 	}
 	s := newStore(dir, opts, w)
-	idx.SetCommitHook(s.onCommit)
-	return s, idx, info, nil
-}
-
-// Rebuild constructs a fresh index from checkpoint data: the building is
-// restored id-exact (serde.DecodeExact) and the composite index built
-// over it with the original construction options. Used by Open and by
-// the facade's standalone checkpoint loading.
-func Rebuild(data Data) (*index.Index, error) {
-	b, objs, err := serde.DecodeExact(bytes.NewReader(data.BuildingJSON))
-	if err != nil {
-		return nil, fmt.Errorf("store: checkpoint building: %w", err)
-	}
-	if len(objs) != 0 {
-		return nil, fmt.Errorf("store: checkpoint building document unexpectedly carries objects")
-	}
-	idx, _, err := index.Build(b, data.Objects, data.IndexOpts)
-	if err != nil {
-		return nil, fmt.Errorf("store: rebuild index: %w", err)
-	}
-	return idx, nil
+	st.Idx.SetCommitHook(s.onCommit)
+	return s, st.Idx, info, nil
 }
 
 func newStore(dir string, opts Options, w *wal) *Store {
@@ -602,33 +570,87 @@ func encodeMutation(m index.Mutation) (byte, []byte, error) {
 	return 0, nil, fmt.Errorf("store: unknown mutation kind %d", m.Kind)
 }
 
-// Applier is the mutation surface a WAL record replays against. Both
-// *index.Index (leader recovery: raw replay, no standing queries yet)
-// and the facade's commit pipeline (replica streaming: replay WITH
-// subscription reconciliation) satisfy it, which is what makes a replica
-// the same deterministic fold as recovery.
-type Applier interface {
-	ApplyObjectUpdates([]index.ObjectUpdate) error
-	SetDoorClosed(indoor.DoorID, bool) error
-	AddPartition(indoor.PartitionID) error
-	RemovePartition(indoor.PartitionID) error
-	AttachDoor(indoor.DoorID) error
-	DetachDoor(indoor.DoorID) error
-	SplitPartition(indoor.PartitionID, bool, float64) (indoor.PartitionID, indoor.PartitionID, error)
-	MergePartitions(indoor.PartitionID, indoor.PartitionID) (indoor.PartitionID, error)
-	RebuildSkeleton()
+// State is the log fold: an index rebuilt from a checkpoint, every WAL
+// record applied on top of it, the standing-query registrations those
+// records maintain, and the LSN reached. Crash recovery, replica
+// streaming and history materialisation all advance a State, so "apply
+// record N" has exactly one implementation. A State is not safe for
+// concurrent use; the MVCC snapshots its index publishes are.
+type State struct {
+	// Idx is the index the records replay against.
+	Idx  *index.Index
+	lsn  uint64
+	subs map[int64]serde.SubscriptionRec
 }
 
-var _ Applier = (*index.Index)(nil)
+// Load rebuilds a State from checkpoint data: the building is restored
+// id-exact (serde.DecodeExact) and the composite index built over it
+// with the original construction options.
+func Load(data Data) (*State, error) {
+	b, objs, err := serde.DecodeExact(bytes.NewReader(data.BuildingJSON))
+	if err != nil {
+		return nil, fmt.Errorf("store: checkpoint building: %w", err)
+	}
+	if len(objs) != 0 {
+		return nil, fmt.Errorf("store: checkpoint building document unexpectedly carries objects")
+	}
+	idx, _, err := index.Build(b, data.Objects, data.IndexOpts)
+	if err != nil {
+		return nil, fmt.Errorf("store: rebuild index: %w", err)
+	}
+	subs := make(map[int64]serde.SubscriptionRec, len(data.Subs))
+	for _, sr := range data.Subs {
+		subs[sr.ID] = sr
+	}
+	return &State{Idx: idx, lsn: data.LSN, subs: subs}, nil
+}
 
-// ApplyRecord replays one WAL record: index mutations run through the
-// applier (re-running the ordinary maintenance algorithms), topology
-// payloads are restored id-exact into b first when absent, and
-// subscription records maintain the registration map (ignored when subs
-// is nil). Any failure — impossible when the log matches an execution
-// that succeeded against the same starting state — is a hard replay
-// error.
-func ApplyRecord(a Applier, b *indoor.Building, subs map[int64]serde.SubscriptionRec, rec Record) error {
+// LSN returns the last WAL record the state covers.
+func (s *State) LSN() uint64 { return s.lsn }
+
+// Apply folds one record under the log's contiguity rule. LSNs are
+// globally sequential, and the two deviations mean opposite things. A
+// record at or below LSN() is stale — a subscription record that raced a
+// checkpoint rotation, or a record shipped twice — and is skipped
+// (false, nil). A record past LSN()+1 means history is missing (a pruned
+// or damaged generation): folding it would silently drop mutations, so
+// it is refused with an error wrapping ErrLogGap. Any other failure is
+// impossible when the log matches an execution that succeeded against
+// the same starting state; it is a hard replay error. A refused record
+// leaves LSN() unchanged.
+func (s *State) Apply(rec Record) (applied bool, err error) {
+	if rec.LSN <= s.lsn {
+		return false, nil
+	}
+	if rec.LSN != s.lsn+1 {
+		return false, fmt.Errorf("record lsn %d after %d: %w", rec.LSN, s.lsn, ErrLogGap)
+	}
+	if err := s.applyRecord(rec); err != nil {
+		return false, fmt.Errorf("apply record lsn %d: %w", rec.LSN, err)
+	}
+	s.lsn = rec.LSN
+	return true, nil
+}
+
+// Subs returns the standing-query registrations, sorted by id.
+func (s *State) Subs() []serde.SubscriptionRec {
+	out := make([]serde.SubscriptionRec, 0, len(s.subs))
+	for _, sr := range s.subs {
+		out = append(out, sr)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// Capture returns checkpoint data at the state's LSN.
+func (s *State) Capture() (Data, error) { return Capture(s.Idx, s.Subs(), s.lsn) }
+
+// applyRecord replays one WAL record: index mutations re-run the
+// ordinary maintenance algorithms, topology payloads are restored
+// id-exact into the building first when absent, and subscription records
+// maintain the registration map.
+func (s *State) applyRecord(rec Record) error {
+	a, b := s.Idx, s.Idx.Building()
 	r := &reader{data: rec.Body}
 	switch rec.Kind {
 	case recObjects:
@@ -809,10 +831,8 @@ func ApplyRecord(a Applier, b *indoor.Building, subs map[int64]serde.Subscriptio
 		if err != nil {
 			return err
 		}
-		if subs != nil {
-			if _, dup := subs[sr.ID]; !dup {
-				subs[sr.ID] = sr
-			}
+		if _, dup := s.subs[sr.ID]; !dup {
+			s.subs[sr.ID] = sr
 		}
 		return nil
 	case recUnsubscribe:
@@ -820,9 +840,7 @@ func ApplyRecord(a Applier, b *indoor.Building, subs map[int64]serde.Subscriptio
 		if err != nil {
 			return err
 		}
-		if subs != nil {
-			delete(subs, id)
-		}
+		delete(s.subs, id)
 		return nil
 	}
 	return fmt.Errorf("unknown record kind %d", rec.Kind)
@@ -890,8 +908,4 @@ func (rec Record) PartitionChanging() bool {
 		return true
 	}
 	return false
-}
-
-func sortSubs(subs []serde.SubscriptionRec) {
-	sort.Slice(subs, func(i, j int) bool { return subs[i].ID < subs[j].ID })
 }

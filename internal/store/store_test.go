@@ -2,8 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/fsfault"
@@ -65,7 +69,7 @@ func stateBytes(t *testing.T, idx *index.Index) []byte {
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	idx, _ := testIndex(t)
 	idx.RLock()
-	data, err := Capture(idx, 3, []serde.SubscriptionRec{
+	data, err := Capture(idx, []serde.SubscriptionRec{
 		{ID: 0, Kind: serde.SubscriptionRange, X: 5, Y: 5, R: 40},
 		{ID: 2, Kind: serde.SubscriptionKNN, X: 1, Y: 1, K: 2},
 	}, 17)
@@ -81,27 +85,40 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.LSN != 17 || got.QueryFlags != 3 || len(got.Objects) != 4 || len(got.Subs) != 2 {
+	if got.LSN != 17 || len(got.Objects) != 4 || len(got.Subs) != 2 {
 		t.Fatalf("decoded %+v", got)
 	}
 	if got.Subs[1].Kind != serde.SubscriptionKNN || got.Subs[1].K != 2 {
 		t.Fatalf("subscription mismatch: %+v", got.Subs[1])
 	}
-	idx2, err := Rebuild(got)
+	st, err := Load(got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(stateBytes(t, idx), stateBytes(t, idx2)) {
+	if !bytes.Equal(stateBytes(t, idx), stateBytes(t, st.Idx)) {
 		t.Fatal("rebuilt state differs from original")
 	}
 
 	// A flipped byte must fail the CRC.
 	raw, _ := os.ReadFile(path)
-	raw[len(raw)/2] ^= 1
+	flipped := append([]byte(nil), raw...)
+	flipped[len(flipped)/2] ^= 1
 	bad := filepath.Join(t.TempDir(), "bad.ckpt")
-	os.WriteFile(bad, raw, 0o644)
+	os.WriteFile(bad, flipped, 0o644)
 	if _, err := ReadSnapshot(bad); err == nil {
 		t.Fatal("corrupt checkpoint decoded")
+	}
+
+	// The reserved header byte (after magic, version, LSN, fanout and
+	// Tshape) must be zero even when the CRC vouches for it.
+	const reservedOff = 8 + 4 + 8 + 8 + 8
+	if raw[reservedOff] != 0 {
+		t.Fatalf("reserved byte written as %d", raw[reservedOff])
+	}
+	raw[reservedOff] = 1
+	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[len(snapMagic):len(raw)-4]))
+	if _, err := DecodeSnapshot(raw); err == nil {
+		t.Fatal("checkpoint with a non-zero reserved byte decoded")
 	}
 }
 
@@ -111,7 +128,7 @@ func TestCreateLogReopen(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncGrouped, SyncAlways, SyncNever} {
 		idx, b := testIndex(t)
 		dir := t.TempDir()
-		st, err := Create(dir, idx, 0, nil, Options{Sync: policy})
+		st, err := Create(dir, idx, nil, Options{Sync: policy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +220,7 @@ func TestCreateLogReopen(t *testing.T) {
 func TestCheckpointProtocol(t *testing.T) {
 	idx, _ := testIndex(t)
 	dir := t.TempDir()
-	st, err := Create(dir, idx, 0, nil, Options{})
+	st, err := Create(dir, idx, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +236,7 @@ func TestCheckpointProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := Capture(idx, 0, nil, cut)
+	data, err := Capture(idx, nil, cut)
 	idx.RUnlock()
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +283,7 @@ func TestCheckpointProtocol(t *testing.T) {
 func TestStaleSubscriptionRecordSkipped(t *testing.T) {
 	idx, _ := testIndex(t)
 	dir := t.TempDir()
-	st, err := Create(dir, idx, 0, nil, Options{})
+	st, err := Create(dir, idx, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +299,7 @@ func TestStaleSubscriptionRecordSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := Capture(idx, 0, nil, cut)
+	data, err := Capture(idx, nil, cut)
 	idx.RUnlock()
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +338,7 @@ func TestStaleSubscriptionRecordSkipped(t *testing.T) {
 func TestCorruptCheckpointFallsBack(t *testing.T) {
 	idx, _ := testIndex(t)
 	dir := t.TempDir()
-	st, err := Create(dir, idx, 0, nil, Options{})
+	st, err := Create(dir, idx, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +356,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := Capture(idx, 0, nil, cut)
+	data, err := Capture(idx, nil, cut)
 	idx.RUnlock()
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +393,11 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	if err := os.Remove(walPath(dir, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("recovery across a missing log generation succeeded")
+	_, _, _, err = Open(dir, Options{})
+	if !errors.Is(err, ErrLogGap) {
+		t.Fatalf("recovery across a missing log generation: %v, want ErrLogGap", err)
+	}
+	if !strings.Contains(err.Error(), walName(0)) {
+		t.Fatalf("gap error %q does not name the missing %s", err, walName(0))
 	}
 }

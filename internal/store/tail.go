@@ -25,7 +25,7 @@ import (
 
 // Record is one committed WAL record in stream form: the globally
 // sequential LSN, the record kind and the kind-specific body. It is what
-// a Tailer yields and what ApplyRecord replays.
+// a Tailer yields and what State.Apply folds.
 type Record struct {
 	LSN  uint64
 	Kind byte

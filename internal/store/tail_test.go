@@ -2,10 +2,11 @@ package store
 
 // Tests for the WAL tailing/streaming API: LSN-ordered reads across
 // generation rotations, the written/durable horizons, the append watch
-// channel, pruning → ErrLogGap, and ApplyRecord replay through a tailer
+// channel, pruning → ErrLogGap, and State.Apply replay through a tailer
 // reproducing the leader's state.
 
 import (
+	"errors"
 	"os"
 	"testing"
 	"time"
@@ -22,7 +23,7 @@ func tailStore(t *testing.T) (*Store, *index.Index, *indoor.Building, string) {
 	t.Helper()
 	dir := t.TempDir()
 	idx, b := testIndex(t)
-	s, err := Create(dir, idx, 0, nil, Options{GroupWindow: time.Millisecond, CompactBytes: -1})
+	s, err := Create(dir, idx, nil, Options{GroupWindow: time.Millisecond, CompactBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestTailGapAfterPrune(t *testing.T) {
 	cut, err := s.BeginCheckpoint()
 	if err == nil {
 		var data Data
-		data, err = Capture(idx, 0, nil, cut)
+		data, err = Capture(idx, nil, cut)
 		idx.RUnlock()
 		if err == nil {
 			err = s.CommitCheckpoint(data)
@@ -236,8 +237,9 @@ func TestAppendNotifyWakes(t *testing.T) {
 }
 
 // TestTailReplayMatchesState is the contract replication rests on: a
-// fresh index built from the bootstrap checkpoint plus ApplyRecord over
-// the tailed stream equals the leader's live state.
+// fresh State loaded from the bootstrap checkpoint plus Apply over the
+// tailed stream equals the leader's live state, and Apply enforces the
+// contiguity rule: a re-applied record is skipped, a jump is a log gap.
 func TestTailReplayMatchesState(t *testing.T) {
 	s, idx, b, _ := tailStore(t)
 
@@ -253,7 +255,7 @@ func TestTailReplayMatchesState(t *testing.T) {
 	if data.LSN != ckptLSN {
 		t.Fatalf("NewestCheckpoint lsn %d, decoded %d", ckptLSN, data.LSN)
 	}
-	replica, err := Rebuild(data)
+	replica, err := Load(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,18 +291,29 @@ func TestTailReplayMatchesState(t *testing.T) {
 	}
 	defer tl.Close()
 	recs := drainTail(t, tl, s.WrittenLSN())
-	applied := ckptLSN
 	for _, r := range recs {
-		if r.LSN != applied+1 {
-			t.Fatalf("stream gap: lsn %d after %d", r.LSN, applied)
+		applied, err := replica.Apply(r)
+		if err != nil || !applied {
+			t.Fatalf("replay lsn %d: applied=%v err=%v", r.LSN, applied, err)
 		}
-		if err := ApplyRecord(replica, replica.Building(), nil, r); err != nil {
-			t.Fatalf("replay lsn %d: %v", r.LSN, err)
-		}
-		applied = r.LSN
 	}
-	if got, want := stateBytes(t, replica), stateBytes(t, idx); string(got) != string(want) {
+	if got, want := stateBytes(t, replica.Idx), stateBytes(t, idx); string(got) != string(want) {
 		t.Fatalf("replica state diverged from leader after replaying %d records", len(recs))
+	}
+
+	last := recs[len(recs)-1]
+	if replica.LSN() != last.LSN {
+		t.Fatalf("state at lsn %d after replaying through %d", replica.LSN(), last.LSN)
+	}
+	if applied, err := replica.Apply(last); applied || err != nil {
+		t.Fatalf("re-applying lsn %d: applied=%v err=%v, want a stale skip", last.LSN, applied, err)
+	}
+	jump := Record{LSN: last.LSN + 2, Kind: last.Kind, Body: last.Body}
+	if _, err := replica.Apply(jump); !errors.Is(err, ErrLogGap) {
+		t.Fatalf("applying lsn %d at %d: %v, want ErrLogGap", jump.LSN, last.LSN, err)
+	}
+	if replica.LSN() != last.LSN {
+		t.Fatalf("refused record moved the state to lsn %d", replica.LSN())
 	}
 }
 
