@@ -257,11 +257,7 @@ func (db *DB) capturedLocked(lsn uint64) (store.Data, error) {
 
 // subRecs returns the current subscription registrations in serde form.
 func (db *DB) subRecs() []serde.SubscriptionRec {
-	s := db.subs.Load()
-	if s == nil {
-		return nil
-	}
-	specs := s.Specs()
+	specs := db.subs.Specs()
 	recs := make([]serde.SubscriptionRec, 0, len(specs))
 	for _, sp := range specs {
 		recs = append(recs, subRecOf(sp))
@@ -313,11 +309,8 @@ type SubscriptionRec = serde.SubscriptionRec
 // refresh fails.
 func AdoptIndex(idx *index.Index, subs []SubscriptionRec) *DB {
 	db := newDB(idx)
-	if len(subs) > 0 {
-		e := db.subscriptions()
-		for _, rec := range subs {
-			_ = e.Restore(specOfRec(rec))
-		}
+	for _, rec := range subs {
+		_ = db.subs.Restore(specOfRec(rec))
 	}
 	return db
 }

@@ -2,7 +2,10 @@ package indoorq
 
 import (
 	"bytes"
+	"slices"
 	"testing"
+
+	"repro/internal/indoor"
 )
 
 func TestFacadeSaveLoadRoundTrip(t *testing.T) {
@@ -69,6 +72,73 @@ func TestFacadeMonitor(t *testing.T) {
 	}
 	if !seen {
 		t.Fatal("subscription missed the inserted object")
+	}
+}
+
+// A topology mutator reports the mutation's error, never a standing
+// query's: once subscription A's partition is removed A can no longer
+// refresh, yet a later door toggle must succeed and still bring
+// subscription B up to date.
+func TestFacadeTopologyRefreshFailureIsNotAnError(t *testing.T) {
+	db := openSmall(t)
+	var rooms []*Partition
+	for _, p := range db.Building().Partitions() {
+		if p.Kind == indoor.Room && len(p.Doors) > 0 {
+			rooms = append(rooms, p)
+		}
+	}
+	slices.SortFunc(rooms, func(a, b *Partition) int { return int(a.ID - b.ID) })
+	if len(rooms) < 2 {
+		t.Fatal("mall has fewer than two rooms with doors")
+	}
+	centre := func(p *Partition) Position {
+		r := p.Bounds()
+		return Pos((r.MinX+r.MaxX)/2, (r.MinY+r.MaxY)/2, p.Floor)
+	}
+	roomA, roomB := rooms[0], rooms[len(rooms)-1]
+	door := db.Building().Door(roomB.Doors[0])
+	if door.Connects(roomA.ID) {
+		t.Fatal("fixture rooms share a door")
+	}
+	const r = 150
+	qA, qB := centre(roomA), centre(roomB)
+	a, _, err := db.Subscribe(SubscriptionSpec{Q: qA, R: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, before, err := db.Subscribe(SubscriptionSpec{Q: qB, R: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RemovePartition(roomA.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := db.RangeQuery(qA, r); err == nil {
+		t.Fatal("a query from the removed room succeeded; A's refresh would not fail")
+	}
+	resultsA := db.SubscriptionResults(a)
+
+	if err := db.SetDoorClosed(door.ID, true); err != nil {
+		t.Fatalf("door toggle reported a standing query's refresh failure: %v", err)
+	}
+	fresh, _, err := db.RangeQuery(qB, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]ObjectID, len(fresh))
+	for i, res := range fresh {
+		want[i] = res.ID
+	}
+	slices.Sort(want)
+	got := db.SubscriptionResults(b)
+	if !slices.Equal(got, want) {
+		t.Fatalf("B after the toggle: standing %v, fresh %v", got, want)
+	}
+	if slices.Equal(got, before) {
+		t.Fatal("closing B's door did not change B's answer; the test no longer shows B refreshed")
+	}
+	if !slices.Equal(db.SubscriptionResults(a), resultsA) {
+		t.Fatal("A lost its last good results")
 	}
 }
 

@@ -48,15 +48,17 @@
 // partition/door structure directly).
 //
 // Continuous queries: Subscribe installs standing range/kNN queries whose
-// results the DB maintains incrementally. Once any subscription is
-// active, every DB mutator also runs one reconciliation pass over the
-// affected standing queries (resolved through an inverted unit→query
-// index, so the pass scales with update locality, not with the number of
-// subscriptions) before returning; the resulting enter/leave/update
-// events accumulate in a drainable log (Events). Subscription update
-// operations serialise internally, so event streams match a serial
-// replay of the same updates and replaying a subscription's events over
-// its initial result set reproduces its current result set. While serving
+// results the DB maintains incrementally. While any subscription stands,
+// every DB mutator also runs one reconciliation pass before returning:
+// an object update reaches the affected standing queries through an
+// inverted unit→query index (so the pass scales with update locality, not
+// with the number of subscriptions), and a topology mutation refreshes
+// every standing query in the same sharded pass. The resulting
+// enter/leave/update events accumulate in a drainable log (Events).
+// Subscription update operations serialise internally, so event streams
+// match a serial replay of the same updates and replaying a
+// subscription's events over its initial result set reproduces its
+// current result set. While serving
 // concurrently, mutate the building only through the DB, never through
 // *Building directly.
 //
@@ -90,7 +92,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/gen"
 	"repro/internal/geom"
@@ -180,11 +181,10 @@ type DB struct {
 	idx  *index.Index
 	proc *query.Processor
 
-	// subs is the continuous-query engine, created lazily by the first
-	// Subscribe. Once active, every DB mutator routes through it so
-	// standing results reconcile with each update.
-	subs     atomic.Pointer[query.Subscriptions]
-	subsInit sync.Mutex
+	// subs is the continuous-query engine. Every DB mutator commits
+	// through it, so standing results reconcile with each update; with no
+	// standing queries that costs one mutex.
+	subs *query.Subscriptions
 
 	// Durable state (nil/zero for ephemeral DBs): the attached store,
 	// the recovery statistics OpenDir produced, and the background
@@ -210,7 +210,9 @@ func Open(b *Building, objs []*Object, opts Options) (*DB, BuildStats, error) {
 
 // newDB assembles a DB over a built or recovered index.
 func newDB(idx *index.Index) *DB {
-	return &DB{idx: idx, proc: query.New(idx, query.Options{})}
+	subs := query.NewSubscriptions(idx)
+	subs.EnableEventLog()
+	return &DB{idx: idx, proc: query.New(idx, query.Options{}), subs: subs}
 }
 
 // Index exposes the underlying composite index for advanced use (the
@@ -276,12 +278,10 @@ func (db *DB) BatchKNNQuery(reqs []KNNRequest, cfg ServeConfig) ([]BatchResponse
 	return serve.NewPool(db.idx, cfg).KNNBatch(reqs)
 }
 
-// Every mutator below is the commit path. With active subscriptions,
-// object updates and door toggles route through the subscription engine,
-// so the snapshot swap and the reconciliation pass form one serialised
-// operation whose events land in the ordered log; topology mutations
-// commit to the index first and then refresh every standing query.
-// Without an engine, mutations apply to the index directly.
+// Every mutator below is the commit path. Object updates and topology
+// mutations alike commit through the subscription engine, so the snapshot
+// swap and the reconciliation pass form one serialised operation whose
+// events land in the ordered log.
 //
 // Each single-object mutator is a one-element ApplyObjectUpdates batch. A
 // returned error may come from the reconciliation pass AFTER the mutation
@@ -333,19 +333,16 @@ const (
 // copy-on-write edit publishing ONE snapshot: a movement tick over many
 // objects costs a single swap instead of one per object, and concurrent
 // readers observe the whole tick atomically. The index batch is
-// transactional — on an index error nothing is applied. With active
-// subscriptions the swap is followed by ONE reconciliation pass over the
+// transactional — on an index error nothing is applied. With standing
+// queries the swap is followed by ONE reconciliation pass over the
 // affected standing queries (fanned across workers), whose events land in
 // the Events log; an error from that pass is also returned, and in that
 // case the batch WAS applied (SnapshotSwaps distinguishes the two: it
 // advanced iff the batch committed). Do not blindly retry a failed batch
 // containing inserts or deletes without checking.
 func (db *DB) ApplyObjectUpdates(ups []ObjectUpdate) error {
-	if s := db.subs.Load(); s != nil {
-		_, err := s.ApplyObjectUpdates(ups)
-		return err
-	}
-	return db.idx.ApplyObjectUpdates(ups)
+	_, err := db.subs.ApplyObjectUpdates(ups)
+	return err
 }
 
 // SnapshotSwaps returns the number of index snapshots published so far
@@ -353,66 +350,77 @@ func (db *DB) ApplyObjectUpdates(ups []ObjectUpdate) error {
 // coalescing: a movement tick through ApplyObjectUpdates advances it once.
 func (db *DB) SnapshotSwaps() uint64 { return db.idx.SnapshotSwaps() }
 
-// refreshAfter refreshes active subscriptions once a topology mutation
-// committed (err == nil) and passes err through. A refresh failure is
+// topology commits one topology mutation through the subscription
+// engine, which refreshes the standing queries in the same serialised
+// operation, and returns the mutation's error. A refresh failure is
 // deliberately not an error of the mutation: the subscription keeps
 // answering from its last good snapshot until a later operation repairs
 // it.
-func (db *DB) refreshAfter(err error) error {
-	if s := db.subs.Load(); s != nil && err == nil {
-		_, _ = s.InvalidateTopology()
-	}
+func (db *DB) topology(commit func() error) error {
+	_, err := db.subs.Topology(commit)
 	return err
 }
 
 // AddPartition indexes a partition previously added to the building.
-func (db *DB) AddPartition(pid PartitionID) error { return db.refreshAfter(db.idx.AddPartition(pid)) }
+func (db *DB) AddPartition(pid PartitionID) error {
+	return db.topology(func() error { return db.idx.AddPartition(pid) })
+}
 
 // RemovePartition removes a partition and its doors from the building and
 // the index.
 func (db *DB) RemovePartition(pid PartitionID) error {
-	return db.refreshAfter(db.idx.RemovePartition(pid))
+	return db.topology(func() error { return db.idx.RemovePartition(pid) })
 }
 
 // AttachDoor indexes a door previously added to the building.
-func (db *DB) AttachDoor(did DoorID) error { return db.refreshAfter(db.idx.AttachDoor(did)) }
+func (db *DB) AttachDoor(did DoorID) error {
+	return db.topology(func() error { return db.idx.AttachDoor(did) })
+}
 
 // DetachDoor removes a door from the building and the index. An unknown
 // door is a no-op; the only possible error is a refused durability log
 // (fail-stop store), in which case nothing was detached.
-func (db *DB) DetachDoor(did DoorID) error { return db.refreshAfter(db.idx.DetachDoor(did)) }
+func (db *DB) DetachDoor(did DoorID) error {
+	return db.topology(func() error { return db.idx.DetachDoor(did) })
+}
 
 // SetDoorClosed closes or reopens a door; queries observe the change
-// immediately with no index maintenance. Active subscriptions refresh
-// (door distances changed) and emit their membership deltas to the Events
-// log.
+// immediately with no index maintenance. Standing queries refresh (door
+// distances changed) and emit their membership deltas to the Events log.
+// As for every topology mutator, the error is the mutation's: a
+// subscription whose refresh fails keeps its last good results and does
+// not fail the toggle.
 func (db *DB) SetDoorClosed(did DoorID, closed bool) error {
-	if s := db.subs.Load(); s != nil {
-		_, err := s.SetDoorClosed(did, closed)
-		return err
-	}
-	return db.idx.SetDoorClosed(did, closed)
+	return db.topology(func() error { return db.idx.SetDoorClosed(did, closed) })
 }
 
 // SplitPartition mounts a sliding wall, dividing a rectangular partition in
 // two (the paper's room-21 meeting-style scenario).
-func (db *DB) SplitPartition(pid PartitionID, alongX bool, at float64) (PartitionID, PartitionID, error) {
-	pa, pb, err := db.idx.SplitPartition(pid, alongX, at)
-	return pa, pb, db.refreshAfter(err)
+func (db *DB) SplitPartition(pid PartitionID, alongX bool, at float64) (pa, pb PartitionID, err error) {
+	err = db.topology(func() (err error) {
+		pa, pb, err = db.idx.SplitPartition(pid, alongX, at)
+		return err
+	})
+	return pa, pb, err
 }
 
 // MergePartitions dismounts a sliding wall, merging two rectangular
 // partitions (banquet style).
-func (db *DB) MergePartitions(pa, pb PartitionID) (PartitionID, error) {
-	merged, err := db.idx.MergePartitions(pa, pb)
-	return merged, db.refreshAfter(err)
+func (db *DB) MergePartitions(pa, pb PartitionID) (merged PartitionID, err error) {
+	err = db.topology(func() (err error) {
+		merged, err = db.idx.MergePartitions(pa, pb)
+		return err
+	})
+	return merged, err
 }
 
 // RebuildSkeleton recomputes the index's skeleton tier and refreshes
 // standing queries (skeleton anchors feed their bounds).
 func (db *DB) RebuildSkeleton() {
-	db.idx.RebuildSkeleton()
-	db.refreshAfter(nil)
+	_ = db.topology(func() error {
+		db.idx.RebuildSkeleton()
+		return nil
+	})
 }
 
 // LocatePartition returns the partition containing a position via the
@@ -458,37 +466,11 @@ type SubscriptionSpec struct {
 	K int
 }
 
-// subscriptions returns the continuous-query engine, creating it on first
-// use: event logging on, reconciliation fanned across the serving layer's
-// workers.
-func (db *DB) subscriptions() *query.Subscriptions {
-	if s := db.subs.Load(); s != nil {
-		return s
-	}
-	db.subsInit.Lock()
-	defer db.subsInit.Unlock()
-	if s := db.subs.Load(); s != nil {
-		return s
-	}
-	s := query.NewSubscriptions(db.idx)
-	s.EnableEventLog()
-	s.SetFanOut(func(n int, fn func(int)) { serve.FanOut(0, n, fn) })
-	db.subs.Store(s)
-	return s
-}
-
 // Subscribe installs a standing query and returns its handle and initial
-// result set (ascending ids). From the first subscription on, route every
-// update through the DB (not through Index() directly): mutators reconcile
-// the affected subscriptions as part of the operation, and the resulting
-// enter/leave/update events accumulate for Events.
-//
-// The FIRST Subscribe creates the engine, and only mutators that observe
-// it route through it — a mutation racing with that first call may apply
-// directly to the index and go unreconciled. Establish the first
-// subscription before concurrent mutators start (subsequent Subscribes
-// are free of this caveat), or treat results as current only from the
-// subscription's creation onwards.
+// result set (ascending ids). Route every update through the DB (not
+// through Index() directly): mutators reconcile the affected subscriptions
+// as part of the operation, and the resulting enter/leave/update events
+// accumulate for Events.
 //
 // On a durable DB the registration is logged; if logging fails the
 // subscription stays registered in memory (its record may already be on
@@ -502,10 +484,10 @@ func (db *DB) Subscribe(spec SubscriptionSpec) (int, []ObjectID, error) {
 	switch {
 	case spec.R > 0 && spec.K == 0:
 		kind = query.SubRange
-		id, members, err = db.subscriptions().SubscribeRange(spec.Q, spec.R)
+		id, members, err = db.subs.SubscribeRange(spec.Q, spec.R)
 	case spec.K > 0 && spec.R == 0:
 		kind = query.SubKNN
-		id, members, err = db.subscriptions().SubscribeKNN(spec.Q, spec.K)
+		id, members, err = db.subs.SubscribeKNN(spec.Q, spec.K)
 	default:
 		return 0, nil, fmt.Errorf("indoorq: subscription needs exactly one of R > 0 or K > 0, got R=%g K=%d", spec.R, spec.K)
 	}
@@ -533,33 +515,20 @@ func (db *DB) Subscribe(spec SubscriptionSpec) (int, []ObjectID, error) {
 // subscription, so it only poisons the store (fail-stop) — recovery may
 // then resurrect the subscription, which is the conservative direction.
 func (db *DB) Unsubscribe(id int) bool {
-	if s := db.subs.Load(); s != nil {
-		ok := s.Unsubscribe(id)
-		if ok && db.st != nil {
-			_ = db.st.LogUnsubscribe(int64(id))
-		}
-		return ok
+	ok := db.subs.Unsubscribe(id)
+	if ok && db.st != nil {
+		_ = db.st.LogUnsubscribe(int64(id))
 	}
-	return false
+	return ok
 }
 
 // SubscriptionResults returns a subscription's current result set as
 // ascending ids, or nil for unknown handles.
-func (db *DB) SubscriptionResults(id int) []ObjectID {
-	if s := db.subs.Load(); s != nil {
-		return s.Results(id)
-	}
-	return nil
-}
+func (db *DB) SubscriptionResults(id int) []ObjectID { return db.subs.Results(id) }
 
 // SubscriptionTopK returns a kNN subscription's results ordered by
 // (distance, id).
-func (db *DB) SubscriptionTopK(id int) []Result {
-	if s := db.subs.Load(); s != nil {
-		return s.TopK(id)
-	}
-	return nil
-}
+func (db *DB) SubscriptionTopK(id int) []Result { return db.subs.TopK(id) }
 
 // Events returns and clears the accumulated subscription events, in
 // serialisation order (see SubscriptionEvent for the per-operation
@@ -581,12 +550,7 @@ func (db *DB) Events() []SubscriptionEvent {
 // When it did, the returned events are NOT a complete replay stream —
 // re-fetch the affected subscriptions' current state with
 // SubscriptionResults or SubscriptionTopK instead of replaying.
-func (db *DB) DrainEvents() ([]SubscriptionEvent, bool) {
-	if s := db.subs.Load(); s != nil {
-		return s.DrainEventsOverflow()
-	}
-	return nil, false
-}
+func (db *DB) DrainEvents() ([]SubscriptionEvent, bool) { return db.subs.DrainEventsOverflow() }
 
 // DefaultEventLogCap is the subscription event log's default bound.
 const DefaultEventLogCap = query.DefaultEventLogCap
@@ -595,34 +559,14 @@ const DefaultEventLogCap = query.DefaultEventLogCap
 // removes the bound). On overflow the oldest events are dropped and the
 // next DrainEvents reports it. Serving deployments size this to the
 // slowest event consumer they are willing to buffer for.
-func (db *DB) SetEventLogCap(n int) {
-	db.subscriptions().SetEventLogCap(n)
-}
+func (db *DB) SetEventLogCap(n int) { db.subs.SetEventLogCap(n) }
 
 // NumSubscriptions returns the number of active subscriptions.
-func (db *DB) NumSubscriptions() int {
-	if s := db.subs.Load(); s != nil {
-		return s.NumSubscriptions()
-	}
-	return 0
-}
+func (db *DB) NumSubscriptions() int { return db.subs.NumSubscriptions() }
 
 // SubscriptionStatsSnapshot returns the engine's cumulative routing
-// counters (zero before the first Subscribe).
-func (db *DB) SubscriptionStatsSnapshot() SubscriptionStats {
-	if s := db.subs.Load(); s != nil {
-		return s.Stats()
-	}
-	return SubscriptionStats{}
-}
-
-// SetReconcileShards pins the subscription engine's reconciliation shard
-// width; 0 restores the default (GOMAXPROCS at each pass). The merged
-// event stream is identical for every width — this is a performance
-// knob, not a semantic one.
-func (db *DB) SetReconcileShards(n int) {
-	db.subscriptions().SetShards(n)
-}
+// counters; they do not move while no subscription stands.
+func (db *DB) SubscriptionStatsSnapshot() SubscriptionStats { return db.subs.Stats() }
 
 // Estimator predicts iRQ cardinalities without running the query.
 type Estimator = query.Estimator

@@ -12,7 +12,6 @@ import (
 	"repro/internal/indoor"
 	"repro/internal/object"
 	"repro/internal/query"
-	"repro/internal/serve"
 )
 
 // City-scale workload: the standard scale substrate for everything beyond
@@ -144,8 +143,8 @@ const CityChurnBatchSize = 32
 
 // NewCityChurn builds (or returns the cached) churn workload with nsubs
 // subscriptions (7 of 8 range, 1 of 8 kNN, mirroring a monitoring-heavy
-// mix). The fan-out is installed but the shard width is whatever the
-// caller last pinned with Engine.SetShards.
+// mix). The shard width is whatever the caller last pinned with
+// Engine.SetShards.
 func NewCityChurn(cfg CityConfig, nsubs int) (*CityChurn, error) {
 	cityMu.Lock()
 	defer cityMu.Unlock()
@@ -158,7 +157,6 @@ func NewCityChurn(cfg CityConfig, nsubs int) (*CityChurn, error) {
 		return nil, err
 	}
 	e := query.NewSubscriptions(f.Idx)
-	e.SetFanOut(func(n int, fn func(int)) { serve.FanOut(0, n, fn) })
 	for i, q := range gen.QueryPoints(f.Layout.B, nsubs, 7102) {
 		if i%8 == 7 {
 			if _, _, err := e.SubscribeKNN(q, 10); err != nil {

@@ -2,18 +2,21 @@ package query
 
 import (
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/index"
-	"repro/internal/indoor"
 	"repro/internal/object"
 )
 
-// Batch reconciliation. ApplyObjectUpdates is the write path of the
-// subscription engine: one coalesced index mutation (one snapshot swap)
+// Batch reconciliation. ApplyObjectUpdates and Topology are the write
+// paths of the subscription engine: one index mutation (one snapshot swap)
 // followed by one reconciliation pass over the subscriptions the router
-// admits, sharded by subscription footprint across core-local workers.
+// and the topology-epoch gate admit, sharded by subscription footprint
+// across core-local workers.
 //
 // Sharding model. The affected subscriptions (ascending by id) are
 // partitioned across shardWidth() shards keyed by each subscription's
@@ -144,13 +147,14 @@ func (e *Subscriptions) shardState(nsh int) []reconShard {
 // reconcile runs one pass over the subscriptions an update batch can
 // affect: the router-admitted ones plus — only when the current snapshot's
 // topology epoch differs from the last one the engine reconciled against —
-// every subscription whose epoch no longer matches (an out-of-band
-// topological change refreshes wholesale). The epoch gate keeps the steady
-// state O(routed): an object batch cannot change the epoch, so a full
-// O(registered) scan happens at most once per out-of-band topology change.
-// A subscription whose refresh failed during such a scan stays stale but
-// remains advertised in the router under its old footprint, so a later
-// routed update (or the next topology operation) retries its refresh.
+// every subscription whose epoch no longer matches (a topology change
+// refreshes wholesale; Topology's pass is exactly this gate with nothing
+// routed). The epoch gate keeps the steady state O(routed): an object
+// batch cannot change the epoch, so a full O(registered) scan happens at
+// most once per topology change. A subscription whose refresh failed
+// during such a scan stays stale but remains advertised in the router
+// under its old footprint, so a later routed update (or the next topology
+// operation) retries its refresh.
 //
 // The pass shards the affected subscriptions across core-local workers
 // (see the package note on the sharding model and ordering contract); the
@@ -195,15 +199,7 @@ func (e *Subscriptions) reconcile(cur *index.Snapshot, touched map[object.ID][]i
 		sh.ids = append(sh.ids, id)
 	}
 
-	run := e.fan
-	if run == nil || nsh == 1 {
-		run = func(n int, fn func(int)) {
-			for i := 0; i < n; i++ {
-				fn(i)
-			}
-		}
-	}
-	run(nsh, func(si int) {
+	FanOut(nsh, nsh, func(si int) {
 		e.reconcileShard(&shards[si], cur, routed)
 	})
 
@@ -304,13 +300,13 @@ func mergeShardEvents(shards []reconShard) []SubEvent {
 
 // reconcileSubInto re-evaluates the routed objects against one
 // subscription, appending events to the shard buffer. A subscription whose
-// cached engines cannot rebind (topology changed out of band) refreshes
+// cached engines cannot rebind (the topology changed) refreshes
 // wholesale; when even the refresh fails (e.g. the query point's partition
 // was removed) it keeps answering from its last good snapshot —
 // reconciliation must not crash the stream.
 func (e *Subscriptions) reconcileSubInto(sh *reconShard, s *standingQuery, cur *index.Snapshot, objs []object.ID) {
 	if !s.rebind(cur) {
-		e.refreshDiffQuietInto(sh, s)
+		e.refreshInto(sh, s)
 		return
 	}
 	seq, lsn := cur.Seq(), cur.LSN()
@@ -361,7 +357,7 @@ func (e *Subscriptions) reconcileKNNInto(sh *reconShard, s *standingQuery, seq, 
 	// means the true top-k may reach beyond the footprint — refresh at a
 	// fresh radius. An infinite radius already covers everything.
 	if len(s.cand) < s.k && !math.IsInf(s.r, 1) {
-		e.refreshDiffQuietInto(sh, s)
+		e.refreshInto(sh, s)
 		return
 	}
 	e.rediffTopKInto(sh, s, seq, lsn, objs)
@@ -393,109 +389,110 @@ func (e *Subscriptions) rediffTopKInto(sh *reconShard, s *standingQuery, seq, ls
 	s.members, s.memberDist = newMembers, newDist
 }
 
-// refreshDiffQuietInto is refreshDiff for the reconcile path: a failed
-// refresh is swallowed (the subscription stays on its last good state and
-// a later operation repairs it), a successful one appends its delta and
-// queues the footprint re-advertisement for the serial epilogue.
-func (e *Subscriptions) refreshDiffQuietInto(sh *reconShard, s *standingQuery) {
+// refreshInto refreshes a subscription wholesale and appends the result
+// delta to the shard buffer (reconcileShard sorts the segment). A failed
+// refresh is swallowed: the subscription stays on its last good state and
+// a later operation repairs it. A successful one queues the footprint
+// re-advertisement for the serial epilogue, since the shared router must
+// stay untouched inside the parallel fan-out.
+func (e *Subscriptions) refreshInto(sh *reconShard, s *standingQuery) {
 	old := s.units
-	evs, err := e.refreshDiff(s)
-	if err != nil {
-		return
-	}
-	sh.evs = append(sh.evs, evs...)
-	sh.refreshed = append(sh.refreshed, reconRefresh{sub: s.id, oldUnits: old})
-}
-
-// refreshDiff refreshes a subscription wholesale and returns the result
-// delta as events. The router is NOT updated here — callers re-advertise
-// the footprint (routeUpdate) since refreshes may run inside the parallel
-// fan-out where the shared router must stay untouched.
-func (e *Subscriptions) refreshDiff(s *standingQuery) ([]SubEvent, error) {
 	before := make(map[object.ID]bool, len(s.members))
 	for oid := range s.members {
 		before[oid] = true
 	}
 	beforeDist := s.memberDist
 	if err := e.refresh(s); err != nil {
-		return nil, err
+		return
 	}
 	seq, lsn := s.ex.s.Seq(), s.ex.s.LSN()
-	var evs []SubEvent
 	for oid := range s.members {
 		if !before[oid] {
 			d := math.NaN()
 			if s.kind == SubKNN {
 				d = s.memberDist[oid]
 			}
-			evs = append(evs, SubEvent{Sub: s.id, Object: oid, Kind: EventEnter, Distance: d, Seq: seq, LSN: lsn})
+			sh.evs = append(sh.evs, SubEvent{Sub: s.id, Object: oid, Kind: EventEnter, Distance: d, Seq: seq, LSN: lsn})
 		}
 	}
 	for oid := range before {
 		if !s.members[oid] {
-			evs = append(evs, SubEvent{Sub: s.id, Object: oid, Kind: EventLeave, Distance: math.NaN(), Seq: seq, LSN: lsn})
+			sh.evs = append(sh.evs, SubEvent{Sub: s.id, Object: oid, Kind: EventLeave, Distance: math.NaN(), Seq: seq, LSN: lsn})
 		}
 	}
 	if s.kind == SubKNN {
 		for oid := range s.members {
 			if before[oid] && beforeDist != nil && beforeDist[oid] != s.memberDist[oid] {
-				evs = append(evs, SubEvent{Sub: s.id, Object: oid, Kind: EventUpdate, Distance: s.memberDist[oid], Seq: seq, LSN: lsn})
+				sh.evs = append(sh.evs, SubEvent{Sub: s.id, Object: oid, Kind: EventUpdate, Distance: s.memberDist[oid], Seq: seq, LSN: lsn})
 			}
 		}
 	}
-	sortEvents(evs)
+	sh.refreshed = append(sh.refreshed, reconRefresh{sub: s.id, oldUnits: old})
+}
+
+// Topology runs one topology mutation through the engine: commit (one
+// index topology mutator) runs under the engine mutex, and the standing
+// queries then refresh in the same sharded pass an object batch uses. Every
+// topology commit advances the snapshot's topology epoch, so the pass's
+// epoch gate admits every subscription and each refreshes wholesale, its
+// events in the pass's (subscription, object, kind) order. The returned
+// error is commit's: a refresh
+// that fails (e.g. the query point's partition was removed) leaves its
+// subscription on its last good state, exactly as in an object batch, and
+// the next topology operation retries it.
+func (e *Subscriptions) Topology(commit func() error) ([]SubEvent, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := commit(); err != nil || len(e.standing) == 0 {
+		return nil, err
+	}
+	// A topology pass routes no objects, so its only failures are
+	// refreshes, which reconcile already swallows.
+	evs, _ := e.reconcile(e.p.Pin(), nil)
+	e.record(evs)
 	return evs, nil
 }
 
-// SetDoorClosed toggles a door and refreshes every subscription (door
-// distances changed), returning the result deltas.
-func (e *Subscriptions) SetDoorClosed(did indoor.DoorID, closed bool) ([]SubEvent, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.p.idx.SetDoorClosed(did, closed); err != nil {
-		return nil, err
+// FanOut runs fn(0..n-1) across min(workers, n) goroutines (workers ≤ 0
+// means runtime.GOMAXPROCS(0)) via an atomic work-claiming cursor: workers
+// claim the next unserved index until the range drains, which balances
+// load even when per-item costs vary wildly. It returns after every call
+// completed; one worker runs the calls serially on the caller's goroutine.
+// fn must be safe to call from multiple goroutines on distinct indices;
+// FanOut itself adds no locking around fn. Both the reconciler's shards
+// and the serving layer's query batches run through it.
+func FanOut(workers, n int, fn func(int)) {
+	if n <= 0 {
+		return
 	}
-	evs, err := e.invalidateTopology()
-	e.record(evs)
-	return evs, err
-}
-
-// InvalidateTopology refreshes every subscription after an out-of-band
-// topological change, returning the result deltas. A failing refresh does
-// NOT abort the pass — every remaining subscription still refreshes
-// (the epoch gate closes after this pass, so skipping them would leave
-// healthy subscriptions silently stale) — and the first error is
-// reported alongside all events; the failed subscription keeps its last
-// good state until a routed update or the next topology operation
-// retries it.
-func (e *Subscriptions) InvalidateTopology() ([]SubEvent, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	evs, err := e.invalidateTopology()
-	e.record(evs)
-	return evs, err
-}
-
-func (e *Subscriptions) invalidateTopology() ([]SubEvent, error) {
-	e.lastTopoEpoch = e.p.Pin().TopoEpoch()
-	var events []SubEvent
-	var firstErr error
-	for _, id := range e.queryIDs() {
-		s := e.standing[id]
-		old := s.units
-		evs, err := e.refreshDiff(s)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers == 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
-		e.stats.Refreshes++
-		e.routeUpdate(s, old)
-		events = append(events, evs...)
+		return
 	}
-	sortEvents(events)
-	return events, firstErr
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(cursor.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // sortEvents orders events by (subscription, object, kind) — the

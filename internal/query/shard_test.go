@@ -14,24 +14,10 @@ import (
 	"repro/internal/object"
 )
 
-// goroutineFan is a test-local parallel runner with the FanFunc contract
-// (internal/serve owns the production one, but serve depends on query so
-// the test builds its own).
-func goroutineFan(n int, fn func(int)) {
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
-}
-
 // shardWorkloadLog runs the deterministic churn workload (moves, inserts,
-// deletes, door toggles) against a fresh engine pinned to the given shard
-// width and returns the full drained event log, one slice per operation.
+// deletes, door toggles, and on every third topology step a room split
+// and merge) against a fresh engine pinned to the given shard width and
+// returns the full drained event log, one slice per operation.
 func shardWorkloadLog(t *testing.T, seed int64, shards, subsN int) [][]SubEvent {
 	t.Helper()
 	b, err := gen.Mall(gen.MallSpec{Floors: 1})
@@ -45,9 +31,6 @@ func shardWorkloadLog(t *testing.T, seed int64, shards, subsN int) [][]SubEvent 
 	}
 	e := NewSubscriptions(idx)
 	e.SetShards(shards)
-	if shards > 1 {
-		e.SetFanOut(goroutineFan)
-	}
 
 	qs := gen.QueryPoints(b, subsN, 800+seed)
 	for i, q := range qs {
@@ -70,6 +53,7 @@ func shardWorkloadLog(t *testing.T, seed int64, shards, subsN int) [][]SubEvent 
 	nextID := object.ID(10_000)
 	doors := b.Doors()
 	var closedDoor indoor.DoorID = -1
+	topoSteps := 0
 
 	var log [][]SubEvent
 	for step := 0; step < 10; step++ {
@@ -115,16 +99,19 @@ func shardWorkloadLog(t *testing.T, seed int64, shards, subsN int) [][]SubEvent 
 
 		if step%3 == 2 && len(doors) > 0 {
 			if closedDoor >= 0 {
-				evs, err = e.SetDoorClosed(closedDoor, false)
+				evs, err = e.Topology(func() error { return idx.SetDoorClosed(closedDoor, false) })
 				closedDoor = -1
 			} else {
 				closedDoor = doors[rng.Intn(len(doors))].ID
-				evs, err = e.SetDoorClosed(closedDoor, true)
+				evs, err = e.Topology(func() error { return idx.SetDoorClosed(closedDoor, true) })
 			}
 			if err != nil {
 				t.Fatalf("shards=%d step %d toggle: %v", shards, step, err)
 			}
 			log = append(log, evs)
+			if topoSteps++; topoSteps%3 == 0 {
+				log = append(log, splitMergeRoom(t, e, idx, qs[rng.Intn(len(qs))])...)
+			}
 		}
 	}
 
@@ -137,6 +124,34 @@ func shardWorkloadLog(t *testing.T, seed int64, shards, subsN int) [][]SubEvent 
 		}
 	}
 	return log
+}
+
+// splitMergeRoom splits the room holding a subscription's query point in
+// half and merges the halves back, both through Topology, returning the
+// two operations' event streams. A point outside every room is a no-op.
+func splitMergeRoom(t *testing.T, e *Subscriptions, idx *index.Index, q indoor.Position) [][]SubEvent {
+	t.Helper()
+	room := idx.Building().Partition(idx.Current().LocatePartition(q))
+	if room == nil || room.Kind != indoor.Room {
+		return nil
+	}
+	r := room.Bounds()
+	var pa, pb indoor.PartitionID
+	split, err := e.Topology(func() (err error) {
+		pa, pb, err = idx.SplitPartition(room.ID, true, (r.MinX+r.MaxX)/2)
+		return err
+	})
+	if err != nil {
+		t.Fatalf("split room %d: %v", room.ID, err)
+	}
+	merge, err := e.Topology(func() error {
+		_, err := idx.MergePartitions(pa, pb)
+		return err
+	})
+	if err != nil {
+		t.Fatalf("merge room %d halves: %v", room.ID, err)
+	}
+	return [][]SubEvent{split, merge}
 }
 
 // sameEvents is field-wise equality with NaN == NaN (leave events carry
@@ -159,9 +174,9 @@ func sameEvents(a, b []SubEvent) bool {
 
 // The sharded reconciler's ordering contract: for ANY shard width the
 // merged event stream of every operation is byte-identical to the serial
-// (width 1) reconciler's, across moves, inserts, deletes and door
-// toggles. Run with -cpu 1,4 to exercise both degenerate and parallel
-// merge paths under the race detector.
+// (width 1) reconciler's, across moves, inserts, deletes, door toggles and
+// room splits and merges. Run with -cpu 1,4 to exercise both degenerate
+// and parallel merge paths under the race detector.
 func TestShardedReconcileByteIdentical(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		seed := seed
@@ -198,8 +213,7 @@ func TestShardedChurnRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewSubscriptions(idx)
-	e.SetFanOut(goroutineFan) // width floats with GOMAXPROCS (-cpu)
+	e := NewSubscriptions(idx) // width floats with GOMAXPROCS (-cpu)
 
 	qs := gen.QueryPoints(b, 16, 77)
 	ids := make([]int, 0, len(qs))
@@ -239,11 +253,11 @@ func TestShardedChurnRace(t *testing.T) {
 			}
 			if i%7 == 6 && len(doors) > 0 {
 				d := doors[rng.Intn(len(doors))].ID
-				if _, err := e.SetDoorClosed(d, true); err != nil {
+				if _, err := e.Topology(func() error { return idx.SetDoorClosed(d, true) }); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := e.SetDoorClosed(d, false); err != nil {
+				if _, err := e.Topology(func() error { return idx.SetDoorClosed(d, false) }); err != nil {
 					t.Error(err)
 					return
 				}

@@ -32,9 +32,9 @@ import (
 // below k the subscription refreshes wholesale at a fresh radius).
 //
 // Concurrency: a Subscriptions engine is safe for concurrent use. Update
-// operations (Subscribe*, Unsubscribe, ApplyObjectUpdates, SetDoorClosed,
-// InvalidateTopology) serialise on an internal mutex, so the event streams
-// they return are consistent with SOME serial order of the operations —
+// operations (Subscribe*, Unsubscribe, ApplyObjectUpdates, Topology)
+// serialise on an internal mutex, so the event streams they return are
+// consistent with SOME serial order of the operations —
 // replaying that order serially yields the same events and the same final
 // memberships. Results, TopK, NumSubscriptions and Stats are readers and
 // run in parallel with each other and with ordinary queries. While the
@@ -53,12 +53,6 @@ type Subscriptions struct {
 	// ids are dense and never reused (Snapshot.UnitIDBound), so a plain
 	// slice indexes it without hashing.
 	inv [][]int
-
-	// fan shards a reconciliation pass over affected subscriptions; nil
-	// runs it serially. The facade injects the serving layer's worker
-	// fan-out (serve.FanOut) here — the package split keeps internal/query
-	// free of a dependency cycle with internal/serve.
-	fan FanFunc
 
 	// shards is the reconciliation shard width; 0 (the default) resolves
 	// to runtime.GOMAXPROCS(0) at each pass. shardBufs holds the
@@ -88,7 +82,7 @@ type Subscriptions struct {
 	// lastTopoEpoch is the topology epoch of the last snapshot a
 	// reconciliation pass ran against: while it matches the current
 	// snapshot, a pass only visits router-admitted subscriptions instead
-	// of scanning the whole registry for out-of-band topology changes.
+	// of scanning the whole registry for topology changes.
 	lastTopoEpoch uint64
 
 	// specsPub is a lock-free copy-on-write view of the registered
@@ -100,10 +94,6 @@ type Subscriptions struct {
 
 	stats SubStats
 }
-
-// FanFunc runs fn(0..n-1), possibly in parallel, returning after every
-// call completed. Calls receive distinct indices and may run concurrently.
-type FanFunc func(n int, fn func(int))
 
 // SubKind selects a subscription's query kind.
 type SubKind uint8
@@ -170,8 +160,9 @@ type SubEvent struct {
 // SubStats reports cumulative reconciliation counters: the observability
 // behind the routed-vs-registered scaling claim.
 type SubStats struct {
-	// Batches counts reconciled update batches; Updates counts the object
-	// updates inside them.
+	// Batches counts reconciled update batches, a topology pass counting
+	// as one batch of no updates; Updates counts the object updates inside
+	// them.
 	Batches, Updates uint64
 	// RoutedPairs counts (subscription, object) re-evaluations the router
 	// admitted; AffectedSubs counts subscriptions touched per batch,
@@ -272,14 +263,6 @@ func NewSubscriptions(idx *index.Index) *Subscriptions {
 		standing:      make(map[int]*standingQuery),
 		lastTopoEpoch: idx.Current().TopoEpoch(),
 	}
-}
-
-// SetFanOut installs the parallel runner reconciliation passes shard over
-// affected subscriptions with; nil (the default) reconciles serially.
-func (e *Subscriptions) SetFanOut(f FanFunc) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.fan = f
 }
 
 // SetShards pins the reconciliation shard width. n <= 0 restores the

@@ -164,13 +164,13 @@ func runSubscriptionOracleWorkload(t *testing.T, seed int64, steps int) {
 		// Every 4th step, churn the topology through the engine.
 		if step%4 == 3 && len(doors) > 0 {
 			if closedDoor >= 0 {
-				if _, err := e.SetDoorClosed(closedDoor, false); err != nil {
+				if _, err := e.Topology(func() error { return idx.SetDoorClosed(closedDoor, false) }); err != nil {
 					t.Fatal(err)
 				}
 				closedDoor = -1
 			} else {
 				closedDoor = doors[rng.Intn(len(doors))].ID
-				if _, err := e.SetDoorClosed(closedDoor, true); err != nil {
+				if _, err := e.Topology(func() error { return idx.SetDoorClosed(closedDoor, true) }); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -291,29 +291,31 @@ func TestSubscriptionUnsubscribe(t *testing.T) {
 }
 
 // A refresh that fails (the subscription's partition was removed) must
-// leave the old cached engines in place: later reconciles use them instead
-// of panicking on a nil engine.
+// leave the old cached engines and results in place: the topology commit
+// itself succeeded, so Topology reports no error, and later reconciles use
+// the old engines instead of panicking on a nil engine.
 func TestSubscriptionSurvivesFailedRefresh(t *testing.T) {
 	f := newFixture(t, 1, 100, 5)
 	e := NewSubscriptions(f.idx)
 	q := gen.QueryPoints(f.b, 1, 607)[0]
-	if _, _, err := e.SubscribeRange(q, 60); err != nil {
+	id, initial, err := e.SubscribeRange(q, 60)
+	if err != nil {
 		t.Fatal(err)
 	}
 	pid := f.idx.Current().LocatePartition(q)
 	if pid == indoor.NoPartition {
 		t.Fatal("query point not locatable")
 	}
-	if err := f.idx.RemovePartition(pid); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.InvalidateTopology(); err == nil {
-		t.Fatal("refresh over a removed query partition must error")
+	if _, err := e.Topology(func() error { return f.idx.RemovePartition(pid) }); err != nil {
+		t.Fatalf("the commit succeeded, yet Topology reported: %v", err)
 	}
 	for _, s := range e.standing {
 		if s.eng == nil {
 			t.Fatal("failed refresh dropped the cached engine")
 		}
+	}
+	if got := e.Results(id); !sameIDs(got, initial) {
+		t.Fatalf("failed refresh changed the results: %v, was %v", got, initial)
 	}
 	// The subscription is stale but must stay usable: object updates keep
 	// flowing through reconcile without a crash.

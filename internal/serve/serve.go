@@ -8,14 +8,14 @@
 //
 // The pool reports per-query results, Stats and latency in request order,
 // plus batch-level aggregates (wall time, queries/sec, latency
-// percentiles) — the figures a serving deployment watches.
+// percentiles) — the figures a serving deployment watches. The workers
+// themselves are query.FanOut, the one fan-out the subscription
+// reconciler also shards over.
 package serve
 
 import (
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/index"
@@ -112,7 +112,8 @@ func (p *Pool) KNNBatch(reqs []KNNRequest) ([]Response, Metrics) {
 	})
 }
 
-// run distributes n queries over the workers via FanOut. The caller bound
+// run distributes n queries over the workers via query.FanOut, the same
+// fan-out the subscription reconciler shards over. The caller bound
 // every query to one pinned snapshot, so the fan-out involves no locks at
 // all — a worker's only shared writes are its own response slots.
 func (p *Pool) run(n int, eval func(int) ([]query.Result, *query.Stats, error)) ([]Response, Metrics) {
@@ -122,53 +123,12 @@ func (p *Pool) run(n int, eval func(int) ([]query.Result, *query.Stats, error)) 
 		workers = n
 	}
 	start := time.Now()
-	FanOut(workers, n, func(i int) {
+	query.FanOut(workers, n, func(i int) {
 		t0 := time.Now()
 		res, st, err := eval(i)
 		resps[i] = Response{Results: res, Stats: st, Err: err, Latency: time.Since(t0)}
 	})
 	return resps, metricsFor(resps, workers, time.Since(start))
-}
-
-// FanOut runs fn(0..n-1) across min(workers, n) goroutines (workers ≤ 0
-// means runtime.GOMAXPROCS(0)) via an atomic work-claiming cursor: workers
-// claim the next unserved index until the range drains, which balances
-// load even when per-item costs vary wildly. It returns after every call
-// completed. fn must be safe to call from multiple goroutines on distinct
-// indices; FanOut itself adds no locking around fn. Both the query batch
-// layer and the continuous-query reconciler shard their work through it.
-func FanOut(workers, n int, fn func(int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func metricsFor(resps []Response, workers int, wall time.Duration) Metrics {

@@ -295,10 +295,11 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 		b := s.db.Building()
 		pos := geom.Pt(req.Pos[0], req.Pos[1])
 		p1, p2 := indoorq.PartitionID(req.Partition), indoorq.PartitionID(req.Partition2)
-		d, err := b.AddDoor(pos, req.Floor, p1, p2)
+		add := b.AddDoor
 		if req.OneWay {
-			d, err = b.AddOneWayDoor(pos, req.Floor, p1, p2)
+			add = b.AddOneWayDoor
 		}
+		d, err := add(pos, req.Floor, p1, p2)
 		if err != nil {
 			resp.Err = err.Error()
 			break

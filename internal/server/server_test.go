@@ -256,6 +256,39 @@ func TestMutationsOverWire(t *testing.T) {
 	}
 }
 
+// TestAddOneWayDoorOverWire pins add_door's one-way form: one request
+// adds exactly one door, directed from the first partition to the second.
+func TestAddOneWayDoorOverWire(t *testing.T) {
+	db, c, _, _ := newLeader(t, server.Config{})
+	b := db.Building()
+	var tmpl *indoorq.Door
+	for _, d := range b.Doors() {
+		p1, p2 := b.Partition(d.P1), b.Partition(d.P2)
+		if p1 != nil && p2 != nil && p1.Kind != indoor.Staircase && p2.Kind != indoor.Staircase {
+			tmpl = d
+			break
+		}
+	}
+	if tmpl == nil {
+		t.Fatal("mall has no door between two non-staircase partitions")
+	}
+	before := len(b.Doors())
+	resp, err := c.Topology(wire.TopologyRequest{
+		Op: wire.TopoAddDoor, Pos: &[2]float64{tmpl.Pos.X, tmpl.Pos.Y}, Floor: tmpl.Floor,
+		Partition: int64(tmpl.P2), Partition2: int64(tmpl.P1), OneWay: true,
+	})
+	if err != nil || resp.Err != "" {
+		t.Fatalf("add_door: %v / %q", err, resp.Err)
+	}
+	if got := len(b.Doors()); got != before+1 {
+		t.Fatalf("one add_door took the building from %d to %d doors", before, got)
+	}
+	d := b.Door(indoorq.DoorID(resp.Door))
+	if d == nil || !d.OneWay || d.From != tmpl.P2 || d.To != tmpl.P1 {
+		t.Fatalf("added door %+v, want one-way %d -> %d", d, tmpl.P2, tmpl.P1)
+	}
+}
+
 func TestSubscribeAndEventStreamOverWire(t *testing.T) {
 	db, c, _, queries := newLeader(t, server.Config{EventPoll: 2 * time.Millisecond})
 	sub, err := c.Subscribe(wire.SubscribeRequest{Q: wire.PositionOf(queries[0]), R: 70})
