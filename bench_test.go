@@ -372,57 +372,47 @@ func BenchmarkIndexUpdates(b *testing.B) {
 			}
 		}
 	})
-	b.Run("insertPartition", func(b *testing.B) {
+	// roomCycle removes one room and returns the mutations that re-add a
+	// room in its place and remove it again.
+	roomCycle := func(b *testing.B) (add, remove func()) {
 		f := mustFixture(b, cfg)
-		// Cycle one room: remove it once, then time (re-)insertions.
-		var room PartitionID
+		var room *Partition
 		for _, p := range f.B.Partitions() {
 			if p.Kind == 0 {
-				room = p.ID
+				room = p
 				break
 			}
 		}
-		rect := f.B.Partition(room).Bounds()
-		if err := f.Idx.RemovePartition(room); err != nil {
-			b.Fatal(err)
+		apply := func(m Mutation) Mutation {
+			got, err := f.Idx.Apply(m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return got
 		}
+		rm := Mutation{Kind: MutRemovePartition, PartID: room.ID}
+		readd := Mutation{Kind: MutAddPartition, PartID: -1, Part: &Partition{Shape: room.Shape}}
+		apply(rm)
+		return func() { rm.PartID = apply(readd).PartID }, func() { apply(rm) }
+	}
+	b.Run("insertPartition", func(b *testing.B) {
+		add, remove := roomCycle(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p := f.B.AddRoom(0, rect)
-			if err := f.Idx.AddPartition(p.ID); err != nil {
-				b.Fatal(err)
-			}
+			add()
 			b.StopTimer()
-			if err := f.Idx.RemovePartition(p.ID); err != nil {
-				b.Fatal(err)
-			}
+			remove()
 			b.StartTimer()
 		}
 	})
 	b.Run("deletePartition", func(b *testing.B) {
-		f := mustFixture(b, cfg)
-		var room PartitionID
-		for _, p := range f.B.Partitions() {
-			if p.Kind == 0 {
-				room = p.ID
-				break
-			}
-		}
-		rect := f.B.Partition(room).Bounds()
-		if err := f.Idx.RemovePartition(room); err != nil {
-			b.Fatal(err)
-		}
+		add, remove := roomCycle(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			p := f.B.AddRoom(0, rect)
-			if err := f.Idx.AddPartition(p.ID); err != nil {
-				b.Fatal(err)
-			}
+			add()
 			b.StartTimer()
-			if err := f.Idx.RemovePartition(p.ID); err != nil {
-				b.Fatal(err)
-			}
+			remove()
 		}
 	})
 }

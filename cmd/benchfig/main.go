@@ -453,27 +453,30 @@ func fig15c() error {
 			break
 		}
 	}
-	rect := f.B.Partition(room).Bounds()
-	if err := f.Idx.RemovePartition(room); err != nil {
+	orig := f.B.Partition(room)
+	remove := index.Mutation{Kind: index.MutRemovePartition, PartID: room}
+	add := index.Mutation{Kind: index.MutAddPartition, PartID: indoor.NoPartition,
+		Part: &indoor.Partition{Kind: indoor.Room, Floor: orig.Floor, Shape: orig.Shape}}
+	if _, err := f.Idx.Apply(remove); err != nil {
 		return err
 	}
 	var insPart, delPart time.Duration
 	for i := 0; i < n; i++ {
 		start = time.Now()
-		p := f.B.AddRoom(0, rect)
-		if err := f.Idx.AddPartition(p.ID); err != nil {
+		added, err := f.Idx.Apply(add)
+		if err != nil {
 			return err
 		}
 		insPart += time.Since(start)
 		start = time.Now()
-		if err := f.Idx.RemovePartition(p.ID); err != nil {
+		remove.PartID = added.PartID
+		if _, err := f.Idx.Apply(remove); err != nil {
 			return err
 		}
 		delPart += time.Since(start)
 	}
 	// Restore the room for later panels.
-	p := f.B.AddRoom(0, rect)
-	if err := f.Idx.AddPartition(p.ID); err != nil {
+	if _, err := f.Idx.Apply(add); err != nil {
 		return err
 	}
 
@@ -593,7 +596,7 @@ func figHotPath() error {
 	}
 	if door >= 0 {
 		start := time.Now()
-		if err := idx.SetDoorClosed(door, false); err != nil {
+		if _, err := idx.Apply(index.Mutation{Kind: index.MutSetDoorClosed, DoorID: door}); err != nil {
 			return err
 		}
 		fmt.Printf("topology mutation incl. graph recompile + snapshot publish: %s ms\n", ms(time.Since(start)))

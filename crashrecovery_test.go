@@ -149,10 +149,8 @@ func runCrashProgram(t *testing.T, db *DB, b *Building, data []byte) []durableOp
 			logged("DetachDoor", func(db *DB, b *Building) {
 				_ = db.DetachDoor(did)
 			})
-			logged("AttachDoor", func(db *DB, b *Building) {
-				if nd, err := b.AddDoor(pos, floor, p1, p2); err == nil {
-					_ = db.AttachDoor(nd.ID)
-				}
+			logged("AddDoor", func(db *DB, b *Building) {
+				_, _ = db.AddDoor(Door{Pos: pos, Floor: floor, P1: p1, P2: p2})
 			})
 		case 5: // move an object
 			ov, ok1 := next()

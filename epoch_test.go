@@ -131,23 +131,15 @@ func TestEpochInvalidationPerMutator(t *testing.T) {
 		mutate func(t *testing.T, b *Building, idx *index.Index)
 	}{
 		{"SetDoorClosed", func(t *testing.T, b *Building, idx *index.Index) {
-			room := pickRoom(t, b)
-			if err := idx.SetDoorClosed(room.Doors[0], true); err != nil {
-				t.Fatal(err)
-			}
+			mustApply(t, idx, Mutation{Kind: MutSetDoorClosed, DoorID: pickRoom(t, b).Doors[0], Closed: true})
 		}},
 		{"SetDoorReopened", func(t *testing.T, b *Building, idx *index.Index) {
 			room := pickRoom(t, b)
-			if err := idx.SetDoorClosed(room.Doors[0], true); err != nil {
-				t.Fatal(err)
-			}
-			if err := idx.SetDoorClosed(room.Doors[0], false); err != nil {
-				t.Fatal(err)
-			}
+			mustApply(t, idx, Mutation{Kind: MutSetDoorClosed, DoorID: room.Doors[0], Closed: true})
+			mustApply(t, idx, Mutation{Kind: MutSetDoorClosed, DoorID: room.Doors[0]})
 		}},
 		{"DetachDoor", func(t *testing.T, b *Building, idx *index.Index) {
-			room := pickRoom(t, b)
-			idx.DetachDoor(room.Doors[0])
+			mustApply(t, idx, Mutation{Kind: MutDetachDoor, DoorID: pickRoom(t, b).Doors[0]})
 		}},
 		{"AttachDoor", func(t *testing.T, b *Building, idx *index.Index) {
 			// A second door between a room and one of its neighbours.
@@ -169,48 +161,28 @@ func TestEpochInvalidationPerMutator(t *testing.T) {
 			if d == nil {
 				t.Fatal("no two-sided room door in fixture")
 			}
-			nd, err := b.AddDoor(d.Pos.Add(geom.Pt(0.5, 0)), d.Floor, d.P1, d.P2)
-			if err != nil {
-				t.Skipf("fixture geometry rejects second door: %v", err)
-			}
-			if err := idx.AttachDoor(nd.ID); err != nil {
-				t.Fatal(err)
-			}
+			mustApply(t, idx, Mutation{Kind: MutAttachDoor, DoorID: -1, Door: &Door{
+				Pos: d.Pos.Add(geom.Pt(0.5, 0)), Floor: d.Floor, P1: d.P1, P2: d.P2}})
 		}},
 		{"RemovePartition", func(t *testing.T, b *Building, idx *index.Index) {
-			room := pickRoom(t, b)
-			if err := idx.RemovePartition(room.ID); err != nil {
-				t.Fatal(err)
-			}
+			mustApply(t, idx, Mutation{Kind: MutRemovePartition, PartID: pickRoom(t, b).ID})
 		}},
 		{"AddPartition", func(t *testing.T, b *Building, idx *index.Index) {
 			room := pickRoom(t, b)
-			rect, floor := room.Bounds(), room.Floor
-			if err := idx.RemovePartition(room.ID); err != nil {
-				t.Fatal(err)
-			}
-			p := b.AddRoom(floor, rect)
-			if err := idx.AddPartition(p.ID); err != nil {
-				t.Fatal(err)
-			}
+			mustApply(t, idx, Mutation{Kind: MutRemovePartition, PartID: room.ID})
+			mustApply(t, idx, Mutation{Kind: MutAddPartition, PartID: -1,
+				Part: &Partition{Floor: room.Floor, Shape: RectPoly(room.Bounds())}})
 		}},
 		{"SplitPartition", func(t *testing.T, b *Building, idx *index.Index) {
 			room := pickRoom(t, b)
 			rect := room.Bounds()
-			if _, _, err := idx.SplitPartition(room.ID, true, (rect.MinX+rect.MaxX)/2); err != nil {
-				t.Fatal(err)
-			}
+			mustApply(t, idx, Mutation{Kind: MutSplit, PartID: room.ID, AlongX: true, At: (rect.MinX + rect.MaxX) / 2})
 		}},
 		{"MergePartitions", func(t *testing.T, b *Building, idx *index.Index) {
 			room := pickRoom(t, b)
 			rect := room.Bounds()
-			pa, pb, err := idx.SplitPartition(room.ID, true, (rect.MinX+rect.MaxX)/2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := idx.MergePartitions(pa, pb); err != nil {
-				t.Fatal(err)
-			}
+			split := mustApply(t, idx, Mutation{Kind: MutSplit, PartID: room.ID, AlongX: true, At: (rect.MinX + rect.MaxX) / 2})
+			mustApply(t, idx, Mutation{Kind: MutMerge, PartID: split.ResultA, PartID2: split.ResultB})
 		}},
 	}
 	for _, tc := range cases {
@@ -227,6 +199,16 @@ func TestEpochInvalidationPerMutator(t *testing.T) {
 			assertMatchesFreshIndex(t, tc.name, b, idx)
 		})
 	}
+}
+
+// mustApply commits m and returns it with the ids it allocated.
+func mustApply(t *testing.T, idx *index.Index, m Mutation) Mutation {
+	t.Helper()
+	got, err := idx.Apply(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 // currentEpoch reads the topology epoch under the read lock.
@@ -311,26 +293,26 @@ func TestBatchQueriesUnderTopologyChurn(t *testing.T) {
 			switch i % 3 {
 			case 0: // door closure churn
 				door := doors[rng.Intn(len(doors))]
-				if err := idx.SetDoorClosed(door, true); err != nil {
+				if _, err := idx.Apply(Mutation{Kind: MutSetDoorClosed, DoorID: door, Closed: true}); err != nil {
 					t.Error(err)
 					return
 				}
-				if err := idx.SetDoorClosed(door, false); err != nil {
+				if _, err := idx.Apply(Mutation{Kind: MutSetDoorClosed, DoorID: door}); err != nil {
 					t.Error(err)
 					return
 				}
 			case 1: // sliding wall churn
-				pa, pb, err := idx.SplitPartition(cur, true, splitAt)
+				split, err := idx.Apply(Mutation{Kind: MutSplit, PartID: cur, AlongX: true, At: splitAt})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				merged, err := idx.MergePartitions(pa, pb)
+				merged, err := idx.Apply(Mutation{Kind: MutMerge, PartID: split.ResultA, PartID2: split.ResultB})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				cur = merged
+				cur = merged.ResultA
 			case 2:
 				if err := idx.Current().CheckInvariants(); err != nil {
 					t.Error(err)

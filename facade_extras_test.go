@@ -142,6 +142,34 @@ func TestFacadeTopologyRefreshFailureIsNotAnError(t *testing.T) {
 	}
 }
 
+// TestFacadeRefusedAddsLeaveBuilding: with the log fail-stopped, AddRoom
+// and AddDoor are refused by the commit hook, and the refusal must leave
+// the building's partitions, doors and id allocators as they were.
+func TestFacadeRefusedAddsLeaveBuilding(t *testing.T) {
+	db := openSmall(t)
+	if err := db.Persist(t.TempDir(), DurabilityOptions{CompactBytes: -1}); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.Store().Poison(nil)
+	b := db.Building()
+	state := func() [4]int {
+		np, nd := b.AllocBounds()
+		return [4]int{b.NumPartitions(), b.NumDoors(), int(np), int(nd)}
+	}
+	before := state()
+	if _, err := db.AddRoom(0, R(5000, 0, 5010, 10)); err == nil {
+		t.Fatal("AddRoom succeeded on a poisoned store")
+	}
+	d := b.Doors()[0]
+	if _, err := db.AddDoor(Door{Pos: d.Pos, Floor: d.Floor, P1: d.P1, P2: d.P2}); err == nil {
+		t.Fatal("AddDoor succeeded on a poisoned store")
+	}
+	if got := state(); got != before {
+		t.Fatalf("refused adds changed the building (parts, doors, next ids): %v -> %v", before, got)
+	}
+}
+
 func TestFacadeEstimator(t *testing.T) {
 	db := openSmall(t)
 	est := db.NewEstimator()

@@ -188,9 +188,7 @@ func FuzzTopologyMutations(f *testing.F) {
 				d := doors[int(v)%len(doors)]
 				pos, floor, p1, p2 := d.Pos, d.Floor, d.P1, d.P2
 				db.DetachDoor(d.ID)
-				if nd, err := b.AddDoor(pos, floor, p1, p2); err == nil {
-					_ = db.AttachDoor(nd.ID)
-				}
+				_, _ = db.AddDoor(Door{Pos: pos, Floor: floor, P1: p1, P2: p2})
 			default: // move an object to a drawn walkable point
 				ov, ok1 := next(&i)
 				xv, ok2 := next(&i)

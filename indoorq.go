@@ -34,15 +34,16 @@
 // RangeQuery, KNNQuery, LocatePartition, Object and NumObjects observes
 // one consistent point-in-time state; a batch (BatchRangeQuery,
 // BatchKNNQuery) pins ONE snapshot for the whole batch, so all its
-// queries agree with each other. Mutators — InsertObject, DeleteObject,
-// UpdateObject, MoveObject, ApplyObjectUpdates, SetDoorClosed,
-// AddPartition, RemovePartition, AttachDoor, DetachDoor, SplitPartition
-// and MergePartitions — serialise only against each other: they build the
-// successor snapshot copy-on-write (object updates share the whole
-// topology; topology updates share the object store's untouched storage)
-// and publish it atomically, so no reader ever observes a half-applied
-// mutation. High-rate movement should go through ApplyObjectUpdates,
-// which coalesces a batch of updates into one snapshot swap.
+// queries agree with each other. Mutators — Apply and its constructors
+// InsertObject, DeleteObject, UpdateObject, MoveObject,
+// ApplyObjectUpdates, SetDoorClosed, AddRoom, RemovePartition, AddDoor,
+// DetachDoor, SplitPartition and MergePartitions — serialise only against
+// each other: they build the successor snapshot copy-on-write (object
+// updates share the whole topology; topology updates share the object
+// store's untouched storage) and publish it atomically, so no reader ever
+// observes a half-applied mutation. High-rate movement should go through
+// ApplyObjectUpdates, which coalesces a batch of updates into one snapshot
+// swap.
 //
 // Save and RenderSVG briefly exclude mutators (they read the building's
 // partition/door structure directly).
@@ -153,8 +154,8 @@ func Pos(x, y float64, floor int) Position { return indoor.Pos(x, y, floor) }
 // R builds a rectangle from two opposite corners.
 func R(x1, y1, x2, y2 float64) Rect { return geom.R(x1, y1, x2, y2) }
 
-// RectPoly returns the polygon form of a rectangle, for AddPartition and
-// AddHallway footprints.
+// RectPoly returns the polygon form of a rectangle, for partition
+// footprints (Building.AddPartition, a MutAddPartition's Part).
 func RectPoly(r Rect) Polygon { return geom.RectPoly(r) }
 
 // NewBuilding returns an empty building with the given floor height in
@@ -350,77 +351,104 @@ func (db *DB) ApplyObjectUpdates(ups []ObjectUpdate) error {
 // coalescing: a movement tick through ApplyObjectUpdates advances it once.
 func (db *DB) SnapshotSwaps() uint64 { return db.idx.SnapshotSwaps() }
 
-// topology commits one topology mutation through the subscription
-// engine, which refreshes the standing queries in the same serialised
-// operation, and returns the mutation's error. A refresh failure is
-// deliberately not an error of the mutation: the subscription keeps
-// answering from its last good snapshot until a later operation repairs
-// it.
-func (db *DB) topology(commit func() error) error {
-	_, err := db.subs.Topology(commit)
-	return err
+// Mutation is one index mutation as a value — an object batch or a
+// topology operation — the same value the write-ahead log records and
+// replay decodes. Build one with a MutationKind and the fields its kind
+// documents, or use the typed mutators below, which are constructors over
+// Apply.
+type Mutation = index.Mutation
+
+// MutationKind identifies the operation a Mutation describes.
+type MutationKind = index.MutationKind
+
+// Mutation kinds for Apply.
+const (
+	MutObjects         = index.MutObjects
+	MutSetDoorClosed   = index.MutSetDoorClosed
+	MutAddPartition    = index.MutAddPartition
+	MutRemovePartition = index.MutRemovePartition
+	MutAttachDoor      = index.MutAttachDoor
+	MutDetachDoor      = index.MutDetachDoor
+	MutSplit           = index.MutSplit
+	MutMerge           = index.MutMerge
+	MutRebuildSkeleton = index.MutRebuildSkeleton
+)
+
+// Apply commits one mutation and returns it with every id it allocated
+// (see index.Index.Apply). The building changes only inside the commit,
+// under the writer mutex, after the durability log accepted the mutation;
+// a refused mutation leaves it as it was. An object batch goes through
+// ApplyObjectUpdates. A topology mutation commits through the
+// subscription engine, which refreshes the standing queries in the same
+// serialised operation; a refresh failure is deliberately not an error of
+// the mutation: the subscription keeps answering from its last good
+// snapshot until a later operation repairs it.
+func (db *DB) Apply(m Mutation) (Mutation, error) {
+	if m.Kind == MutObjects {
+		return m, db.ApplyObjectUpdates(m.Updates)
+	}
+	m, _, err := db.subs.Topology(m)
+	return m, err
 }
 
-// AddPartition indexes a partition previously added to the building.
-func (db *DB) AddPartition(pid PartitionID) error {
-	return db.topology(func() error { return db.idx.AddPartition(pid) })
+// AddRoom adds a rectangular room on a floor and indexes it, returning
+// its id (NoPartition when refused, e.g. for a rectangle of zero width).
+func (db *DB) AddRoom(floor int, r Rect) (PartitionID, error) {
+	m, err := db.Apply(Mutation{Kind: MutAddPartition, PartID: indoor.NoPartition,
+		Part: &Partition{Kind: indoor.Room, Floor: floor, Shape: geom.RectPoly(r)}})
+	return m.PartID, err
 }
 
 // RemovePartition removes a partition and its doors from the building and
 // the index.
 func (db *DB) RemovePartition(pid PartitionID) error {
-	return db.topology(func() error { return db.idx.RemovePartition(pid) })
+	_, err := db.Apply(Mutation{Kind: MutRemovePartition, PartID: pid})
+	return err
 }
 
-// AttachDoor indexes a door previously added to the building.
-func (db *DB) AttachDoor(did DoorID) error {
-	return db.topology(func() error { return db.idx.AttachDoor(did) })
+// AddDoor adds a door — position, floor, partitions, direction and
+// closure from d; d.ID is ignored — and indexes it, returning its id (-1
+// when refused, e.g. for a position that touches no unit of its
+// partitions).
+func (db *DB) AddDoor(d Door) (DoorID, error) {
+	m, err := db.Apply(Mutation{Kind: MutAttachDoor, DoorID: -1, Door: &d})
+	return m.DoorID, err
 }
 
 // DetachDoor removes a door from the building and the index. An unknown
 // door is a no-op; the only possible error is a refused durability log
 // (fail-stop store), in which case nothing was detached.
 func (db *DB) DetachDoor(did DoorID) error {
-	return db.topology(func() error { return db.idx.DetachDoor(did) })
+	_, err := db.Apply(Mutation{Kind: MutDetachDoor, DoorID: did})
+	return err
 }
 
 // SetDoorClosed closes or reopens a door; queries observe the change
 // immediately with no index maintenance. Standing queries refresh (door
 // distances changed) and emit their membership deltas to the Events log.
-// As for every topology mutator, the error is the mutation's: a
-// subscription whose refresh fails keeps its last good results and does
-// not fail the toggle.
 func (db *DB) SetDoorClosed(did DoorID, closed bool) error {
-	return db.topology(func() error { return db.idx.SetDoorClosed(did, closed) })
+	_, err := db.Apply(Mutation{Kind: MutSetDoorClosed, DoorID: did, Closed: closed})
+	return err
 }
 
 // SplitPartition mounts a sliding wall, dividing a rectangular partition in
 // two (the paper's room-21 meeting-style scenario).
 func (db *DB) SplitPartition(pid PartitionID, alongX bool, at float64) (pa, pb PartitionID, err error) {
-	err = db.topology(func() (err error) {
-		pa, pb, err = db.idx.SplitPartition(pid, alongX, at)
-		return err
-	})
-	return pa, pb, err
+	m, err := db.Apply(Mutation{Kind: MutSplit, PartID: pid, AlongX: alongX, At: at})
+	return m.ResultA, m.ResultB, err
 }
 
 // MergePartitions dismounts a sliding wall, merging two rectangular
 // partitions (banquet style).
 func (db *DB) MergePartitions(pa, pb PartitionID) (merged PartitionID, err error) {
-	err = db.topology(func() (err error) {
-		merged, err = db.idx.MergePartitions(pa, pb)
-		return err
-	})
-	return merged, err
+	m, err := db.Apply(Mutation{Kind: MutMerge, PartID: pa, PartID2: pb})
+	return m.ResultA, err
 }
 
 // RebuildSkeleton recomputes the index's skeleton tier and refreshes
 // standing queries (skeleton anchors feed their bounds).
 func (db *DB) RebuildSkeleton() {
-	_ = db.topology(func() error {
-		db.idx.RebuildSkeleton()
-		return nil
-	})
+	_, _ = db.Apply(Mutation{Kind: MutRebuildSkeleton})
 }
 
 // LocatePartition returns the partition containing a position via the

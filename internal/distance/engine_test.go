@@ -147,7 +147,7 @@ func TestClosedDoorIncreasesDistance(t *testing.T) {
 			middle = d.ID
 		}
 	}
-	if err := idx.SetDoorClosed(middle, true); err != nil {
+	if _, err := idx.Apply(index.Mutation{Kind: index.MutSetDoorClosed, DoorID: middle, Closed: true}); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := fullEngine(t, idx, q).PointDist(p)
@@ -155,7 +155,7 @@ func TestClosedDoorIncreasesDistance(t *testing.T) {
 		t.Errorf("closing a door must lengthen the path: %g -> %g", before, after)
 	}
 	// Reopen: distance restored without any index maintenance.
-	if err := idx.SetDoorClosed(middle, false); err != nil {
+	if _, err := idx.Apply(index.Mutation{Kind: index.MutSetDoorClosed, DoorID: middle}); err != nil {
 		t.Fatal(err)
 	}
 	restored, _ := fullEngine(t, idx, q).PointDist(p)

@@ -33,7 +33,7 @@ func TestDoorClosureMonotone(t *testing.T) {
 	}
 	for trial := 0; trial < 10; trial++ {
 		d := doors[rng.Intn(len(doors))]
-		if err := idx.SetDoorClosed(d.ID, true); err != nil {
+		if _, err := idx.Apply(index.Mutation{Kind: index.MutSetDoorClosed, DoorID: d.ID, Closed: true}); err != nil {
 			t.Fatal(err)
 		}
 		e2 := fullEngine(t, idx, q)
@@ -44,7 +44,7 @@ func TestDoorClosureMonotone(t *testing.T) {
 					d.ID, o.ID, before[i], after)
 			}
 		}
-		if err := idx.SetDoorClosed(d.ID, false); err != nil {
+		if _, err := idx.Apply(index.Mutation{Kind: index.MutSetDoorClosed, DoorID: d.ID}); err != nil {
 			t.Fatal(err)
 		}
 		e3 := fullEngine(t, idx, q)

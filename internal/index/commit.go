@@ -21,11 +21,11 @@ const (
 	MutObjects MutationKind = iota + 1
 	// MutSetDoorClosed toggles a door's closure state.
 	MutSetDoorClosed
-	// MutAddPartition indexes a partition (payload in Part).
+	// MutAddPartition adds and indexes a partition (geometry in Part).
 	MutAddPartition
 	// MutRemovePartition removes a partition and its doors.
 	MutRemovePartition
-	// MutAttachDoor indexes a door (payload in Door).
+	// MutAttachDoor adds and indexes a door (spec in Door).
 	MutAttachDoor
 	// MutDetachDoor removes a door.
 	MutDetachDoor
@@ -37,27 +37,28 @@ const (
 	MutRebuildSkeleton
 )
 
-// Mutation is the logical description of one committed index mutation,
-// carrying everything deterministic replay needs. Pointer fields (Part,
-// Door, Updates' objects) reference live state owned by the writer —
-// hooks must encode them synchronously before returning and must not
-// retain them.
+// Mutation is the one value for an index mutation: what callers pass to
+// Apply, what the commit hook logs and what replay decodes. Pointer
+// fields the hook receives (Part, Door, Updates' objects) reference live
+// state owned by the writer — hooks must encode them synchronously before
+// returning and must not retain them.
 type Mutation struct {
 	Kind MutationKind
 
 	// Updates is the object batch for MutObjects.
 	Updates []ObjectUpdate
 
-	// DoorID and Closed serve MutSetDoorClosed and MutDetachDoor; Door
-	// carries the attached door's full state for MutAttachDoor (replay
-	// may need to re-add it to the building).
+	// DoorID and Closed serve MutSetDoorClosed and MutDetachDoor. For
+	// MutAttachDoor, DoorID is the door's id (negative: allocate) and Door
+	// its spec: position, floor, partitions, direction and closure.
 	DoorID indoor.DoorID
 	Closed bool
 	Door   *indoor.Door
 
 	// PartID serves MutRemovePartition and MutSplit (the split target);
-	// PartID2 is MutMerge's second partition. Part carries the indexed
-	// partition's full state for MutAddPartition.
+	// PartID2 is MutMerge's second partition. For MutAddPartition, PartID
+	// is the partition's id (negative: allocate) and Part its geometry:
+	// kind, floor, shape and stair length.
 	PartID  indoor.PartitionID
 	PartID2 indoor.PartitionID
 	Part    *indoor.Partition
@@ -78,14 +79,12 @@ type Mutation struct {
 // durability timeline stay correlated — Snapshot.LSN addresses the same
 // state AsOf-style historical reads reconstruct.
 //
-// Returning an error aborts the mutation when the building is still
-// untouched (object batches, AddPartition, AttachDoor, SetDoorClosed,
-// RemovePartition, DetachDoor — their hooks run before the building
-// changes); for Split and Merge, whose payload includes result ids the
-// building mutation produced, an error still suppresses the publish but
-// leaves the building mutated — acceptable only because a failing hook
-// means the log is poisoned and the engine is in fail-stop mode (every
-// subsequent mutation will be refused too).
+// Returning an error refuses the mutation: nothing publishes and the
+// building stays as it was. Two exceptions: MutRebuildSkeleton publishes
+// anyway, and MutSplit/MutMerge, whose logged result ids come from the
+// building edit, leave that edit in place — acceptable only because a
+// refusing hook means the log is poisoned and the engine is in fail-stop
+// mode (every subsequent mutation will be refused too).
 type CommitHook func(m Mutation) (uint64, error)
 
 // SetCommitHook installs (or, with nil, removes) the durability hook.

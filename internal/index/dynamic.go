@@ -20,17 +20,7 @@ import (
 // are located through the tree tier, the buckets of the overlapping units
 // are extended, and the o-table gains the new entry.
 func (idx *Index) InsertObject(o *object.Object) error {
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
-	ed := idx.edit()
-	if err := ed.insertObject(o); err != nil {
-		return err
-	}
-	if err := idx.hook(Mutation{Kind: MutObjects, Updates: []ObjectUpdate{{Op: UpdateInsert, Object: o}}}); err != nil {
-		return err
-	}
-	idx.publish(ed.freeze())
-	return nil
+	return idx.ApplyObjectUpdates([]ObjectUpdate{{Op: UpdateInsert, Object: o}})
 }
 
 func (ed *editor) insertObject(o *object.Object) error {
@@ -67,17 +57,7 @@ func (ed *editor) indexObject(o *object.Object, locate func(indoor.Position) *Un
 
 // DeleteObject removes an object via the o-table (§III-C.2).
 func (idx *Index) DeleteObject(id object.ID) error {
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
-	ed := idx.edit()
-	if err := ed.deleteObject(id); err != nil {
-		return err
-	}
-	if err := idx.hook(Mutation{Kind: MutObjects, Updates: []ObjectUpdate{{Op: UpdateDelete, ID: id}}}); err != nil {
-		return err
-	}
-	idx.publish(ed.freeze())
-	return nil
+	return idx.ApplyObjectUpdates([]ObjectUpdate{{Op: UpdateDelete, ID: id}})
 }
 
 func (ed *editor) deleteObject(id object.ID) error {
@@ -98,20 +78,7 @@ func (ed *editor) deleteObject(id object.ID) error {
 // deletion followed by insertion per §III-C.2. Both steps land in one
 // published snapshot, so no reader observes the object half-removed.
 func (idx *Index) UpdateObject(o *object.Object) error {
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
-	ed := idx.edit()
-	if err := ed.deleteObject(o.ID); err != nil {
-		return err
-	}
-	if err := ed.insertObject(o); err != nil {
-		return err
-	}
-	if err := idx.hook(Mutation{Kind: MutObjects, Updates: []ObjectUpdate{{Op: UpdateReplace, Object: o}}}); err != nil {
-		return err
-	}
-	idx.publish(ed.freeze())
-	return nil
+	return idx.ApplyObjectUpdates([]ObjectUpdate{{Op: UpdateReplace, Object: o}})
 }
 
 // MoveObject is the adjacency-accelerated update of §III-C.2: when location
@@ -120,17 +87,7 @@ func (idx *Index) UpdateObject(o *object.Object) error {
 // and the topological links instead of the tree. It falls back to the tree
 // for instances outside that neighbourhood.
 func (idx *Index) MoveObject(o *object.Object) error {
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
-	ed := idx.edit()
-	if err := ed.moveObject(o); err != nil {
-		return err
-	}
-	if err := idx.hook(Mutation{Kind: MutObjects, Updates: []ObjectUpdate{{Op: UpdateMove, Object: o}}}); err != nil {
-		return err
-	}
-	idx.publish(ed.freeze())
-	return nil
+	return idx.ApplyObjectUpdates([]ObjectUpdate{{Op: UpdateMove, Object: o}})
 }
 
 func (ed *editor) moveObject(o *object.Object) error {
@@ -214,9 +171,11 @@ type ObjectUpdate struct {
 // single consistent step. The batch is transactional — on the first error
 // nothing is published and the index is unchanged.
 func (idx *Index) ApplyObjectUpdates(ups []ObjectUpdate) error {
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
-	ed := idx.edit()
+	_, err := idx.Apply(Mutation{Kind: MutObjects, Updates: ups})
+	return err
+}
+
+func (ed *editor) applyObjects(ups []ObjectUpdate) error {
 	for i, up := range ups {
 		var err error
 		switch up.Op {
@@ -237,53 +196,142 @@ func (idx *Index) ApplyObjectUpdates(ups []ObjectUpdate) error {
 			return fmt.Errorf("index: object update %d: %w", i, err)
 		}
 	}
-	if len(ups) > 0 {
-		if err := idx.hook(Mutation{Kind: MutObjects, Updates: ups}); err != nil {
-			return err
-		}
-		idx.publish(ed.freeze())
-	}
 	return nil
 }
 
-// AddPartition indexes a partition already present in the building
-// (§III-C.1 insertion): decomposition, tree insertion, sibling links, door
-// attachment, h-table maintenance. Doors of the partition whose other side
-// is already indexed are attached on both sides.
-func (idx *Index) AddPartition(pid indoor.PartitionID) error {
+// Apply commits one mutation — an object batch or a §III-C.1 topology
+// operation — in one writer-mutex section: validate, edit the index
+// copy-on-write, run the commit hook, edit the building, publish. It
+// returns the committed mutation with every id it allocated. A negative
+// PartID (MutAddPartition) or DoorID (MutAttachDoor) allocates the next
+// free id and a non-negative one is restored exactly, which is how log
+// replay stays id-exact; MutSplit and MutMerge report the partitions they
+// made in ResultA/ResultB, NoPartition when refused. A refused mutation
+// publishes nothing and leaves the building as it was, except for the
+// split/merge case CommitHook documents.
+func (idx *Index) Apply(m Mutation) (Mutation, error) {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
 	ed := idx.edit()
-	if err := ed.addPartition(pid); err != nil {
+	switch m.Kind {
+	case MutObjects:
+		if err := ed.applyObjects(m.Updates); err != nil || len(m.Updates) == 0 {
+			return m, err
+		}
+		return m, idx.commit(ed, m, nil)
+	case MutSetDoorClosed:
+		if idx.b.Door(m.DoorID) == nil {
+			return m, fmt.Errorf("index: no door %d", m.DoorID)
+		}
+		// No structural maintenance, but enterability is baked into the
+		// published layer, so the toggle republishes it with fresh flags;
+		// pinned snapshots keep the closure state they were published with.
+		ed.ownTopo()
+		return m, idx.commit(ed, m, func() { _ = idx.b.SetDoorClosed(m.DoorID, m.Closed) })
+	case MutAddPartition:
+		return idx.addPartition(ed, m)
+	case MutRemovePartition:
+		// §III-C.1 deletion: the partition leaves with its doors, and the
+		// objects bucketed in its units are re-located.
+		p := idx.b.Partition(m.PartID)
+		if p == nil {
+			return m, fmt.Errorf("index: no partition %d", m.PartID)
+		}
+		ed.rebuildSkel = p.Kind == indoor.Staircase
+		affected := ed.unindexPartitionKeepBuilding(m.PartID)
+		return m, idx.commit(ed, m, func() {
+			_ = idx.b.RemovePartition(m.PartID)
+			ed.relocateObjects(affected)
+		})
+	case MutAttachDoor:
+		return idx.attachDoor(ed, m)
+	case MutDetachDoor:
+		d := idx.b.Door(m.DoorID)
+		if d == nil && ed.base.topo.doorRefs[m.DoorID] == nil {
+			return m, nil // unknown door: nothing to detach
+		}
+		ed.rebuildSkel = d != nil && staircaseSide(idx.b, d) != indoor.NoPartition
+		ed.ownTopo().detachDoor(m.DoorID)
+		return m, idx.commit(ed, m, func() { idx.b.RemoveDoor(m.DoorID) })
+	case MutSplit, MutMerge:
+		return idx.slideWall(ed, m)
+	case MutRebuildSkeleton:
+		// Callers use this after out-of-band building edits, which are by
+		// definition not in the log; the record only keeps replay aligned,
+		// so a refused hook does not block the in-memory rebuild.
+		ed.ownTopo()
+		ed.rebuildSkel = true
+		_ = idx.hook(m)
+		idx.publish(ed.freeze())
+		return m, nil
+	}
+	return m, fmt.Errorf("index: unknown mutation kind %d", m.Kind)
+}
+
+// commit runs the hook on the mutation as logged, then the building edit
+// (nil when the mutation has none left to make), then publishes. A
+// refused hook drops the index edit before the building changes.
+func (idx *Index) commit(ed *editor, logged Mutation, building func()) error {
+	if err := idx.hook(logged); err != nil {
 		return err
 	}
-	if err := idx.hook(Mutation{Kind: MutAddPartition, PartID: pid, Part: idx.b.Partition(pid)}); err != nil {
-		return err
+	if building != nil {
+		building()
 	}
 	idx.publish(ed.freeze())
 	return nil
 }
 
-func (ed *editor) addPartition(pid indoor.PartitionID) error {
-	p := ed.b.Partition(pid)
-	if p == nil {
-		return fmt.Errorf("index: no partition %d in building", pid)
+// addPartition is §III-C.1 insertion: decomposition, tree insertion,
+// sibling links, door attachment and h-table maintenance. The building
+// gains the partition only after the hook accepted it.
+func (idx *Index) addPartition(ed *editor, m Mutation) (Mutation, error) {
+	// Logs written before Apply existed may name a partition the building
+	// already holds but the index does not; index it in place.
+	p := idx.b.Partition(m.PartID)
+	insert := p == nil
+	if insert {
+		if m.Part == nil {
+			return m, fmt.Errorf("index: add partition %d without its geometry", m.PartID)
+		}
+		spec := *m.Part
+		spec.ID = m.PartID
+		var err error
+		if p, err = idx.b.PreparePartition(spec); err != nil {
+			return m, err
+		}
 	}
-	if len(ed.curTopo().partUnits[pid]) > 0 {
-		return fmt.Errorf("index: partition %d already indexed", pid)
+	if err := ed.addPartition(p); err != nil {
+		return m, err
+	}
+	err := idx.commit(ed, Mutation{Kind: MutAddPartition, PartID: p.ID, Part: p}, func() {
+		if insert {
+			idx.b.InsertPartition(p)
+		}
+	})
+	if err != nil {
+		return m, err
+	}
+	m.PartID = p.ID
+	return m, nil
+}
+
+func (ed *editor) addPartition(p *indoor.Partition) error {
+	if len(ed.curTopo().partUnits[p.ID]) > 0 {
+		return fmt.Errorf("index: partition %d already indexed", p.ID)
 	}
 	t := ed.ownTopo()
 	for _, u := range t.makeUnits(p, ed.opts) {
 		t.tree.Insert(unitBox(ed.b, u), int(u.ID))
 	}
-	t.linkSiblingUnits(pid)
+	t.linkSiblingUnits(p.ID)
 	for _, did := range p.Doors {
 		d := ed.b.Door(did)
 		if d == nil || t.doorRefs[did] != nil {
 			continue
 		}
 		// Attach only when every side of the door is indexed.
-		other := d.Other(pid)
+		other := d.Other(p.ID)
 		if other != indoor.NoPartition && len(t.partUnits[other]) == 0 {
 			continue
 		}
@@ -297,163 +345,83 @@ func (ed *editor) addPartition(pid indoor.PartitionID) error {
 	return nil
 }
 
-// RemovePartition unindexes a partition and removes it (with its doors)
-// from the building (§III-C.1 deletion). Objects bucketed in its units lose
-// those bucket entries; their o-table rows shrink accordingly.
-func (idx *Index) RemovePartition(pid indoor.PartitionID) error {
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
-	p := idx.b.Partition(pid)
-	if p == nil {
-		return fmt.Errorf("index: no partition %d", pid)
+// attachDoor indexes a door, linking the units on its sides; a staircase
+// entrance rebuilds the skeleton. The building gains the door only after
+// the hook accepted it.
+func (idx *Index) attachDoor(ed *editor, m Mutation) (Mutation, error) {
+	// Logs written before Apply existed may name a door the building
+	// already holds but the index does not; attach it in place.
+	d := idx.b.Door(m.DoorID)
+	insert := d == nil
+	if insert {
+		if m.Door == nil {
+			return m, fmt.Errorf("index: attach door %d without its spec", m.DoorID)
+		}
+		spec := *m.Door
+		spec.ID = m.DoorID
+		var err error
+		if d, err = idx.b.PrepareDoor(spec); err != nil {
+			return m, err
+		}
+	} else if ed.base.topo.doorRefs[d.ID] != nil {
+		return m, fmt.Errorf("index: door %d already attached", d.ID)
 	}
-	ed := idx.edit()
-	ed.ownTopo()
-	wasStair := p.Kind == indoor.Staircase
-	affected := ed.unindexPartitionKeepBuilding(pid)
-	if err := idx.hook(Mutation{Kind: MutRemovePartition, PartID: pid}); err != nil {
-		return err
-	}
-	if err := idx.b.RemovePartition(pid); err != nil {
-		return err
-	}
-	ed.relocateObjects(affected)
-	if wasStair {
-		ed.rebuildSkel = true
-	}
-	idx.publish(ed.freeze())
-	return nil
-}
-
-// AttachDoor indexes a door already added to the building, linking the
-// units on its sides. Rebuilds the skeleton when the door is a staircase
-// entrance.
-func (idx *Index) AttachDoor(did indoor.DoorID) error {
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
-	d := idx.b.Door(did)
-	if d == nil {
-		return fmt.Errorf("index: no door %d", did)
-	}
-	if idx.Current().topo.doorRefs[did] != nil {
-		return fmt.Errorf("index: door %d already attached", did)
-	}
-	ed := idx.edit()
 	if err := ed.ownTopo().attachDoor(d); err != nil {
-		return err
+		return m, err
 	}
-	if staircaseSide(idx.b, d) != indoor.NoPartition {
-		ed.rebuildSkel = true
-	}
-	if err := idx.hook(Mutation{Kind: MutAttachDoor, DoorID: did, Door: d}); err != nil {
-		return err
-	}
-	idx.publish(ed.freeze())
-	return nil
-}
-
-// DetachDoor unindexes and removes a door from the building. An unknown
-// door is a no-op; the only possible error is a refused durability hook
-// (fail-stop storage), in which case nothing is detached.
-func (idx *Index) DetachDoor(did indoor.DoorID) error {
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
-	d := idx.b.Door(did)
-	if d == nil && idx.Current().topo.doorRefs[did] == nil {
-		return nil // unknown door: nothing to detach
-	}
-	if err := idx.hook(Mutation{Kind: MutDetachDoor, DoorID: did}); err != nil {
-		return err
-	}
-	ed := idx.edit()
-	wasEntrance := d != nil && staircaseSide(idx.b, d) != indoor.NoPartition
-	ed.ownTopo().detachDoor(did)
-	idx.b.RemoveDoor(did)
-	if wasEntrance {
-		ed.rebuildSkel = true
-	}
-	idx.publish(ed.freeze())
-	return nil
-}
-
-// SetDoorClosed toggles a door's availability. The topological layer needs
-// no structural maintenance, but enterability is baked into the published
-// layer (door refs and the compiled doors graph), so the edit clones the
-// layer and the freshly baked flags land with the next snapshot; pinned
-// snapshots keep answering with the closure state they were published
-// with.
-func (idx *Index) SetDoorClosed(did indoor.DoorID, closed bool) error {
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
-	if idx.b.Door(did) == nil {
-		return fmt.Errorf("index: no door %d", did)
-	}
-	if err := idx.hook(Mutation{Kind: MutSetDoorClosed, DoorID: did, Closed: closed}); err != nil {
-		return err
-	}
-	if err := idx.b.SetDoorClosed(did, closed); err != nil {
-		return err
-	}
-	ed := idx.edit()
-	ed.ownTopo()
-	idx.publish(ed.freeze())
-	return nil
-}
-
-// SplitPartition mounts a sliding wall through an indexed partition and
-// reindexes the two halves. Objects bucketed in the old units are
-// re-located into the new ones. A rejected split (bad line, staircase,
-// non-rectangular shape) publishes nothing and leaves the index untouched.
-func (idx *Index) SplitPartition(pid indoor.PartitionID, alongX bool, at float64) (a, b indoor.PartitionID, err error) {
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
-	ed := idx.edit()
-	ed.ownTopo()
-	affected := ed.unindexPartitionKeepBuilding(pid)
-	pa, pb, err := idx.b.SplitPartition(pid, alongX, at)
+	ed.rebuildSkel = staircaseSide(idx.b, d) != indoor.NoPartition
+	err := idx.commit(ed, Mutation{Kind: MutAttachDoor, DoorID: d.ID, Door: d}, func() {
+		if insert {
+			idx.b.InsertDoor(d)
+		}
+	})
 	if err != nil {
-		// The building rejects a bad split before mutating anything, and
-		// the edit was never published: dropping it is the whole rollback.
-		return indoor.NoPartition, indoor.NoPartition, err
+		return m, err
 	}
-	if err := ed.addPartition(pa.ID); err != nil {
-		return indoor.NoPartition, indoor.NoPartition, err
+	m.DoorID = d.ID
+	return m, nil
+}
+
+// slideWall mounts (MutSplit) or dismounts (MutMerge) a sliding wall and
+// reindexes the partitions it leaves, re-locating the objects bucketed in
+// the old units. A rejected line or shape publishes nothing and leaves
+// the building untouched.
+func (idx *Index) slideWall(ed *editor, m Mutation) (Mutation, error) {
+	refused := m
+	refused.ResultA = indoor.NoPartition
+	if m.Kind == MutSplit {
+		refused.ResultB = indoor.NoPartition
 	}
-	if err := ed.addPartition(pb.ID); err != nil {
-		return indoor.NoPartition, indoor.NoPartition, err
+	affected := ed.unindexPartitionKeepBuilding(m.PartID)
+	var made []*indoor.Partition
+	if m.Kind == MutSplit {
+		pa, pb, err := idx.b.SplitPartition(m.PartID, m.AlongX, m.At)
+		if err != nil {
+			return refused, err
+		}
+		made = []*indoor.Partition{pa, pb}
+	} else {
+		affected = append(affected, ed.unindexPartitionKeepBuilding(m.PartID2)...)
+		merged, err := idx.b.MergePartitions(m.PartID, m.PartID2)
+		if err != nil {
+			return refused, err
+		}
+		made = []*indoor.Partition{merged}
+	}
+	for _, p := range made {
+		if err := ed.addPartition(p); err != nil {
+			return refused, err
+		}
 	}
 	ed.relocateObjects(affected)
-	if err := idx.hook(Mutation{
-		Kind: MutSplit, PartID: pid, AlongX: alongX, At: at,
-		ResultA: pa.ID, ResultB: pb.ID,
-	}); err != nil {
-		return indoor.NoPartition, indoor.NoPartition, err
+	m.ResultA = made[0].ID
+	if m.Kind == MutSplit {
+		m.ResultB = made[1].ID
 	}
-	idx.publish(ed.freeze())
-	return pa.ID, pb.ID, nil
-}
-
-// MergePartitions dismounts a sliding wall between two indexed partitions.
-func (idx *Index) MergePartitions(pa, pb indoor.PartitionID) (indoor.PartitionID, error) {
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
-	ed := idx.edit()
-	ed.ownTopo()
-	affected := ed.unindexPartitionKeepBuilding(pa)
-	affected = append(affected, ed.unindexPartitionKeepBuilding(pb)...)
-	merged, err := idx.b.MergePartitions(pa, pb)
-	if err != nil {
-		return indoor.NoPartition, err
+	if err := idx.commit(ed, m, nil); err != nil {
+		return refused, err
 	}
-	if err := ed.addPartition(merged.ID); err != nil {
-		return indoor.NoPartition, err
-	}
-	ed.relocateObjects(affected)
-	if err := idx.hook(Mutation{Kind: MutMerge, PartID: pa, PartID2: pb, ResultA: merged.ID}); err != nil {
-		return indoor.NoPartition, err
-	}
-	idx.publish(ed.freeze())
-	return merged.ID, nil
+	return m, nil
 }
 
 // unindexPartitionKeepBuilding removes a partition's units and door
@@ -505,25 +473,6 @@ func (ed *editor) relocateObjects(ids []object.ID) {
 			ed.indexObject(o, ed.locateUnit)
 		}
 	}
-}
-
-// RebuildSkeleton recomputes the skeleton tier; the index does this
-// automatically after topological updates that involve staircases, and
-// callers may invoke it after out-of-band building mutations. The topology
-// epoch advances (the doors graph recompiles) because an out-of-band
-// mutation may also have changed doors.
-func (idx *Index) RebuildSkeleton() {
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
-	ed := idx.edit()
-	ed.ownTopo()
-	ed.rebuildSkel = true
-	// Out-of-band building mutations are by definition not in the log;
-	// the record only keeps replay aligned for subsequent operations, so
-	// a refused hook (fail-stop storage) does not block the in-memory
-	// rebuild.
-	_ = idx.hook(Mutation{Kind: MutRebuildSkeleton})
-	idx.publish(ed.freeze())
 }
 
 // removeUnit returns list without uid; the slice is copied, never mutated

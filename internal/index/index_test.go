@@ -356,7 +356,7 @@ func TestAddRemovePartitionDynamic(t *testing.T) {
 	if doorCount == 0 {
 		t.Fatal("mall room must have a door")
 	}
-	if err := idx.RemovePartition(room.ID); err != nil {
+	if _, err := idx.Apply(Mutation{Kind: MutRemovePartition, PartID: room.ID}); err != nil {
 		t.Fatal(err)
 	}
 	if idx.Current().NumUnits() != before-1 {
@@ -369,12 +369,13 @@ func TestAddRemovePartitionDynamic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Re-add a room in the freed space and index it.
-	r2 := b.AddRoom(0, geom.R(room.Bounds().MinX, room.Bounds().MinY,
-		room.Bounds().MaxX, room.Bounds().MaxY))
-	if err := idx.AddPartition(r2.ID); err != nil {
+	// Re-add a room in the freed space.
+	added, err := idx.Apply(Mutation{Kind: MutAddPartition, PartID: indoor.NoPartition,
+		Part: &indoor.Partition{Kind: indoor.Room, Shape: geom.RectPoly(room.Bounds())}})
+	if err != nil {
 		t.Fatal(err)
 	}
+	r2 := b.Partition(added.PartID)
 	if idx.Current().NumUnits() != before {
 		t.Errorf("units = %d after re-add, want %d", idx.Current().NumUnits(), before)
 	}
@@ -383,14 +384,14 @@ func TestAddRemovePartitionDynamic(t *testing.T) {
 	if c == nil {
 		t.Fatal("no corridor above the re-added room")
 	}
-	d, err := b.AddDoor(geom.Pt(r2.Bounds().Center().X, r2.Bounds().MaxY), 0, r2.ID, c.Part)
+	door := Mutation{Kind: MutAttachDoor, DoorID: -1, Door: &indoor.Door{
+		Pos: geom.Pt(r2.Bounds().Center().X, r2.Bounds().MaxY), P1: r2.ID, P2: c.Part}}
+	attached, err := idx.Apply(door)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.AttachDoor(d.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.AttachDoor(d.ID); err == nil {
+	door.DoorID = attached.DoorID
+	if _, err := idx.Apply(door); err == nil {
 		t.Error("double attach must error")
 	}
 	if err := idx.Current().CheckInvariants(); err != nil {
@@ -411,17 +412,18 @@ func TestSplitMergeThroughIndex(t *testing.T) {
 		}
 	}
 	mid := room.Bounds().Center().X
-	pa, pb, err := idx.SplitPartition(room.ID, true, mid)
+	split, err := idx.Apply(Mutation{Kind: MutSplit, PartID: room.ID, AlongX: true, At: mid})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := idx.Current().CheckInvariants(); err != nil {
 		t.Fatalf("after split: %v", err)
 	}
-	merged, err := idx.MergePartitions(pa, pb)
+	m, err := idx.Apply(Mutation{Kind: MutMerge, PartID: split.ResultA, PartID2: split.ResultB})
 	if err != nil {
 		t.Fatal(err)
 	}
+	merged := m.ResultA
 	if err := idx.Current().CheckInvariants(); err != nil {
 		t.Fatalf("after merge: %v", err)
 	}
@@ -458,8 +460,10 @@ func TestSplitFailureRestoresIndex(t *testing.T) {
 	}
 	before := idx.Current().NumUnits()
 	// Split line outside the room: must fail and restore.
-	if _, _, err := idx.SplitPartition(room.ID, true, -1000); err == nil {
+	if m, err := idx.Apply(Mutation{Kind: MutSplit, PartID: room.ID, AlongX: true, At: -1000}); err == nil {
 		t.Fatal("expected split failure")
+	} else if m.ResultA != indoor.NoPartition || m.ResultB != indoor.NoPartition {
+		t.Errorf("refused split reported results (%d,%d)", m.ResultA, m.ResultB)
 	}
 	if idx.Current().NumUnits() != before {
 		t.Errorf("units = %d after failed split, want %d", idx.Current().NumUnits(), before)

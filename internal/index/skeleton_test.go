@@ -166,7 +166,7 @@ func TestRebuildSkeletonAfterStairRemoval(t *testing.T) {
 			break
 		}
 	}
-	if err := idx.RemovePartition(stair.ID); err != nil {
+	if _, err := idx.Apply(Mutation{Kind: MutRemovePartition, PartID: stair.ID}); err != nil {
 		t.Fatal(err)
 	}
 	after := idx.Current().Skeleton().NumEntrances()

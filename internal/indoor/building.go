@@ -85,16 +85,37 @@ func (b *Building) Elevation(floor int) float64 {
 	return float64(floor) * b.FloorHeight
 }
 
+// PreparePartition validates p against the building without adding it:
+// its id must be unused (a negative id takes the next free one) and its
+// shape a valid rectilinear polygon. It returns the partition
+// InsertPartition would add, with its final id and no doors. The split
+// lets a caller validate and log a partition before the building changes.
+func (b *Building) PreparePartition(p Partition) (*Partition, error) {
+	if p.ID < 0 {
+		p.ID = b.nextPart
+	} else if _, dup := b.parts[p.ID]; dup {
+		return nil, fmt.Errorf("indoor: duplicate partition id %d", p.ID)
+	}
+	if err := p.Shape.Validate(); err != nil {
+		return nil, fmt.Errorf("indoor: bad partition shape: %w", err)
+	}
+	p.Doors = nil
+	return &p, nil
+}
+
+// InsertPartition adds a partition PreparePartition returned, advancing
+// the allocator past its id so future allocations stay unique.
+func (b *Building) InsertPartition(p *Partition) {
+	b.parts[p.ID] = p
+	if p.ID >= b.nextPart {
+		b.nextPart = p.ID + 1
+	}
+}
+
 // AddPartition inserts a partition with the given kind, floor and footprint
 // and returns it. The shape must be a valid rectilinear polygon.
 func (b *Building) AddPartition(kind Kind, floor int, shape geom.Polygon) (*Partition, error) {
-	if err := shape.Validate(); err != nil {
-		return nil, fmt.Errorf("indoor: bad partition shape: %w", err)
-	}
-	p := &Partition{ID: b.nextPart, Kind: kind, Floor: floor, Shape: shape}
-	b.nextPart++
-	b.parts[p.ID] = p
-	return p, nil
+	return b.AddPartitionWithID(NoPartition, kind, floor, shape)
 }
 
 // AddRoom is AddPartition for a rectangular room.
@@ -126,19 +147,14 @@ func (b *Building) AddStaircase(floor int, footprint geom.Rect, runLength float6
 // deserialisers restoring a building whose ids must survive a round trip
 // (the durable checkpoint format, whose write-ahead log references
 // partitions by id). It fails on a duplicate id and advances the
-// allocator past id so future allocations stay unique.
+// allocator past id so future allocations stay unique. A negative id
+// allocates.
 func (b *Building) AddPartitionWithID(id PartitionID, kind Kind, floor int, shape geom.Polygon) (*Partition, error) {
-	if _, dup := b.parts[id]; dup {
-		return nil, fmt.Errorf("indoor: duplicate partition id %d", id)
+	p, err := b.PreparePartition(Partition{ID: id, Kind: kind, Floor: floor, Shape: shape})
+	if err != nil {
+		return nil, err
 	}
-	if err := shape.Validate(); err != nil {
-		return nil, fmt.Errorf("indoor: bad partition shape: %w", err)
-	}
-	p := &Partition{ID: id, Kind: kind, Floor: floor, Shape: shape}
-	b.parts[id] = p
-	if id >= b.nextPart {
-		b.nextPart = id + 1
-	}
+	b.InsertPartition(p)
 	return p, nil
 }
 
@@ -177,76 +193,65 @@ func (b *Building) RemovePartition(id PartitionID) error {
 // AddDoor inserts a bidirectional door at pos on the given floor joining p1
 // and p2 (p2 may be NoPartition for an exterior door).
 func (b *Building) AddDoor(pos geom.Point, floor int, p1, p2 PartitionID) (*Door, error) {
-	return b.addDoor(pos, floor, p1, p2, false, NoPartition, NoPartition)
+	return b.AddDoorWithID(-1, pos, floor, p1, p2, false, NoPartition, NoPartition, false)
 }
 
 // AddOneWayDoor inserts a unidirectional door permitting movement only
 // from → to.
 func (b *Building) AddOneWayDoor(pos geom.Point, floor int, from, to PartitionID) (*Door, error) {
-	return b.addDoor(pos, floor, from, to, true, from, to)
+	return b.AddDoorWithID(-1, pos, floor, from, to, true, from, to, false)
 }
 
-func (b *Building) addDoor(pos geom.Point, floor int, p1, p2 PartitionID, oneWay bool, from, to PartitionID) (*Door, error) {
-	pp1 := b.parts[p1]
-	if pp1 == nil {
-		return nil, fmt.Errorf("indoor: door references missing partition %d", p1)
+// PrepareDoor validates d against the building without adding it: its id
+// must be unused (a negative id takes the next free one), its partitions
+// must exist and a one-way direction must run between them. It returns
+// the door InsertDoor would add, with its final id; a two-way door's
+// From/To are normalised to NoPartition.
+func (b *Building) PrepareDoor(d Door) (*Door, error) {
+	if d.ID < 0 {
+		d.ID = b.nextDoor
+	} else if _, dup := b.doors[d.ID]; dup {
+		return nil, fmt.Errorf("indoor: duplicate door id %d", d.ID)
 	}
-	var pp2 *Partition
-	if p2 != NoPartition {
-		pp2 = b.parts[p2]
-		if pp2 == nil {
-			return nil, fmt.Errorf("indoor: door references missing partition %d", p2)
-		}
+	if b.parts[d.P1] == nil {
+		return nil, fmt.Errorf("indoor: door %d references missing partition %d", d.ID, d.P1)
 	}
-	d := &Door{
-		ID: b.nextDoor, Pos: pos, Floor: floor,
-		P1: p1, P2: p2,
-		OneWay: oneWay, From: from, To: to,
+	if d.P2 != NoPartition && b.parts[d.P2] == nil {
+		return nil, fmt.Errorf("indoor: door %d references missing partition %d", d.ID, d.P2)
 	}
-	b.nextDoor++
+	if !d.OneWay {
+		d.From, d.To = NoPartition, NoPartition
+	} else if !d.Connects(d.From) || !d.Connects(d.To) || d.From == d.To {
+		return nil, fmt.Errorf("indoor: door %d has inconsistent one-way direction", d.ID)
+	}
+	return &d, nil
+}
+
+// InsertDoor adds a door PrepareDoor returned, linking it into its
+// partitions' door lists and advancing the allocator past its id.
+func (b *Building) InsertDoor(d *Door) {
 	b.doors[d.ID] = d
-	pp1.Doors = append(pp1.Doors, d.ID)
-	if pp2 != nil {
-		pp2.Doors = append(pp2.Doors, d.ID)
+	b.parts[d.P1].Doors = append(b.parts[d.P1].Doors, d.ID)
+	if d.P2 != NoPartition {
+		b.parts[d.P2].Doors = append(b.parts[d.P2].Doors, d.ID)
 	}
-	return d, nil
+	if d.ID >= b.nextDoor {
+		b.nextDoor = d.ID + 1
+	}
 }
 
 // AddDoorWithID inserts a door under an explicit id with its full state
 // (direction and closure), the door-side counterpart of
-// AddPartitionWithID for id-exact restores.
+// AddPartitionWithID for id-exact restores. A negative id allocates.
 func (b *Building) AddDoorWithID(id DoorID, pos geom.Point, floor int, p1, p2 PartitionID, oneWay bool, from, to PartitionID, closed bool) (*Door, error) {
-	if _, dup := b.doors[id]; dup {
-		return nil, fmt.Errorf("indoor: duplicate door id %d", id)
+	d, err := b.PrepareDoor(Door{
+		ID: id, Pos: pos, Floor: floor, P1: p1, P2: p2,
+		OneWay: oneWay, From: from, To: to, Closed: closed,
+	})
+	if err != nil {
+		return nil, err
 	}
-	pp1 := b.parts[p1]
-	if pp1 == nil {
-		return nil, fmt.Errorf("indoor: door %d references missing partition %d", id, p1)
-	}
-	var pp2 *Partition
-	if p2 != NoPartition {
-		pp2 = b.parts[p2]
-		if pp2 == nil {
-			return nil, fmt.Errorf("indoor: door %d references missing partition %d", id, p2)
-		}
-	}
-	if oneWay && ((from != p1 && from != p2) || (to != p1 && to != p2) || from == to) {
-		return nil, fmt.Errorf("indoor: door %d has inconsistent one-way direction", id)
-	}
-	d := &Door{
-		ID: id, Pos: pos, Floor: floor,
-		P1: p1, P2: p2,
-		OneWay: oneWay, From: from, To: to,
-		Closed: closed,
-	}
-	b.doors[id] = d
-	pp1.Doors = append(pp1.Doors, id)
-	if pp2 != nil {
-		pp2.Doors = append(pp2.Doors, id)
-	}
-	if id >= b.nextDoor {
-		b.nextDoor = id + 1
-	}
+	b.InsertDoor(d)
 	return d, nil
 }
 

@@ -316,7 +316,7 @@ func TestQueryAfterDoorClosure(t *testing.T) {
 	pid := f.idx.Current().LocatePartition(q)
 	part := f.b.Partition(pid)
 	for _, did := range part.Doors {
-		if err := f.idx.SetDoorClosed(did, true); err != nil {
+		if _, err := f.idx.Apply(index.Mutation{Kind: index.MutSetDoorClosed, DoorID: did, Closed: true}); err != nil {
 			t.Fatal(err)
 		}
 	}

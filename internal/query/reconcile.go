@@ -430,27 +430,28 @@ func (e *Subscriptions) refreshInto(sh *reconShard, s *standingQuery) {
 	sh.refreshed = append(sh.refreshed, reconRefresh{sub: s.id, oldUnits: old})
 }
 
-// Topology runs one topology mutation through the engine: commit (one
-// index topology mutator) runs under the engine mutex, and the standing
-// queries then refresh in the same sharded pass an object batch uses. Every
-// topology commit advances the snapshot's topology epoch, so the pass's
-// epoch gate admits every subscription and each refreshes wholesale, its
-// events in the pass's (subscription, object, kind) order. The returned
-// error is commit's: a refresh
+// Topology commits one topology mutation through the engine: Index.Apply
+// runs under the engine mutex, and the standing queries then refresh in
+// the same sharded pass an object batch uses. Every topology commit
+// advances the snapshot's topology epoch, so the pass's epoch gate admits
+// every subscription and each refreshes wholesale, its events in the
+// pass's (subscription, object, kind) order. It returns the committed
+// mutation (with the ids Apply allocated) and Apply's error: a refresh
 // that fails (e.g. the query point's partition was removed) leaves its
 // subscription on its last good state, exactly as in an object batch, and
 // the next topology operation retries it.
-func (e *Subscriptions) Topology(commit func() error) ([]SubEvent, error) {
+func (e *Subscriptions) Topology(m index.Mutation) (index.Mutation, []SubEvent, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := commit(); err != nil || len(e.standing) == 0 {
-		return nil, err
+	m, err := e.p.idx.Apply(m)
+	if err != nil || len(e.standing) == 0 {
+		return m, nil, err
 	}
 	// A topology pass routes no objects, so its only failures are
 	// refreshes, which reconcile already swallows.
 	evs, _ := e.reconcile(e.p.Pin(), nil)
 	e.record(evs)
-	return evs, nil
+	return m, evs, nil
 }
 
 // FanOut runs fn(0..n-1) across min(workers, n) goroutines (workers ≤ 0

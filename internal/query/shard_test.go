@@ -99,11 +99,11 @@ func shardWorkloadLog(t *testing.T, seed int64, shards, subsN int) [][]SubEvent 
 
 		if step%3 == 2 && len(doors) > 0 {
 			if closedDoor >= 0 {
-				evs, err = e.Topology(func() error { return idx.SetDoorClosed(closedDoor, false) })
+				_, evs, err = e.Topology(index.Mutation{Kind: index.MutSetDoorClosed, DoorID: closedDoor})
 				closedDoor = -1
 			} else {
 				closedDoor = doors[rng.Intn(len(doors))].ID
-				evs, err = e.Topology(func() error { return idx.SetDoorClosed(closedDoor, true) })
+				_, evs, err = e.Topology(index.Mutation{Kind: index.MutSetDoorClosed, DoorID: closedDoor, Closed: true})
 			}
 			if err != nil {
 				t.Fatalf("shards=%d step %d toggle: %v", shards, step, err)
@@ -136,18 +136,11 @@ func splitMergeRoom(t *testing.T, e *Subscriptions, idx *index.Index, q indoor.P
 		return nil
 	}
 	r := room.Bounds()
-	var pa, pb indoor.PartitionID
-	split, err := e.Topology(func() (err error) {
-		pa, pb, err = idx.SplitPartition(room.ID, true, (r.MinX+r.MaxX)/2)
-		return err
-	})
+	m, split, err := e.Topology(index.Mutation{Kind: index.MutSplit, PartID: room.ID, AlongX: true, At: (r.MinX + r.MaxX) / 2})
 	if err != nil {
 		t.Fatalf("split room %d: %v", room.ID, err)
 	}
-	merge, err := e.Topology(func() error {
-		_, err := idx.MergePartitions(pa, pb)
-		return err
-	})
+	_, merge, err := e.Topology(index.Mutation{Kind: index.MutMerge, PartID: m.ResultA, PartID2: m.ResultB})
 	if err != nil {
 		t.Fatalf("merge room %d halves: %v", room.ID, err)
 	}
@@ -253,11 +246,11 @@ func TestShardedChurnRace(t *testing.T) {
 			}
 			if i%7 == 6 && len(doors) > 0 {
 				d := doors[rng.Intn(len(doors))].ID
-				if _, err := e.Topology(func() error { return idx.SetDoorClosed(d, true) }); err != nil {
+				if _, _, err := e.Topology(index.Mutation{Kind: index.MutSetDoorClosed, DoorID: d, Closed: true}); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := e.Topology(func() error { return idx.SetDoorClosed(d, false) }); err != nil {
+				if _, _, err := e.Topology(index.Mutation{Kind: index.MutSetDoorClosed, DoorID: d}); err != nil {
 					t.Error(err)
 					return
 				}

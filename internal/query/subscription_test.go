@@ -164,13 +164,13 @@ func runSubscriptionOracleWorkload(t *testing.T, seed int64, steps int) {
 		// Every 4th step, churn the topology through the engine.
 		if step%4 == 3 && len(doors) > 0 {
 			if closedDoor >= 0 {
-				if _, err := e.Topology(func() error { return idx.SetDoorClosed(closedDoor, false) }); err != nil {
+				if _, _, err := e.Topology(index.Mutation{Kind: index.MutSetDoorClosed, DoorID: closedDoor}); err != nil {
 					t.Fatal(err)
 				}
 				closedDoor = -1
 			} else {
 				closedDoor = doors[rng.Intn(len(doors))].ID
-				if _, err := e.Topology(func() error { return idx.SetDoorClosed(closedDoor, true) }); err != nil {
+				if _, _, err := e.Topology(index.Mutation{Kind: index.MutSetDoorClosed, DoorID: closedDoor, Closed: true}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -306,7 +306,7 @@ func TestSubscriptionSurvivesFailedRefresh(t *testing.T) {
 	if pid == indoor.NoPartition {
 		t.Fatal("query point not locatable")
 	}
-	if _, err := e.Topology(func() error { return f.idx.RemovePartition(pid) }); err != nil {
+	if _, _, err := e.Topology(index.Mutation{Kind: index.MutRemovePartition, PartID: pid}); err != nil {
 		t.Fatalf("the commit succeeded, yet Topology reported: %v", err)
 	}
 	for _, s := range e.standing {

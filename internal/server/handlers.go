@@ -14,7 +14,6 @@ import (
 	"time"
 
 	indoorq "repro"
-	"repro/internal/geom"
 	"repro/internal/replica"
 	"repro/internal/wire"
 )
@@ -264,52 +263,12 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	var resp wire.TopologyResponse
-	switch req.Op {
-	case wire.TopoSetDoorClosed:
-		resp.Err = errString(s.db.SetDoorClosed(indoorq.DoorID(req.Door), req.Closed))
-	case wire.TopoSplit:
-		pa, pb, err := s.db.SplitPartition(indoorq.PartitionID(req.Partition), req.AlongX, req.At)
-		resp.PartitionA, resp.PartitionB, resp.Err = int64(pa), int64(pb), errString(err)
-	case wire.TopoMerge:
-		p, err := s.db.MergePartitions(indoorq.PartitionID(req.Partition), indoorq.PartitionID(req.Partition2))
-		resp.PartitionA, resp.Err = int64(p), errString(err)
-	case wire.TopoRemovePartition:
-		resp.Err = errString(s.db.RemovePartition(indoorq.PartitionID(req.Partition)))
-	case wire.TopoDetachDoor:
-		resp.Err = errString(s.db.DetachDoor(indoorq.DoorID(req.Door)))
-	case wire.TopoRebuildSkeleton:
-		s.db.RebuildSkeleton()
-	case wire.TopoAddRoom:
-		if req.Rect == nil {
-			http.Error(w, "add_room requires rect", http.StatusBadRequest)
-			return
-		}
-		p := s.db.Building().AddRoom(req.Floor, geom.R(req.Rect[0], req.Rect[1], req.Rect[2], req.Rect[3]))
-		resp.PartitionA, resp.Err = int64(p.ID), errString(s.db.AddPartition(p.ID))
-	case wire.TopoAddDoor:
-		if req.Pos == nil {
-			http.Error(w, "add_door requires pos", http.StatusBadRequest)
-			return
-		}
-		b := s.db.Building()
-		pos := geom.Pt(req.Pos[0], req.Pos[1])
-		p1, p2 := indoorq.PartitionID(req.Partition), indoorq.PartitionID(req.Partition2)
-		add := b.AddDoor
-		if req.OneWay {
-			add = b.AddOneWayDoor
-		}
-		d, err := add(pos, req.Floor, p1, p2)
-		if err != nil {
-			resp.Err = err.Error()
-			break
-		}
-		resp.Door, resp.Err = int64(d.ID), errString(s.db.AttachDoor(d.ID))
-	default:
-		http.Error(w, fmt.Sprintf("unknown topology op %q", req.Op), http.StatusBadRequest)
+	m, err := req.Mutation()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, resp)
+	writeJSON(w, wire.TopologyResponseOf(s.db.Apply(m)))
 }
 
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {

@@ -30,6 +30,12 @@ import (
 // newLeader boots a durable leader daemon on an httptest listener.
 func newLeader(t *testing.T, cfg server.Config) (*indoorq.DB, *wire.Client, *httptest.Server, []indoorq.Position) {
 	t.Helper()
+	return newLeaderAt(t, t.TempDir(), cfg)
+}
+
+// newLeaderAt is newLeader persisting to dir, for tests that reopen it.
+func newLeaderAt(t *testing.T, dir string, cfg server.Config) (*indoorq.DB, *wire.Client, *httptest.Server, []indoorq.Position) {
+	t.Helper()
 	b, err := indoorq.GenerateMall(indoorq.MallSpec{Floors: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +45,7 @@ func newLeader(t *testing.T, cfg server.Config) (*indoorq.DB, *wire.Client, *htt
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Persist(t.TempDir(), indoorq.DurabilityOptions{GroupWindow: time.Millisecond, CompactBytes: -1}); err != nil {
+	if err := db.Persist(dir, indoorq.DurabilityOptions{GroupWindow: time.Millisecond, CompactBytes: -1}); err != nil {
 		t.Fatal(err)
 	}
 	srv := server.NewLeader(db, cfg)

@@ -454,31 +454,29 @@ func appendF64(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
-type reader struct{ data []byte }
+// reader decodes a record body. The first short read sticks in err and
+// every later read returns zero, so a decoder checks err once at the end.
+type reader struct {
+	data []byte
+	err  error
+}
 
-func (r *reader) u64() (uint64, error) {
-	if len(r.data) < 8 {
-		return 0, fmt.Errorf("record truncated")
+func (r *reader) take(n int) []byte {
+	if r.err == nil && len(r.data) < n {
+		r.err = fmt.Errorf("record truncated")
 	}
-	v := binary.LittleEndian.Uint64(r.data)
-	r.data = r.data[8:]
-	return v, nil
-}
-
-func (r *reader) i64() (int64, error) { v, err := r.u64(); return int64(v), err }
-func (r *reader) f64() (float64, error) {
-	v, err := r.u64()
-	return math.Float64frombits(v), err
-}
-
-func (r *reader) u8() (byte, error) {
-	if len(r.data) < 1 {
-		return 0, fmt.Errorf("record truncated")
+	if r.err != nil {
+		return make([]byte, n)
 	}
-	v := r.data[0]
-	r.data = r.data[1:]
-	return v, nil
+	v := r.data[:n]
+	r.data = r.data[n:]
+	return v
 }
+
+func (r *reader) u64() uint64  { return binary.LittleEndian.Uint64(r.take(8)) }
+func (r *reader) i64() int64   { return int64(r.u64()) }
+func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
+func (r *reader) u8() byte     { return r.take(1)[0] }
 
 // encodeMutation turns an index mutation into its WAL record kind and
 // body. It runs synchronously inside the commit hook, so the live
@@ -645,187 +643,12 @@ func (s *State) Subs() []serde.SubscriptionRec {
 // Capture returns checkpoint data at the state's LSN.
 func (s *State) Capture() (Data, error) { return Capture(s.Idx, s.Subs(), s.lsn) }
 
-// applyRecord replays one WAL record: index mutations re-run the
-// ordinary maintenance algorithms, topology payloads are restored
-// id-exact into the building first when absent, and subscription records
-// maintain the registration map.
+// applyRecord replays one WAL record: subscription records maintain the
+// registration map, and every other record decodes to the mutation it
+// logged and re-runs through Index.Apply. The ids the replayed mutation
+// allocates must be the ones the log recorded.
 func (s *State) applyRecord(rec Record) error {
-	a, b := s.Idx, s.Idx.Building()
-	r := &reader{data: rec.Body}
 	switch rec.Kind {
-	case recObjects:
-		ups, err := decodeObjectBatch(rec.Body)
-		if err != nil {
-			return err
-		}
-		return a.ApplyObjectUpdates(ups)
-	case recSetDoorClosed:
-		did, err := r.i64()
-		if err != nil {
-			return err
-		}
-		closed, err := r.u8()
-		if err != nil {
-			return err
-		}
-		return a.SetDoorClosed(indoor.DoorID(did), closed != 0)
-	case recAddPartition:
-		pid, err := r.i64()
-		if err != nil {
-			return err
-		}
-		kind, err := r.u8()
-		if err != nil {
-			return err
-		}
-		floor, err := r.i64()
-		if err != nil {
-			return err
-		}
-		stairLen, err := r.f64()
-		if err != nil {
-			return err
-		}
-		nv, err := r.u64()
-		if err != nil {
-			return err
-		}
-		if nv > uint64(maxRecordSize) {
-			return fmt.Errorf("implausible vertex count %d", nv)
-		}
-		var poly geom.Polygon
-		for i := uint64(0); i < nv; i++ {
-			x, err := r.f64()
-			if err != nil {
-				return err
-			}
-			y, err := r.f64()
-			if err != nil {
-				return err
-			}
-			poly.V = append(poly.V, geom.Pt(x, y))
-		}
-		// The partition may predate the checkpoint (added to the
-		// building, indexed later); re-add it only when absent.
-		if b.Partition(indoor.PartitionID(pid)) == nil {
-			p, err := b.AddPartitionWithID(indoor.PartitionID(pid), indoor.Kind(kind), int(floor), poly)
-			if err != nil {
-				return err
-			}
-			p.StairLength = stairLen
-		}
-		return a.AddPartition(indoor.PartitionID(pid))
-	case recRemovePartition:
-		pid, err := r.i64()
-		if err != nil {
-			return err
-		}
-		return a.RemovePartition(indoor.PartitionID(pid))
-	case recAttachDoor:
-		did, err := r.i64()
-		if err != nil {
-			return err
-		}
-		x, err := r.f64()
-		if err != nil {
-			return err
-		}
-		y, err := r.f64()
-		if err != nil {
-			return err
-		}
-		floor, err := r.i64()
-		if err != nil {
-			return err
-		}
-		p1, err := r.i64()
-		if err != nil {
-			return err
-		}
-		p2, err := r.i64()
-		if err != nil {
-			return err
-		}
-		flags, err := r.u8()
-		if err != nil {
-			return err
-		}
-		from, err := r.i64()
-		if err != nil {
-			return err
-		}
-		to, err := r.i64()
-		if err != nil {
-			return err
-		}
-		if b.Door(indoor.DoorID(did)) == nil {
-			_, err := b.AddDoorWithID(indoor.DoorID(did), geom.Pt(x, y), int(floor),
-				indoor.PartitionID(p1), indoor.PartitionID(p2),
-				flags&1 != 0, indoor.PartitionID(from), indoor.PartitionID(to), flags&2 != 0)
-			if err != nil {
-				return err
-			}
-		}
-		return a.AttachDoor(indoor.DoorID(did))
-	case recDetachDoor:
-		did, err := r.i64()
-		if err != nil {
-			return err
-		}
-		return a.DetachDoor(indoor.DoorID(did))
-	case recSplit:
-		pid, err := r.i64()
-		if err != nil {
-			return err
-		}
-		alongX, err := r.u8()
-		if err != nil {
-			return err
-		}
-		at, err := r.f64()
-		if err != nil {
-			return err
-		}
-		wantA, err := r.i64()
-		if err != nil {
-			return err
-		}
-		wantB, err := r.i64()
-		if err != nil {
-			return err
-		}
-		pa, pb, err := a.SplitPartition(indoor.PartitionID(pid), alongX != 0, at)
-		if err != nil {
-			return err
-		}
-		if int64(pa) != wantA || int64(pb) != wantB {
-			return fmt.Errorf("split of %d allocated (%d,%d), log recorded (%d,%d): id timeline diverged", pid, pa, pb, wantA, wantB)
-		}
-		return nil
-	case recMerge:
-		pa, err := r.i64()
-		if err != nil {
-			return err
-		}
-		pb, err := r.i64()
-		if err != nil {
-			return err
-		}
-		want, err := r.i64()
-		if err != nil {
-			return err
-		}
-		merged, err := a.MergePartitions(indoor.PartitionID(pa), indoor.PartitionID(pb))
-		if err != nil {
-			return err
-		}
-		if int64(merged) != want {
-			return fmt.Errorf("merge of (%d,%d) allocated %d, log recorded %d: id timeline diverged", pa, pb, merged, want)
-		}
-		return nil
-	case recRebuildSkeleton:
-		a.RebuildSkeleton()
-		return nil
 	case recSubscribe:
 		sr, _, err := serde.DecodeSubscription(rec.Body)
 		if err != nil {
@@ -836,24 +659,94 @@ func (s *State) applyRecord(rec Record) error {
 		}
 		return nil
 	case recUnsubscribe:
-		id, err := r.i64()
-		if err != nil {
-			return err
+		r := &reader{data: rec.Body}
+		id := r.i64()
+		if r.err != nil {
+			return r.err
 		}
 		delete(s.subs, id)
 		return nil
 	}
-	return fmt.Errorf("unknown record kind %d", rec.Kind)
+	m, err := decodeMutation(rec)
+	if err != nil {
+		return err
+	}
+	got, err := s.Idx.Apply(m)
+	if err != nil {
+		return err
+	}
+	if got.ResultA != m.ResultA || got.ResultB != m.ResultB {
+		return fmt.Errorf("record kind %d allocated (%d,%d), log recorded (%d,%d): id timeline diverged",
+			rec.Kind, got.ResultA, got.ResultB, m.ResultA, m.ResultB)
+	}
+	return nil
+}
+
+// decodeMutation is the inverse of encodeMutation: it parses a mutation
+// record back into the index mutation it logged, without applying it.
+func decodeMutation(rec Record) (index.Mutation, error) {
+	var m index.Mutation
+	r := &reader{data: rec.Body}
+	switch rec.Kind {
+	case recObjects:
+		m.Kind = index.MutObjects
+		var err error
+		m.Updates, err = decodeObjectBatch(rec.Body)
+		return m, err
+	case recSetDoorClosed:
+		m.Kind = index.MutSetDoorClosed
+		m.DoorID = indoor.DoorID(r.i64())
+		m.Closed = r.u8() != 0
+	case recAddPartition:
+		m.Kind = index.MutAddPartition
+		m.PartID = indoor.PartitionID(r.i64())
+		p := &indoor.Partition{Kind: indoor.Kind(r.u8()), Floor: int(r.i64()), StairLength: r.f64()}
+		nv := r.u64()
+		if nv > uint64(len(r.data))/16 {
+			return m, fmt.Errorf("implausible vertex count %d", nv)
+		}
+		for i := uint64(0); i < nv; i++ {
+			p.Shape.V = append(p.Shape.V, geom.Pt(r.f64(), r.f64()))
+		}
+		m.Part = p
+	case recRemovePartition:
+		m.Kind = index.MutRemovePartition
+		m.PartID = indoor.PartitionID(r.i64())
+	case recAttachDoor:
+		m.Kind = index.MutAttachDoor
+		m.DoorID = indoor.DoorID(r.i64())
+		d := &indoor.Door{Pos: geom.Pt(r.f64(), r.f64()), Floor: int(r.i64()),
+			P1: indoor.PartitionID(r.i64()), P2: indoor.PartitionID(r.i64())}
+		flags := r.u8()
+		d.OneWay, d.Closed = flags&1 != 0, flags&2 != 0
+		d.From, d.To = indoor.PartitionID(r.i64()), indoor.PartitionID(r.i64())
+		m.Door = d
+	case recDetachDoor:
+		m.Kind = index.MutDetachDoor
+		m.DoorID = indoor.DoorID(r.i64())
+	case recSplit:
+		m.Kind = index.MutSplit
+		m.PartID = indoor.PartitionID(r.i64())
+		m.AlongX = r.u8() != 0
+		m.At = r.f64()
+		m.ResultA, m.ResultB = indoor.PartitionID(r.i64()), indoor.PartitionID(r.i64())
+	case recMerge:
+		m.Kind = index.MutMerge
+		m.PartID, m.PartID2 = indoor.PartitionID(r.i64()), indoor.PartitionID(r.i64())
+		m.ResultA = indoor.PartitionID(r.i64())
+	case recRebuildSkeleton:
+		m.Kind = index.MutRebuildSkeleton
+	default:
+		return m, fmt.Errorf("unknown record kind %d", rec.Kind)
+	}
+	return m, r.err
 }
 
 // decodeObjectBatch parses a recObjects body into the update batch it
 // logged, without applying it.
 func decodeObjectBatch(body []byte) ([]index.ObjectUpdate, error) {
 	r := &reader{data: body}
-	n, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
+	n := r.u64()
 	// Every update needs at least an op byte and an 8-byte id, so a
 	// count beyond len/9 is corrupt — reject before the allocation,
 	// not after (a CRC-colliding record must not OOM recovery).
@@ -861,19 +754,11 @@ func decodeObjectBatch(body []byte) ([]index.ObjectUpdate, error) {
 		return nil, fmt.Errorf("implausible batch size %d for %d-byte body", n, len(r.data))
 	}
 	ups := make([]index.ObjectUpdate, 0, n)
-	for i := uint64(0); i < n; i++ {
-		op, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		up := index.ObjectUpdate{Op: index.UpdateOp(op)}
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		up := index.ObjectUpdate{Op: index.UpdateOp(r.u8())}
 		if up.Op == index.UpdateDelete {
-			id, err := r.i64()
-			if err != nil {
-				return nil, err
-			}
-			up.ID = object.ID(id)
-		} else {
+			up.ID = object.ID(r.i64())
+		} else if r.err == nil {
 			o, rest, err := serde.DecodeObject(r.data)
 			if err != nil {
 				return nil, err
@@ -883,7 +768,7 @@ func decodeObjectBatch(body []byte) ([]index.ObjectUpdate, error) {
 		}
 		ups = append(ups, up)
 	}
-	return ups, nil
+	return ups, r.err
 }
 
 // ObjectUpdates decodes the record's object batch when it is one

@@ -141,53 +141,27 @@ func TestCreateLogReopen(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		// Door toggle.
-		doors := b.Doors()
-		if err := idx.SetDoorClosed(doors[2].ID, true); err != nil {
-			t.Fatal(err)
+		// Door toggle, split and merge, a detached door replaced by an
+		// equivalent one, a new partition with a door, a removal.
+		apply := func(m index.Mutation) index.Mutation {
+			t.Helper()
+			got, err := idx.Apply(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got
 		}
-		// Split and merge.
-		parts := b.Partitions()
-		pa, pb, err := idx.SplitPartition(parts[0].ID, true, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := idx.MergePartitions(pa, pb); err != nil {
-			t.Fatal(err)
-		}
-		// Detach one door, add + attach a replacement.
-		d0 := b.Doors()[0]
-		pos, floor, p1, p2 := d0.Pos, d0.Floor, d0.P1, d0.P2
-		if err := idx.DetachDoor(d0.ID); err != nil {
-			t.Fatal(err)
-		}
-		nd, err := b.AddDoor(pos, floor, p1, p2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := idx.AttachDoor(nd.ID); err != nil {
-			t.Fatal(err)
-		}
-		// Add a new partition with a door, index both.
-		np, err := b.AddPartition(indoor.Room, 0, geom.RectPoly(geom.R(30, 0, 40, 10)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := idx.AddPartition(np.ID); err != nil {
-			t.Fatal(err)
-		}
+		apply(index.Mutation{Kind: index.MutSetDoorClosed, DoorID: b.Doors()[2].ID, Closed: true})
+		split := apply(index.Mutation{Kind: index.MutSplit, PartID: b.Partitions()[0].ID, AlongX: true, At: 10})
+		apply(index.Mutation{Kind: index.MutMerge, PartID: split.ResultA, PartID2: split.ResultB})
+		d0 := *b.Doors()[0]
+		apply(index.Mutation{Kind: index.MutDetachDoor, DoorID: d0.ID})
+		apply(index.Mutation{Kind: index.MutAttachDoor, DoorID: -1, Door: &d0})
+		np := apply(index.Mutation{Kind: index.MutAddPartition, PartID: indoor.NoPartition,
+			Part: &indoor.Partition{Kind: indoor.Room, Shape: geom.RectPoly(geom.R(30, 0, 40, 10))}}).PartID
 		hall := b.PartitionAt(indoor.Pos(25, 10, 0))
-		nd2, err := b.AddDoor(geom.Pt(30, 5), 0, hall.ID, np.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := idx.AttachDoor(nd2.ID); err != nil {
-			t.Fatal(err)
-		}
-		// Remove a partition.
-		if err := idx.RemovePartition(np.ID); err != nil {
-			t.Fatal(err)
-		}
+		apply(index.Mutation{Kind: index.MutAttachDoor, DoorID: -1, Door: &indoor.Door{Pos: geom.Pt(30, 5), P1: hall.ID, P2: np}})
+		apply(index.Mutation{Kind: index.MutRemovePartition, PartID: np})
 
 		want := stateBytes(t, idx)
 		if err := st.Close(); err != nil {
@@ -208,7 +182,7 @@ func TestCreateLogReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The recovered log must keep accepting appends.
-		if err := idx2.SetDoorClosed(idx2.Building().Doors()[1].ID, true); err != nil {
+		if _, err := idx2.Apply(index.Mutation{Kind: index.MutSetDoorClosed, DoorID: idx2.Building().Doors()[1].ID, Closed: true}); err != nil {
 			t.Fatal(err)
 		}
 		st2.Close()

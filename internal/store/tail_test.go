@@ -274,7 +274,7 @@ func TestTailReplayMatchesState(t *testing.T) {
 		doorID = d.ID
 		break
 	}
-	if err := idx.SetDoorClosed(doorID, true); err != nil {
+	if _, err := idx.Apply(index.Mutation{Kind: index.MutSetDoorClosed, DoorID: doorID, Closed: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := idx.DeleteObject(3); err != nil {

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/indoor"
 	"repro/internal/object"
@@ -336,6 +337,69 @@ type TopologyResponse struct {
 	PartitionA int64  `json:"partitionA,omitempty"`
 	PartitionB int64  `json:"partitionB,omitempty"`
 	Door       int64  `json:"doorId,omitempty"`
+}
+
+// Mutation checks a topology request from outside and converts it to the
+// index mutation it names. An unknown op, an add_room without a rect or
+// with a zero-width or zero-height rect, and an add_door without a pos are
+// errors the server answers with 400. Adds allocate their ids.
+func (r TopologyRequest) Mutation() (index.Mutation, error) {
+	door, part, part2 := indoor.DoorID(r.Door), indoor.PartitionID(r.Partition), indoor.PartitionID(r.Partition2)
+	switch r.Op {
+	case TopoSetDoorClosed:
+		return index.Mutation{Kind: index.MutSetDoorClosed, DoorID: door, Closed: r.Closed}, nil
+	case TopoSplit:
+		return index.Mutation{Kind: index.MutSplit, PartID: part, AlongX: r.AlongX, At: r.At}, nil
+	case TopoMerge:
+		return index.Mutation{Kind: index.MutMerge, PartID: part, PartID2: part2}, nil
+	case TopoRemovePartition:
+		return index.Mutation{Kind: index.MutRemovePartition, PartID: part}, nil
+	case TopoDetachDoor:
+		return index.Mutation{Kind: index.MutDetachDoor, DoorID: door}, nil
+	case TopoRebuildSkeleton:
+		return index.Mutation{Kind: index.MutRebuildSkeleton}, nil
+	case TopoAddRoom:
+		if r.Rect == nil {
+			return index.Mutation{}, fmt.Errorf("add_room requires rect")
+		}
+		rect := geom.R(r.Rect[0], r.Rect[1], r.Rect[2], r.Rect[3])
+		if rect.MinX == rect.MaxX || rect.MinY == rect.MaxY {
+			return index.Mutation{}, fmt.Errorf("add_room rect %v has zero width or height", *r.Rect)
+		}
+		return index.Mutation{Kind: index.MutAddPartition, PartID: indoor.NoPartition,
+			Part: &indoor.Partition{Kind: indoor.Room, Floor: r.Floor, Shape: geom.RectPoly(rect)}}, nil
+	case TopoAddDoor:
+		if r.Pos == nil {
+			return index.Mutation{}, fmt.Errorf("add_door requires pos")
+		}
+		d := &indoor.Door{Pos: geom.Pt(r.Pos[0], r.Pos[1]), Floor: r.Floor, P1: part, P2: part2, OneWay: r.OneWay}
+		if r.OneWay {
+			d.From, d.To = part, part2
+		}
+		return index.Mutation{Kind: index.MutAttachDoor, DoorID: -1, Door: d}, nil
+	}
+	return index.Mutation{}, fmt.Errorf("unknown topology op %q", r.Op)
+}
+
+// TopologyResponseOf reports a committed (or refused) topology mutation:
+// its error and the ids it allocated, -1 where a refused split, merge or
+// add allocated nothing.
+func TopologyResponseOf(m index.Mutation, err error) TopologyResponse {
+	resp := TopologyResponse{}
+	if err != nil {
+		resp.Err = err.Error()
+	}
+	switch m.Kind {
+	case index.MutSplit:
+		resp.PartitionA, resp.PartitionB = int64(m.ResultA), int64(m.ResultB)
+	case index.MutMerge:
+		resp.PartitionA = int64(m.ResultA)
+	case index.MutAddPartition:
+		resp.PartitionA = int64(m.PartID)
+	case index.MutAttachDoor:
+		resp.Door = int64(m.DoorID)
+	}
+	return resp
 }
 
 // SubscribeRequest installs a standing query: exactly one of R or K.
