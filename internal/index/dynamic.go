@@ -286,30 +286,20 @@ func (idx *Index) commit(ed *editor, logged Mutation, building func()) error {
 // sibling links, door attachment and h-table maintenance. The building
 // gains the partition only after the hook accepted it.
 func (idx *Index) addPartition(ed *editor, m Mutation) (Mutation, error) {
-	// Logs written before Apply existed may name a partition the building
-	// already holds but the index does not; index it in place.
-	p := idx.b.Partition(m.PartID)
-	insert := p == nil
-	if insert {
-		if m.Part == nil {
-			return m, fmt.Errorf("index: add partition %d without its geometry", m.PartID)
-		}
-		spec := *m.Part
-		spec.ID = m.PartID
-		var err error
-		if p, err = idx.b.PreparePartition(spec); err != nil {
-			return m, err
-		}
+	if m.Part == nil {
+		return m, fmt.Errorf("index: add partition %d without its geometry", m.PartID)
+	}
+	spec := *m.Part
+	spec.ID = m.PartID
+	p, err := idx.b.PreparePartition(spec)
+	if err != nil {
+		return m, err
 	}
 	if err := ed.addPartition(p); err != nil {
 		return m, err
 	}
-	err := idx.commit(ed, Mutation{Kind: MutAddPartition, PartID: p.ID, Part: p}, func() {
-		if insert {
-			idx.b.InsertPartition(p)
-		}
-	})
-	if err != nil {
+	logged := Mutation{Kind: MutAddPartition, PartID: p.ID, Part: p}
+	if err := idx.commit(ed, logged, func() { idx.b.InsertPartition(p) }); err != nil {
 		return m, err
 	}
 	m.PartID = p.ID
@@ -349,33 +339,21 @@ func (ed *editor) addPartition(p *indoor.Partition) error {
 // entrance rebuilds the skeleton. The building gains the door only after
 // the hook accepted it.
 func (idx *Index) attachDoor(ed *editor, m Mutation) (Mutation, error) {
-	// Logs written before Apply existed may name a door the building
-	// already holds but the index does not; attach it in place.
-	d := idx.b.Door(m.DoorID)
-	insert := d == nil
-	if insert {
-		if m.Door == nil {
-			return m, fmt.Errorf("index: attach door %d without its spec", m.DoorID)
-		}
-		spec := *m.Door
-		spec.ID = m.DoorID
-		var err error
-		if d, err = idx.b.PrepareDoor(spec); err != nil {
-			return m, err
-		}
-	} else if ed.base.topo.doorRefs[d.ID] != nil {
-		return m, fmt.Errorf("index: door %d already attached", d.ID)
+	if m.Door == nil {
+		return m, fmt.Errorf("index: attach door %d without its spec", m.DoorID)
+	}
+	spec := *m.Door
+	spec.ID = m.DoorID
+	d, err := idx.b.PrepareDoor(spec)
+	if err != nil {
+		return m, err
 	}
 	if err := ed.ownTopo().attachDoor(d); err != nil {
 		return m, err
 	}
 	ed.rebuildSkel = staircaseSide(idx.b, d) != indoor.NoPartition
-	err := idx.commit(ed, Mutation{Kind: MutAttachDoor, DoorID: d.ID, Door: d}, func() {
-		if insert {
-			idx.b.InsertDoor(d)
-		}
-	})
-	if err != nil {
+	logged := Mutation{Kind: MutAttachDoor, DoorID: d.ID, Door: d}
+	if err := idx.commit(ed, logged, func() { idx.b.InsertDoor(d) }); err != nil {
 		return m, err
 	}
 	m.DoorID = d.ID

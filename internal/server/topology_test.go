@@ -51,6 +51,9 @@ func TestRefusedAddDoorCannotPoisonRecovery(t *testing.T) {
 	if !strings.Contains(resp.Err, "touches no unit") {
 		t.Fatalf("add_door touching no unit answered err %q", resp.Err)
 	}
+	if resp.Door != -1 {
+		t.Fatalf("refused add_door reported door id %d, want -1", resp.Door)
+	}
 	if got := stateOf(db); got != before {
 		t.Fatalf("refused add_door changed the building: %+v -> %+v", before, got)
 	}
@@ -67,6 +70,27 @@ func TestRefusedAddDoorCannotPoisonRecovery(t *testing.T) {
 	defer re.Close()
 	if got := stateOf(re); got != before {
 		t.Fatalf("recovered building %+v, want %+v", got, before)
+	}
+}
+
+// TestRefusedAddRoomReportsNoID: a well-formed add_room the commit refuses
+// (here a fail-stopped log) answers with the error and partitionA -1, the
+// reply the handler builds from the refused mutation. Over HTTP a poisoned
+// leader answers 503 before the commit, so the reply is built directly.
+func TestRefusedAddRoomReportsNoID(t *testing.T) {
+	db, _, _, _ := newLeader(t, server.Config{})
+	db.Store().Poison(nil)
+	before := stateOf(db)
+	m, err := wire.TopologyRequest{Op: wire.TopoAddRoom, Rect: &[4]float64{10000, 0, 10020, 10}}.Mutation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := wire.TopologyResponseOf(db.Apply(m))
+	if resp.Err == "" || resp.PartitionA != -1 {
+		t.Fatalf("refused add_room replied %+v, want an err and partitionA -1", resp)
+	}
+	if got := stateOf(db); got != before {
+		t.Fatalf("refused add_room changed the building: %+v -> %+v", before, got)
 	}
 }
 
