@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -56,6 +57,24 @@ func newLeaderAt(t *testing.T, dir string, cfg server.Config) (*indoorq.DB, *wir
 		db.Close()
 	})
 	return db, wire.NewClient(ts.URL, nil), ts, indoorq.GenerateQueryPoints(b, 4, 12)
+}
+
+// newReplica starts a replica following the leader daemon at ts over
+// HTTP and serves it on its own httptest listener.
+func newReplica(t *testing.T, ts *httptest.Server) (*replica.Replica, *wire.Client, *httptest.Server) {
+	t.Helper()
+	rep := replica.New(wire.NewClient(ts.URL, nil), replica.Config{ReconnectDelay: 5 * time.Millisecond})
+	if err := rep.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rsrv := server.NewReplica(rep, server.Config{CoalesceWindow: -1})
+	rts := httptest.NewServer(rsrv.Handler())
+	t.Cleanup(func() {
+		rsrv.Close()
+		rts.Close()
+		rep.Close()
+	})
+	return rep, wire.NewClient(rts.URL, nil), rts
 }
 
 // wantWire converts direct facade answers to wire form for comparison.
@@ -380,16 +399,7 @@ func TestSubscribeFailStopReportsHandleAndError(t *testing.T) {
 // reporting its lag gauge.
 func TestReplicationOverWire(t *testing.T) {
 	db, c, ts, queries := newLeader(t, server.Config{Heartbeat: 5 * time.Millisecond})
-
-	rep := replica.New(wire.NewClient(ts.URL, nil), replica.Config{ReconnectDelay: 5 * time.Millisecond})
-	if err := rep.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	defer rep.Close()
-	rsrv := server.NewReplica(rep, server.Config{CoalesceWindow: -1})
-	rts := httptest.NewServer(rsrv.Handler())
-	defer func() { rsrv.Close(); rts.Close() }()
-	rc := wire.NewClient(rts.URL, nil)
+	rep, rc, _ := newReplica(t, ts)
 
 	// Churn through the leader's wire API, then sync.
 	for i := 0; i < 10; i++ {
@@ -427,11 +437,6 @@ func TestReplicationOverWire(t *testing.T) {
 		t.Fatal("replica daemon's answer diverges from leader daemon's")
 	}
 
-	// Mutations are refused on the replica.
-	if err := rc.ApplyUpdates([]wire.UpdateItem{{Op: wire.OpDelete, ID: 1}}); err == nil {
-		t.Fatal("replica accepted a mutation")
-	}
-
 	// Observability on both ends.
 	lstats, err := c.Stats()
 	if err != nil {
@@ -464,5 +469,47 @@ func TestReplicationOverWire(t *testing.T) {
 	}
 	if rstats.NumObjects != lstats.NumObjects {
 		t.Fatalf("replica holds %d objects, leader %d", rstats.NumObjects, lstats.NumObjects)
+	}
+}
+
+// TestReplicaRefusesLeaderOnlyPaths pins the replica's refusals: every
+// mutation and replication-feed path answers 403, and each refusal is
+// counted as an error of its endpoint.
+func TestReplicaRefusesLeaderOnlyPaths(t *testing.T) {
+	_, _, ts, _ := newLeader(t, server.Config{Heartbeat: 5 * time.Millisecond})
+	_, rc, rts := newReplica(t, ts)
+	cases := []struct {
+		method, path, query string
+	}{
+		{http.MethodPost, wire.PathUpdates, ""},
+		{http.MethodPost, wire.PathTopology, ""},
+		{http.MethodPost, wire.PathSubscribe, ""},
+		{http.MethodPost, wire.PathUnsubscribe, ""},
+		{http.MethodGet, wire.PathEvents, ""},
+		{http.MethodGet, wire.PathReplCheckpoint, ""},
+		{http.MethodGet, wire.PathReplWAL, "?after=0"},
+	}
+	for _, tc := range cases {
+		req, err := http.NewRequest(tc.method, rts.URL+tc.path+tc.query, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusForbidden {
+			t.Errorf("%s %s%s on a replica: status %d, want 403", tc.method, tc.path, tc.query, resp.StatusCode)
+		}
+	}
+	stats, err := rc.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		if ep := stats.Endpoints[tc.path]; ep.Count != 1 || ep.Errors != 1 {
+			t.Errorf("%s: %d requests, %d errors; want the one refusal counted as an error", tc.path, ep.Count, ep.Errors)
+		}
 	}
 }
