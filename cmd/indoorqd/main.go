@@ -101,7 +101,7 @@ func main() {
 			case <-time.After(time.Second):
 			}
 		}
-		log.Printf("replica of %s: bootstrapped at lsn %d, %d objects", *follow, rep.AppliedLSN(), rep.NumObjects())
+		log.Printf("replica of %s: bootstrapped at lsn %d, %d objects", *follow, rep.AppliedLSN(), rep.Index().Current().Objects().Len())
 		srv = server.NewReplica(rep, cfg)
 		shutdown = rep.Close
 	} else {

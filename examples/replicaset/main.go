@@ -23,6 +23,7 @@ import (
 
 	indoorq "repro"
 	"repro/internal/object"
+	"repro/internal/query"
 	"repro/internal/replica"
 	"repro/internal/server"
 	"repro/internal/wire"
@@ -117,7 +118,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rr, _, err := reps[0].RangeQuery(q, 60)
+	rr, _, err := query.New(reps[0].Index(), query.Options{}).RangeQuery(q, 60)
 	if err != nil {
 		return err
 	}

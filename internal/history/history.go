@@ -7,13 +7,16 @@
 // partition location) against the past.
 //
 // Reconstruction is cached two ways. A small LRU of materialized states
-// ("mats": a store.State plus a query processor) is advanced in place:
-// an AsOf above a cached mat replays only the gap, never from scratch,
-// so walking forward through history (replay tools, trajectory scans)
-// costs one record per step instead of one checkpoint load per step.
-// Snapshots pinned from a mat are immutable MVCC snapshots, so a View
-// handed out at LSN a stays correct after its mat advances to b > a — a
-// second LRU keeps those cheap Views around for exact-hit reuse.
+// ("mats": store.State log folds) is advanced in place: an AsOf above a
+// cached mat replays only the gap, never from scratch, so walking
+// forward through history (replay tools, trajectory scans) costs one
+// record per step instead of one checkpoint load per step. Snapshots
+// pinned from a mat are immutable MVCC snapshots, so a View handed out
+// at LSN a stays correct after its mat advances to b > a — a second LRU
+// keeps those cheap Views around for exact-hit reuse. It is the only
+// cache a backward revisit can hit: once the mat has advanced past a, a
+// later AsOf(a) finds no mat at or below a and would otherwise reload a
+// checkpoint.
 //
 // The same machinery powers two log-scan analytics that never
 // materialize full per-LSN states: Trajectory (the ordered partition
@@ -148,14 +151,6 @@ type Stats struct {
 	ScannedRecords uint64
 }
 
-// mat is one materialized replayable state: the log fold at its LSN and
-// the processor Views query through. Advancing a mat re-keys it; Views
-// pinned earlier keep their snapshots.
-type mat struct {
-	*store.State
-	proc *query.Processor
-}
-
 // Provider serves historical reads from a Source, caching materialized
 // states and pinned views. Safe for concurrent use; reconstruction is
 // serialized under one mutex (historical reads are a diagnostic /
@@ -164,7 +159,7 @@ type Provider struct {
 	src Source
 
 	mu    sync.Mutex
-	mats  *list.List // *mat, most recently used first
+	mats  *list.List // *store.State, most recently used first
 	views *list.List // *View, most recently used first
 	stats Stats
 }
@@ -191,6 +186,8 @@ func (p *Provider) Stats() Stats {
 type View struct {
 	lsn  uint64
 	snap *index.Snapshot
+	// proc only carries query options: every query runs the *On variant
+	// against snap.
 	proc *query.Processor
 }
 
@@ -245,7 +242,7 @@ func (p *Provider) asOfLocked(lsn uint64) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &View{lsn: lsn, snap: m.Idx.Current(), proc: m.proc}
+	v := &View{lsn: lsn, snap: m.Idx.Current(), proc: query.New(m.Idx, query.Options{})}
 	p.views.PushFront(v)
 	for p.views.Len() > viewCache {
 		p.views.Remove(p.views.Back())
@@ -274,21 +271,21 @@ func (p *Provider) CaptureAt(lsn uint64) (store.Data, error) {
 
 // matAtLocked returns a materialized state advanced to exactly lsn,
 // reusing the nearest cached ancestor when one exists.
-func (p *Provider) matAtLocked(lsn uint64) (*mat, error) {
+func (p *Provider) matAtLocked(lsn uint64) (*store.State, error) {
 	var best *list.Element
 	for e := p.mats.Front(); e != nil; e = e.Next() {
-		m := e.Value.(*mat)
+		m := e.Value.(*store.State)
 		if m.LSN() > lsn {
 			continue
 		}
-		if best == nil || m.LSN() > best.Value.(*mat).LSN() {
+		if best == nil || m.LSN() > best.Value.(*store.State).LSN() {
 			best = e
 		}
 	}
-	var m *mat
+	var m *store.State
 	if best != nil {
 		p.mats.MoveToFront(best)
-		m = best.Value.(*mat)
+		m = best.Value.(*store.State)
 		if m.LSN() < lsn {
 			p.stats.Advances++
 		}
@@ -300,11 +297,9 @@ func (p *Provider) matAtLocked(lsn uint64) (*mat, error) {
 			}
 			return nil, err
 		}
-		fold, err := store.Load(data)
-		if err != nil {
+		if m, err = store.Load(data); err != nil {
 			return nil, err
 		}
-		m = &mat{State: fold, proc: query.New(fold.Idx, query.Options{})}
 		p.stats.Materializations++
 		p.mats.PushFront(m)
 		for p.mats.Len() > matCache {
@@ -319,7 +314,7 @@ func (p *Provider) matAtLocked(lsn uint64) (*mat, error) {
 
 // advance replays m forward to exactly lsn. A mat left mid-way by an
 // error is still a valid state at its reached LSN and stays cached.
-func (p *Provider) advance(m *mat, lsn uint64) error {
+func (p *Provider) advance(m *store.State, lsn uint64) error {
 	if m.LSN() >= lsn {
 		return nil
 	}

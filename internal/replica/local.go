@@ -61,6 +61,11 @@ func (s *LocalSource) StreamWAL(ctx context.Context, afterLSN uint64, fn func(wi
 	if err := fn(wire.Heartbeat(s.st.DurableLSN())); err != nil {
 		return err
 	}
+	// watch is armed (non-nil) once a poll came up short; the next poll is
+	// then the re-check that runs after arming and before sleeping, so a
+	// record appended between the drain and the arm never waits a
+	// heartbeat.
+	var watch <-chan struct{}
 	for {
 		recs, err := tl.Next(streamBatchMax)
 		for _, rec := range recs {
@@ -74,24 +79,12 @@ func (s *LocalSource) StreamWAL(ctx context.Context, afterLSN uint64, fn func(wi
 		if err != nil {
 			return err
 		}
-		if len(recs) == streamBatchMax {
-			continue // more immediately available; skip the wait
-		}
-		watch := tl.Watch()
-		// Re-check after arming the watch: records appended between the
-		// drain and the arm would otherwise sleep a full heartbeat.
-		if more, err := tl.Next(streamBatchMax); err != nil || len(more) > 0 {
-			for _, rec := range more {
-				if ferr := fn(wire.Frame{Kind: rec.Kind, LSN: rec.LSN, Body: rec.Body}); ferr != nil {
-					return ferr
-				}
-			}
-			if errors.Is(err, store.ErrLogGap) {
-				return fn(wire.Frame{Kind: wire.GapKind, LSN: s.st.DurableLSN()})
-			}
-			if err != nil {
-				return err
-			}
+		switch {
+		case len(recs) == streamBatchMax || (watch != nil && len(recs) > 0):
+			watch = nil // more may be waiting; drain before arming again
+			continue
+		case watch == nil:
+			watch = tl.Watch()
 			continue
 		}
 		if s.st.Closed() {
@@ -106,5 +99,6 @@ func (s *LocalSource) StreamWAL(ctx context.Context, afterLSN uint64, fn func(wi
 				return err
 			}
 		}
+		watch = nil
 	}
 }

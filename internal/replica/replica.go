@@ -1,8 +1,10 @@
 // Package replica implements WAL-shipping read replicas: a Replica
 // bootstraps from a leader checkpoint, folds the shipped record stream
-// into a store.State — the same fold crash recovery runs — and serves
-// range/kNN queries from its own MVCC snapshots — reads scale out across
-// processes while the leader keeps sole ownership of the log.
+// into a store.State — the same fold crash recovery runs — and exposes
+// the result exactly as a leader DB does, through Index (the MVCC
+// snapshots range/kNN queries pin) and History (time travel over the
+// applied window). Reads scale out across processes while the leader
+// keeps sole ownership of the log.
 //
 // The replication contract, in terms of the store's LSN sequence:
 //
@@ -41,10 +43,7 @@ import (
 
 	"repro/internal/history"
 	"repro/internal/index"
-	"repro/internal/indoor"
-	"repro/internal/query"
 	"repro/internal/serde"
-	"repro/internal/serve"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -94,23 +93,17 @@ func backoffDelay(base, max time.Duration, streak int) time.Duration {
 // errResync carries the gap decision out of the frame callback.
 var errResync = errors.New("replica: stream gap; resync from checkpoint")
 
-// state is the replica's serving state, swapped wholesale on resync.
-// Queries pin it with one atomic load; replay folds records into the
-// store.State, publishing MVCC snapshots exactly as a leader does.
-type state struct {
-	*store.State
-	proc *query.Processor
-}
-
 // Replica follows a leader through a Source. Create with New, start the
-// stream with Start, query at will (queries are wait-free against the
-// current snapshot, concurrent with replay), and stop with Close or
-// Promote.
+// stream with Start, read through Index at will (queries are wait-free
+// against the current snapshot, concurrent with replay), and stop with
+// Close or Promote.
 type Replica struct {
 	src Source
 	cfg Config
 
-	st atomic.Pointer[state]
+	// st is the serving state, swapped wholesale on resync. Replay folds
+	// records into it, publishing MVCC snapshots exactly as a leader does.
+	st atomic.Pointer[store.State]
 
 	// subsMu orders Subscriptions against Apply: a folded subscription
 	// record edits the registrations a promoted replica restores.
@@ -183,7 +176,7 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("replica: checkpoint rebuild: %w", err)
 	}
-	r.st.Store(&state{State: fold, proc: query.New(fold.Idx, query.Options{})})
+	r.st.Store(fold)
 	r.applied.Store(data.LSN)
 	r.hist.Reset(data)
 	return nil
@@ -292,33 +285,9 @@ func (r *Replica) observeDurable(lsn uint64) {
 	}
 }
 
-// RangeQuery answers iRQ(q, r) from the replica's current snapshot.
-func (r *Replica) RangeQuery(q indoor.Position, radius float64) ([]query.Result, *query.Stats, error) {
-	return r.st.Load().proc.RangeQuery(q, radius)
-}
-
-// KNNQuery answers ikNNQ(q, k) from the replica's current snapshot.
-func (r *Replica) KNNQuery(q indoor.Position, k int) ([]query.Result, *query.Stats, error) {
-	return r.st.Load().proc.KNNQuery(q, k)
-}
-
-// BatchRangeQuery fans a batch across the serving layer against ONE
-// pinned snapshot, exactly like the leader facade's batch path.
-func (r *Replica) BatchRangeQuery(reqs []serve.RangeRequest, cfg serve.Config) ([]serve.Response, serve.Metrics) {
-	return serve.NewPool(r.Index(), cfg).RangeBatch(reqs)
-}
-
-// BatchKNNQuery is BatchRangeQuery for kNN requests.
-func (r *Replica) BatchKNNQuery(reqs []serve.KNNRequest, cfg serve.Config) ([]serve.Response, serve.Metrics) {
-	return serve.NewPool(r.Index(), cfg).KNNBatch(reqs)
-}
-
 // Index returns the replica's current index (snapshot-published like any
-// other).
+// other): queries pin Index().Current() exactly as on a leader DB.
 func (r *Replica) Index() *index.Index { return r.st.Load().Idx }
-
-// NumObjects returns the object count of the current snapshot.
-func (r *Replica) NumObjects() int { return r.Index().Current().Objects().Len() }
 
 // AppliedLSN returns the newest LSN the replica has applied.
 func (r *Replica) AppliedLSN() uint64 { return r.applied.Load() }
@@ -372,8 +341,8 @@ func (r *Replica) Close() {
 
 // Promote stops replication and hands over the replayed index and the
 // standing-query registrations — everything a facade needs to adopt the
-// replica as a primary. The replica's own query methods keep working
-// (same index) but its state is now the caller's to mutate.
+// replica as a primary. Index keeps returning the same index, but its
+// state is now the caller's to mutate.
 func (r *Replica) Promote() (*index.Index, []serde.SubscriptionRec) {
 	r.Close()
 	return r.Index(), r.Subscriptions()

@@ -18,6 +18,7 @@ import (
 	indoorq "repro"
 	"repro/internal/history"
 	"repro/internal/object"
+	"repro/internal/query"
 	"repro/internal/replica"
 	"repro/internal/wire"
 )
@@ -84,12 +85,13 @@ func resultsEqual(a, b []indoorq.Result) bool {
 // assertAnswersMatch compares leader and replica answers point-for-point.
 func assertAnswersMatch(t *testing.T, db *indoorq.DB, r *replica.Replica, queries []indoorq.Position) {
 	t.Helper()
+	p := query.New(r.Index(), query.Options{})
 	for i, q := range queries {
 		wantR, _, err := db.RangeQuery(q, 40)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotR, _, err := r.RangeQuery(q, 40)
+		gotR, _, err := p.RangeQuery(q, 40)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +102,7 @@ func assertAnswersMatch(t *testing.T, db *indoorq.DB, r *replica.Replica, querie
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotK, _, err := r.KNNQuery(q, 5)
+		gotK, _, err := p.KNNQuery(q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +205,7 @@ func TestReplicasConvergeUnderPacedChurn(t *testing.T) {
 		if !st.Connected {
 			t.Fatalf("replica %d not connected", i)
 		}
-		if got, want := r.NumObjects(), db.NumObjects(); got != want {
+		if got, want := r.Index().Current().Objects().Len(), db.NumObjects(); got != want {
 			t.Fatalf("replica %d holds %d objects, leader %d", i, got, want)
 		}
 		assertAnswersMatch(t, db, r, queries)

@@ -108,8 +108,8 @@ func runNetChaos(t *testing.T, seed int64) {
 		t.Fatalf("seed %d: leader written horizon %d after 150 committed batches", seed, target)
 	}
 	waitFor(t, 15*time.Second, "replica catch-up", func() bool { return rep.AppliedLSN() >= target })
-	if rep.NumObjects() != db.NumObjects() {
-		t.Fatalf("seed %d: converged replica has %d objects, leader %d", seed, rep.NumObjects(), db.NumObjects())
+	if n := rep.Index().Current().Objects().Len(); n != db.NumObjects() {
+		t.Fatalf("seed %d: converged replica has %d objects, leader %d", seed, n, db.NumObjects())
 	}
 	if tr.Injected() == 0 || rep.Stats().Reconnects == 0 {
 		t.Fatalf("seed %d: storm never raged (injected=%d, reconnects=%d)", seed, tr.Injected(), rep.Stats().Reconnects)
@@ -150,8 +150,8 @@ func TestReplicaBackoffAndStatsOnOutage(t *testing.T) {
 		t.Fatalf("backoff gauge %dms outside [0, max=10ms]", s.BackoffMillis)
 	}
 	// Still serving the last applied state.
-	if rep.NumObjects() != before {
-		t.Fatalf("outage changed replica state: %d objects, want %d", rep.NumObjects(), before)
+	if n := rep.Index().Current().Objects().Len(); n != before {
+		t.Fatalf("outage changed replica state: %d objects, want %d", n, before)
 	}
 }
 

@@ -102,14 +102,7 @@ func (s *Server) execRange(batch []*call[wire.RangeQuery]) {
 			reqs = append(reqs, serve.RangeRequest{Q: q.Q.Domain(), R: q.R})
 		}
 	}
-	scfg := serve.Config{Workers: s.cfg.Workers}
-	var resps []serve.Response
-	var m serve.Metrics
-	if s.db != nil {
-		resps, m = s.db.BatchRangeQuery(reqs, scfg)
-	} else {
-		resps, m = s.rep.BatchRangeQuery(reqs, scfg)
-	}
+	resps, m := serve.NewPool(s.rd.Index(), serve.Config{Workers: s.cfg.Workers}).RangeBatch(reqs)
 	dispatch(batch, resps, m)
 }
 
@@ -120,13 +113,6 @@ func (s *Server) execKNN(batch []*call[wire.KNNQuery]) {
 			reqs = append(reqs, serve.KNNRequest{Q: q.Q.Domain(), K: q.K})
 		}
 	}
-	scfg := serve.Config{Workers: s.cfg.Workers}
-	var resps []serve.Response
-	var m serve.Metrics
-	if s.db != nil {
-		resps, m = s.db.BatchKNNQuery(reqs, scfg)
-	} else {
-		resps, m = s.rep.BatchKNNQuery(reqs, scfg)
-	}
+	resps, m := serve.NewPool(s.rd.Index(), serve.Config{Workers: s.cfg.Workers}).KNNBatch(reqs)
 	dispatch(batch, resps, m)
 }

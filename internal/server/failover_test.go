@@ -211,7 +211,7 @@ func TestLeaderCrashFailover(t *testing.T) {
 	}
 	centers := crashCenters(oobjs)
 	for i, r := range reps {
-		ticks := r.NumObjects() - crashObjects
+		ticks := r.Index().Current().Objects().Len() - crashObjects
 		if ticks <= 0 {
 			t.Fatalf("replica %d applied no ticks", i)
 		}

@@ -7,14 +7,12 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
 	indoorq "repro"
-	"repro/internal/replica"
 	"repro/internal/wire"
 )
 
@@ -35,8 +33,8 @@ func (s *Server) routes() {
 	s.handle(wire.PathHistoryTrajectory, s.handleHistoryTrajectory)
 	s.handle(wire.PathHistoryOccupancy, s.handleHistoryOccupancy)
 	s.stream(wire.PathEvents, s.leaderOnly(s.handleEvents))
-	s.stream(wire.PathReplCheckpoint, s.leaderOnly(s.handleReplCheckpoint))
-	s.stream(wire.PathReplWAL, s.leaderOnly(s.handleReplWAL))
+	s.stream(wire.PathReplCheckpoint, s.leaderOnly(s.withFeed(s.handleReplCheckpoint)))
+	s.stream(wire.PathReplWAL, s.leaderOnly(s.withFeed(s.handleReplWAL)))
 	// Health probes run outside admission: a daemon shedding load with
 	// 429s must still tell its balancer it is alive.
 	s.mux.HandleFunc(wire.PathHealthz, s.handleHealthz)
@@ -104,13 +102,22 @@ func (s *Server) leaderOnly(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// withFeed refuses replication-feed requests on a leader without one
+// (an ephemeral leader has no log to ship).
+func (s *Server) withFeed(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.feed == nil {
+			http.Error(w, "ephemeral leader: no replication feed", http.StatusNotFound)
+			return
+		}
+		h(w, r)
+	}
+}
+
 // degraded reports the leader's read-only state: a non-empty reason code
 // (and the underlying error) once the attached store has fail-stopped.
-// Ephemeral leaders and replicas are never degraded.
+// Ephemeral leaders are never degraded. Leader only.
 func (s *Server) degraded() (reason, detail string) {
-	if s.db == nil {
-		return "", ""
-	}
 	if err := s.db.DurabilityErr(); err != nil {
 		return wire.ReasonWALFailStop, err.Error()
 	}
@@ -348,9 +355,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.EventsDropped = s.eventsDropped.Load()
 	resp.ReplStreams = int(s.replStreams.Load())
+	idx := s.rd.Index()
+	resp.NumObjects = idx.Current().Objects().Len()
+	resp.SnapshotSwaps = idx.SnapshotSwaps()
 	if s.db != nil {
-		resp.NumObjects = s.db.NumObjects()
-		resp.SnapshotSwaps = s.db.SnapshotSwaps()
 		resp.Subscriptions = s.db.NumSubscriptions()
 		ss := s.db.SubscriptionStatsSnapshot()
 		resp.Reconcile = &wire.ReconcileStats{
@@ -375,12 +383,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			resp.DegradedDetail = detail
 		}
 	} else {
-		resp.NumObjects = s.rep.NumObjects()
-		resp.SnapshotSwaps = s.rep.Index().SnapshotSwaps()
 		rs := s.rep.Stats()
 		resp.Replica = &rs
 	}
-	if hp := s.historyProvider(); hp != nil {
+	if hp := s.rd.History(); hp != nil {
 		hs := hp.Stats()
 		resp.History = &wire.HistoryStats{
 			AsOf:             hs.AsOf,
@@ -397,14 +403,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReplCheckpoint serves the newest checkpoint for replica
-// bootstrap, its covered LSN in the X-Indoorq-Lsn header.
+// bootstrap, its covered LSN in the X-Indoorq-Lsn header: the feed's
+// FetchCheckpoint, the same Source method the replica calls on its end
+// of the wire.
 func (s *Server) handleReplCheckpoint(w http.ResponseWriter, r *http.Request) {
-	st := s.db.Store()
-	if st == nil {
-		http.Error(w, "ephemeral leader: no replication feed", http.StatusNotFound)
-		return
-	}
-	raw, lsn, err := st.NewestCheckpoint()
+	raw, lsn, err := s.feed.FetchCheckpoint(r.Context())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
@@ -417,11 +420,6 @@ func (s *Server) handleReplCheckpoint(w http.ResponseWriter, r *http.Request) {
 // handleReplWAL streams WAL records from ?after=N, with heartbeats and
 // the gap signal, until the subscriber goes away or the store closes.
 func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
-	st := s.db.Store()
-	if st == nil {
-		http.Error(w, "ephemeral leader: no replication feed", http.StatusNotFound)
-		return
-	}
 	after, err := strconv.ParseUint(r.URL.Query().Get("after"), 10, 64)
 	if err != nil {
 		http.Error(w, "bad ?after= parameter", http.StatusBadRequest)
@@ -437,16 +435,14 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
-	src := replica.NewLocalSource(st, s.cfg.Heartbeat)
-	err = src.StreamWAL(r.Context(), after, func(f wire.Frame) error {
+	// The stream ends when the subscriber goes away, the transport breaks
+	// or the store closes; the status is already sent, so its error has
+	// nowhere to go.
+	_ = s.feed.StreamWAL(r.Context(), after, func(f wire.Frame) error {
 		if err := wire.WriteFrame(w, f); err != nil {
 			return err
 		}
 		fl.Flush()
 		return nil
 	})
-	if err != nil && !errors.Is(err, r.Context().Err()) {
-		// The subscriber is gone or the transport broke; nothing to send.
-		return
-	}
 }

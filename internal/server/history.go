@@ -23,15 +23,6 @@ import (
 	"repro/internal/wire"
 )
 
-// historyProvider returns the provider for this daemon's role, or nil
-// when there is no history source (an ephemeral leader with no WAL).
-func (s *Server) historyProvider() *history.Provider {
-	if s.db != nil {
-		return s.db.History()
-	}
-	return s.rep.History()
-}
-
 // writeHistoryErr maps a provider error onto the wire contract.
 func writeHistoryErr(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
@@ -48,9 +39,9 @@ func writeHistoryErr(w http.ResponseWriter, err error) {
 }
 
 // withHistory runs h with the daemon's provider, refusing cleanly when
-// none exists.
+// none exists (an ephemeral leader has no WAL to read history from).
 func (s *Server) withHistory(w http.ResponseWriter, h func(*history.Provider)) {
-	hp := s.historyProvider()
+	hp := s.rd.History()
 	if hp == nil {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)

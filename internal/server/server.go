@@ -35,6 +35,8 @@ import (
 	"time"
 
 	indoorq "repro"
+	"repro/internal/history"
+	"repro/internal/index"
 	"repro/internal/replica"
 	"repro/internal/wire"
 )
@@ -88,12 +90,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// reader is the state every read endpoint serves from: the index the
+// range/kNN batches pin and the provider time travel reads. A leader
+// *indoorq.DB and a *replica.Replica both hold it, so both roles share
+// one read path.
+type reader interface {
+	Index() *index.Index
+	History() *history.Provider
+}
+
 // Server serves the wire protocol for one backend: a leader *indoorq.DB
-// (db set) or a read *replica.Replica (rep set).
+// (db set) or a read *replica.Replica (rep set). Reads go through rd
+// whichever the role.
 type Server struct {
 	cfg Config
+	rd  reader
 	db  *indoorq.DB
 	rep *replica.Replica
+	// feed is the leader's replication feed; nil on a replica and on an
+	// ephemeral leader.
+	feed *replica.LocalSource
 
 	sem     chan struct{}
 	rangeCo *coalescer[wire.RangeQuery]
@@ -112,11 +128,15 @@ type Server struct {
 }
 
 // NewLeader serves a leader DB: all endpoints, including mutations and
-// the replication feed (the latter only when the DB has an attached
-// store).
+// the replication feed. The feed is built here from the DB's attached
+// store, so attach it first (Persist, or open with OpenDir): a DB
+// persisted after NewLeader serves no feed.
 func NewLeader(db *indoorq.DB, cfg Config) *Server {
-	s := newServer(cfg)
+	s := newServer(cfg, db)
 	s.db = db
+	if st := db.Store(); st != nil {
+		s.feed = replica.NewLocalSource(st, s.cfg.Heartbeat)
+	}
 	s.routes()
 	return s
 }
@@ -124,16 +144,17 @@ func NewLeader(db *indoorq.DB, cfg Config) *Server {
 // NewReplica serves a read replica: query and stats endpoints only;
 // mutation and replication-feed requests are refused.
 func NewReplica(rep *replica.Replica, cfg Config) *Server {
-	s := newServer(cfg)
+	s := newServer(cfg, rep)
 	s.rep = rep
 	s.routes()
 	return s
 }
 
-func newServer(cfg Config) *Server {
+func newServer(cfg Config, rd reader) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:    cfg,
+		rd:     rd,
 		sem:    make(chan struct{}, cfg.MaxInFlight),
 		eps:    make(map[string]*endpointMetrics),
 		closed: make(chan struct{}),
