@@ -1,27 +1,25 @@
 package indoorq
 
-// One benchmark per panel of the paper's evaluation figures (§V, Figures
-// 12–15). Every benchmark resolves its workload through the shared fixture
-// cache in internal/bench, so `go test -bench=.` regenerates the paper's
-// series; cmd/benchfig prints the same data as labelled tables.
-//
-// Absolute times differ from the paper's 2013 C++/Windows testbed; the
-// shapes (growth with |O|, r, k and uncertainty; decrease with partition
-// count; pruning and skeleton effects; update-vs-precomputation gap) are
-// the reproduction target. EXPERIMENTS.md records measured-vs-paper.
+// Kernel benchmarks: single-query hot paths, batch serving, queries under
+// paced churn, time-travel reconstruction and sharded reconciliation. The
+// paper's Figure 12–15 series live in cmd/benchfig (`benchfig -fig all`),
+// and end-to-end numbers through the daemons live in benchmark/; README
+// "Performance" discusses both.
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/bench"
 	"repro/internal/gen"
+	"repro/internal/history"
 	"repro/internal/index"
+	"repro/internal/indoor"
 	"repro/internal/object"
 	"repro/internal/query"
 	"repro/internal/serve"
@@ -37,464 +35,77 @@ func mustFixture(b *testing.B, cfg bench.Config) *bench.F {
 	return f
 }
 
-// runIRQ rotates through the fixture's query pool, one query per iteration.
-func runIRQ(b *testing.B, f *bench.F, r float64, opts query.Options) {
-	p := f.Processor(opts)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := f.Queries[i%len(f.Queries)]
-		if _, _, err := p.RangeQuery(q, r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func runKNN(b *testing.B, f *bench.F, k int, opts query.Options) {
-	p := f.Processor(opts)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := f.Queries[i%len(f.Queries)]
-		if _, _, err := p.KNNQuery(q, k); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRangeQuery is the single-query hot-path benchmark on the
 // default mall workload (§V-A defaults): one iRQ at the default radius per
 // iteration, rotating the query pool. Allocation counts are part of the
 // regression budget — the precompiled door-graph tier keeps the steady
 // state near allocation-free.
 func BenchmarkRangeQuery(b *testing.B) {
-	runIRQ(b, mustFixture(b, bench.Default()), bench.DefaultRange, query.Options{})
+	f := mustFixture(b, bench.Default())
+	p := f.Processor(query.Options{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := p.RangeQuery(f.Queries[i%len(f.Queries)], bench.DefaultRange); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkKNNQuery is the ikNNQ counterpart of BenchmarkRangeQuery.
 func BenchmarkKNNQuery(b *testing.B) {
-	runKNN(b, mustFixture(b, bench.Default()), bench.DefaultK, query.Options{})
-}
-
-// BenchmarkIRQVsObjects is Fig 12(a): iRQ time vs |O| ∈ {10K, 20K, 30K} for
-// r ∈ {50, 100, 150}.
-func BenchmarkIRQVsObjects(b *testing.B) {
-	for _, n := range bench.ObjectPoints {
-		cfg := bench.Default()
-		cfg.Objects = n
-		for _, r := range bench.RangePoints {
-			b.Run(fmt.Sprintf("objs=%d/r=%g", n, r), func(b *testing.B) {
-				runIRQ(b, mustFixture(b, cfg), r, query.Options{})
-			})
+	f := mustFixture(b, bench.Default())
+	p := f.Processor(query.Options{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := p.KNNQuery(f.Queries[i%len(f.Queries)], bench.DefaultK); err != nil {
+			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkIRQBreakdown is Fig 12(b): per-phase time of iRQ at defaults,
-// reported as custom metrics (ns per phase per query).
-func BenchmarkIRQBreakdown(b *testing.B) {
-	for _, n := range bench.ObjectPoints {
-		cfg := bench.Default()
-		cfg.Objects = n
-		b.Run(fmt.Sprintf("objs=%d", n), func(b *testing.B) {
-			f := mustFixture(b, cfg)
-			b.ResetTimer()
-			var pt bench.Point
-			for i := 0; i < b.N; i++ {
-				var err error
-				pt, err = bench.RunIRQ(f, bench.DefaultRange, 0, query.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(pt.Filtering.Nanoseconds()), "filter-ns/query")
-			b.ReportMetric(float64(pt.Subgraph.Nanoseconds()), "subgraph-ns/query")
-			b.ReportMetric(float64(pt.Pruning.Nanoseconds()), "prune-ns/query")
-			b.ReportMetric(float64(pt.Refinement.Nanoseconds()), "refine-ns/query")
-		})
-	}
-}
-
-// BenchmarkIRQVsUncertainty is Fig 12(c): iRQ time vs uncertainty region
-// (radius 5/10/15, figure axis shows diameters 10/20/30).
-func BenchmarkIRQVsUncertainty(b *testing.B) {
-	for _, rad := range bench.RadiusPoints {
-		cfg := bench.Default()
-		cfg.Radius = rad
-		for _, r := range bench.RangePoints {
-			b.Run(fmt.Sprintf("diam=%g/r=%g", 2*rad, r), func(b *testing.B) {
-				runIRQ(b, mustFixture(b, cfg), r, query.Options{})
-			})
-		}
-	}
-}
-
-// BenchmarkIRQVsPartitions is Fig 12(d): iRQ time vs partition count
-// (floors 10/20/30 ≈ 1K/2K/3K partitions) at 20K objects.
-func BenchmarkIRQVsPartitions(b *testing.B) {
-	for _, fl := range bench.FloorPoints {
-		cfg := bench.Default()
-		cfg.Floors = fl
-		for _, r := range bench.RangePoints {
-			b.Run(fmt.Sprintf("floors=%d/r=%g", fl, r), func(b *testing.B) {
-				runIRQ(b, mustFixture(b, cfg), r, query.Options{})
-			})
-		}
-	}
-}
-
-// BenchmarkIKNNVsObjects is Fig 13(a): ikNNQ time vs |O| for k ∈ {50, 100,
-// 150}.
-func BenchmarkIKNNVsObjects(b *testing.B) {
-	for _, n := range bench.ObjectPoints {
-		cfg := bench.Default()
-		cfg.Objects = n
-		for _, k := range bench.KPoints {
-			b.Run(fmt.Sprintf("objs=%d/k=%d", n, k), func(b *testing.B) {
-				runKNN(b, mustFixture(b, cfg), k, query.Options{})
-			})
-		}
-	}
-}
-
-// BenchmarkIKNNBreakdown is Fig 13(b): per-phase ikNNQ time.
-func BenchmarkIKNNBreakdown(b *testing.B) {
-	for _, n := range bench.ObjectPoints {
-		cfg := bench.Default()
-		cfg.Objects = n
-		b.Run(fmt.Sprintf("objs=%d", n), func(b *testing.B) {
-			f := mustFixture(b, cfg)
-			b.ResetTimer()
-			var pt bench.Point
-			for i := 0; i < b.N; i++ {
-				var err error
-				pt, err = bench.RunKNN(f, bench.DefaultK, 0, query.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(pt.Filtering.Nanoseconds()), "filter-ns/query")
-			b.ReportMetric(float64(pt.Subgraph.Nanoseconds()), "subgraph-ns/query")
-			b.ReportMetric(float64(pt.Pruning.Nanoseconds()), "prune-ns/query")
-			b.ReportMetric(float64(pt.Refinement.Nanoseconds()), "refine-ns/query")
-		})
-	}
-}
-
-// BenchmarkIKNNVsUncertainty is Fig 13(c).
-func BenchmarkIKNNVsUncertainty(b *testing.B) {
-	for _, rad := range bench.RadiusPoints {
-		cfg := bench.Default()
-		cfg.Radius = rad
-		for _, k := range bench.KPoints {
-			b.Run(fmt.Sprintf("diam=%g/k=%d", 2*rad, k), func(b *testing.B) {
-				runKNN(b, mustFixture(b, cfg), k, query.Options{})
-			})
-		}
-	}
-}
-
-// BenchmarkIKNNVsPartitions is Fig 13(d).
-func BenchmarkIKNNVsPartitions(b *testing.B) {
-	for _, fl := range bench.FloorPoints {
-		cfg := bench.Default()
-		cfg.Floors = fl
-		for _, k := range bench.KPoints {
-			b.Run(fmt.Sprintf("floors=%d/k=%d", fl, k), func(b *testing.B) {
-				runKNN(b, mustFixture(b, cfg), k, query.Options{})
-			})
-		}
-	}
-}
-
-// BenchmarkIRQPruningRatio is Fig 14(a): filtering and pruning ratios of
-// iRQ, reported as metrics (percent).
-func BenchmarkIRQPruningRatio(b *testing.B) {
-	for _, n := range bench.ObjectPoints {
-		cfg := bench.Default()
-		cfg.Objects = n
-		b.Run(fmt.Sprintf("objs=%d", n), func(b *testing.B) {
-			f := mustFixture(b, cfg)
-			b.ResetTimer()
-			var pt bench.Point
-			for i := 0; i < b.N; i++ {
-				var err error
-				pt, err = bench.RunIRQ(f, bench.DefaultRange, 0, query.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(100*pt.FilterRatio, "filter-%")
-			b.ReportMetric(100*pt.PruneRatio, "prune-%")
-		})
-	}
-}
-
-// BenchmarkIRQNoPruning is Fig 14(b): iRQ with vs without the pruning
-// phase.
-func BenchmarkIRQNoPruning(b *testing.B) {
-	for _, n := range bench.ObjectPoints {
-		cfg := bench.Default()
-		cfg.Objects = n
-		b.Run(fmt.Sprintf("objs=%d/withPruning", n), func(b *testing.B) {
-			runIRQ(b, mustFixture(b, cfg), bench.DefaultRange, query.Options{})
-		})
-		b.Run(fmt.Sprintf("objs=%d/withoutPruning", n), func(b *testing.B) {
-			runIRQ(b, mustFixture(b, cfg), bench.DefaultRange, query.Options{DisablePruning: true})
-		})
-	}
-}
-
-// BenchmarkIKNNPruningRatio is Fig 14(c).
-func BenchmarkIKNNPruningRatio(b *testing.B) {
-	for _, n := range bench.ObjectPoints {
-		cfg := bench.Default()
-		cfg.Objects = n
-		b.Run(fmt.Sprintf("objs=%d", n), func(b *testing.B) {
-			f := mustFixture(b, cfg)
-			b.ResetTimer()
-			var pt bench.Point
-			for i := 0; i < b.N; i++ {
-				var err error
-				pt, err = bench.RunKNN(f, bench.DefaultK, 0, query.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(100*pt.FilterRatio, "filter-%")
-			b.ReportMetric(100*pt.PruneRatio, "prune-%")
-		})
-	}
-}
-
-// BenchmarkIKNNNoPruning is Fig 14(d): the paper reports ≥4× slowdown
-// without the pruning phase.
-func BenchmarkIKNNNoPruning(b *testing.B) {
-	for _, n := range bench.ObjectPoints {
-		cfg := bench.Default()
-		cfg.Objects = n
-		b.Run(fmt.Sprintf("objs=%d/withPruning", n), func(b *testing.B) {
-			runKNN(b, mustFixture(b, cfg), bench.DefaultK, query.Options{})
-		})
-		b.Run(fmt.Sprintf("objs=%d/withoutPruning", n), func(b *testing.B) {
-			runKNN(b, mustFixture(b, cfg), bench.DefaultK, query.Options{DisablePruning: true})
-		})
-	}
-}
-
-// BenchmarkSkeletonEffect is Fig 15(a): index units retrieved by the
-// filtering phase with and without the skeleton tier, vs query range.
-func BenchmarkSkeletonEffect(b *testing.B) {
-	cfg := bench.Default()
-	for _, r := range bench.RangePoints {
-		for name, opts := range map[string]query.Options{
-			"withSkeleton":    {},
-			"withoutSkeleton": {DisableSkeleton: true},
-		} {
-			b.Run(fmt.Sprintf("r=%g/%s", r, name), func(b *testing.B) {
-				f := mustFixture(b, cfg)
-				b.ResetTimer()
-				var pt bench.Point
-				for i := 0; i < b.N; i++ {
-					var err error
-					pt, err = bench.RunIRQ(f, r, 0, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(pt.Units, "units/query")
-			})
-		}
-	}
-}
-
-// BenchmarkIndexConstruction is Fig 15(b): composite index construction
-// time per layer vs partition count.
-func BenchmarkIndexConstruction(b *testing.B) {
-	for _, fl := range bench.FloorPoints {
-		b.Run(fmt.Sprintf("floors=%d", fl), func(b *testing.B) {
-			building, err := gen.Mall(gen.MallSpec{Floors: fl})
-			if err != nil {
-				b.Fatal(err)
-			}
-			objs := gen.Objects(building, gen.ObjectSpec{
-				N: bench.DefaultObjects, Radius: bench.DefaultRadius,
-				Instances: bench.DefaultInstances, Seed: 1,
-			})
-			b.ResetTimer()
-			var stats index.BuildStats
-			for i := 0; i < b.N; i++ {
-				_, stats, err = index.Build(building, objs, index.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(stats.TreeTier.Nanoseconds()), "tree-ns")
-			b.ReportMetric(float64(stats.TopoLayer.Nanoseconds()), "topo-ns")
-			b.ReportMetric(float64(stats.ObjectLayer.Nanoseconds()), "object-ns")
-			b.ReportMetric(float64(stats.SkeletonTier.Nanoseconds()), "skeleton-ns")
-		})
-	}
-}
-
-// BenchmarkIndexUpdates is Fig 15(c): dynamic operation cost on the
-// composite index — object insert/delete and partition insert/delete.
-func BenchmarkIndexUpdates(b *testing.B) {
-	cfg := bench.Default()
-	b.Run("insertObj", func(b *testing.B) {
-		f := mustFixture(b, cfg)
-		qs := gen.QueryPoints(f.B, 256, 99)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			o := object.PointObject(object.ID(1_000_000+i), qs[i%len(qs)])
-			if err := f.Idx.InsertObject(o); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		for i := 0; i < b.N; i++ {
-			_ = f.Idx.DeleteObject(object.ID(1_000_000 + i))
-		}
-	})
-	b.Run("deleteObj", func(b *testing.B) {
-		f := mustFixture(b, cfg)
-		qs := gen.QueryPoints(f.B, 256, 99)
-		for i := 0; i < b.N; i++ {
-			o := object.PointObject(object.ID(2_000_000+i), qs[i%len(qs)])
-			if err := f.Idx.InsertObject(o); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := f.Idx.DeleteObject(object.ID(2_000_000 + i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// roomCycle removes one room and returns the mutations that re-add a
-	// room in its place and remove it again.
-	roomCycle := func(b *testing.B) (add, remove func()) {
-		f := mustFixture(b, cfg)
-		var room *Partition
-		for _, p := range f.B.Partitions() {
-			if p.Kind == 0 {
-				room = p
-				break
-			}
-		}
-		apply := func(m Mutation) Mutation {
-			got, err := f.Idx.Apply(m)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return got
-		}
-		rm := Mutation{Kind: MutRemovePartition, PartID: room.ID}
-		readd := Mutation{Kind: MutAddPartition, PartID: -1, Part: &Partition{Shape: room.Shape}}
-		apply(rm)
-		return func() { rm.PartID = apply(readd).PartID }, func() { apply(rm) }
-	}
-	b.Run("insertPartition", func(b *testing.B) {
-		add, remove := roomCycle(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			add()
-			b.StopTimer()
-			remove()
-			b.StartTimer()
-		}
-	})
-	b.Run("deletePartition", func(b *testing.B) {
-		add, remove := roomCycle(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			add()
-			b.StartTimer()
-			remove()
-		}
-	})
 }
 
 // BenchmarkBatchThroughput is the concurrent-serving experiment (not in
 // the paper): aggregate batch throughput of the worker pool vs worker
-// count, on the Floors=2, N=1000 mall workload. On multi-core hardware the
-// queries/sec metric scales with workers (≥2× at 8 workers vs 1); on one
-// CPU the series is flat — the interesting number is the metric, not the
-// ns/op. A batch of 200 queries cycles the fixture's query pool.
+// count, on the Floors=2, N=1000 mall, where index contention rather than
+// raw query cost dominates. On multi-core hardware the queries/sec metric
+// scales with workers (≥2× at 8 workers vs 1); on one CPU the series is
+// flat — the interesting number is the metric, not the ns/op. A batch of
+// 200 queries cycles the fixture's query pool.
 func BenchmarkBatchThroughput(b *testing.B) {
-	cfg := bench.ServeWorkload()
+	f := mustFixture(b, bench.Config{Floors: 2, Objects: 1000, Radius: 8, Instances: 20})
 	const batch = 200
-	for _, workers := range bench.ConcurrencyWorkers {
-		b.Run(fmt.Sprintf("iRQ/workers=%d", workers), func(b *testing.B) {
-			f := mustFixture(b, cfg)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var m serve.Metrics
-			for i := 0; i < b.N; i++ {
-				var err error
-				m, err = bench.RunBatchIRQ(f, bench.DefaultRange, batch, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(m.Throughput, "queries/sec")
-			b.ReportMetric(float64(m.P50.Nanoseconds()), "p50-ns")
-			b.ReportMetric(float64(m.P99.Nanoseconds()), "p99-ns")
-		})
-		b.Run(fmt.Sprintf("ikNN/workers=%d", workers), func(b *testing.B) {
-			f := mustFixture(b, cfg)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var m serve.Metrics
-			for i := 0; i < b.N; i++ {
-				var err error
-				m, err = bench.RunBatchKNN(f, 10, batch, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(m.Throughput, "queries/sec")
-			b.ReportMetric(float64(m.P50.Nanoseconds()), "p50-ns")
-			b.ReportMetric(float64(m.P99.Nanoseconds()), "p99-ns")
-		})
+	ranges := make([]serve.RangeRequest, batch)
+	knns := make([]serve.KNNRequest, batch)
+	for i := range ranges {
+		q := f.Queries[i%len(f.Queries)]
+		ranges[i] = serve.RangeRequest{Q: q, R: bench.DefaultRange}
+		knns[i] = serve.KNNRequest{Q: q, K: 10}
 	}
-}
-
-// BenchmarkBatchUnderWrites measures reader throughput degradation while a
-// writer goroutine continuously applies MoveObject updates — the
-// read/write contention profile of the serving layer.
-func BenchmarkBatchUnderWrites(b *testing.B) {
-	cfg := bench.ServeWorkload()
-	f := mustFixture(b, cfg)
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		i := 0
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			o := f.Objs[i%len(f.Objs)]
-			_ = f.Idx.MoveObject(o)
-			i++
-		}
-	}()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var m serve.Metrics
-	for i := 0; i < b.N; i++ {
-		var err error
-		m, err = bench.RunBatchIRQ(f, bench.DefaultRange, 100, 4)
-		if err != nil {
-			b.Fatal(err)
+	for _, workers := range []int{1, 2, 4, 8} {
+		pool := serve.NewPool(f.Idx, serve.Config{Workers: workers})
+		for _, kind := range []struct {
+			name string
+			run  func() ([]serve.Response, serve.Metrics)
+		}{
+			{"iRQ", func() ([]serve.Response, serve.Metrics) { return pool.RangeBatch(ranges) }},
+			{"ikNN", func() ([]serve.Response, serve.Metrics) { return pool.KNNBatch(knns) }},
+		} {
+			b.Run(fmt.Sprintf("%s/workers=%d", kind.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				var m serve.Metrics
+				for i := 0; i < b.N; i++ {
+					_, m = kind.run()
+					if m.Errors > 0 {
+						b.Fatalf("%d of %d queries failed", m.Errors, m.Queries)
+					}
+				}
+				b.ReportMetric(m.Throughput, "queries/sec")
+				b.ReportMetric(float64(m.P50.Nanoseconds()), "p50-ns")
+				b.ReportMetric(float64(m.P99.Nanoseconds()), "p99-ns")
+			})
 		}
 	}
-	b.ReportMetric(m.Throughput, "queries/sec")
-	b.ReportMetric(float64(m.P99.Nanoseconds()), "p99-ns")
 }
 
 // BenchmarkQueriesUnderChurn measures single-query latency percentiles
@@ -595,26 +206,104 @@ func BenchmarkQueriesUnderChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkPrecomputation is Fig 15(d): the door-to-door pre-computation
-// cost of the baseline alternative, vs partition count. The per-op time is
-// the measured per-source Dijkstra; the extrapolated all-pairs total is
-// reported as a metric in seconds (the paper measures >0.5 h at 2K
-// partitions on its testbed).
-func BenchmarkPrecomputation(b *testing.B) {
-	for _, fl := range bench.FloorPoints {
-		cfg := bench.Default()
-		cfg.Floors = fl
-		b.Run(fmt.Sprintf("floors=%d", fl), func(b *testing.B) {
-			f := mustFixture(b, cfg)
-			b.ResetTimer()
-			var total float64
+// BenchmarkAsOf measures time-travel reconstruction (history.Provider)
+// against replay distance d, the records folded forward from the
+// checkpoint, on a fresh provider per iteration:
+//
+//   - cold: AsOf(d) with nothing cached, a from-checkpoint rebuild;
+//   - advance: AsOf(d+1) after AsOf(d), a one-record nearest-ancestor
+//     replay on the warm state (none at the horizon d = 4096);
+//   - revisit: AsOf(d) again after AsOf(d) and, below the horizon,
+//     AsOf(d+1), which must be an exact-LSN view-cache hit. The benchmark
+//     fails if the provider rebuilds instead, so a replay tool stepping
+//     back keeps its cheap path.
+//
+// The gap between cold and the other two is what the provider's caches buy
+// a tool walking through history.
+func BenchmarkAsOf(b *testing.B) {
+	const moves = 4096
+	st := historyStore(b, moves)
+	asOf := func(b *testing.B, p *history.Provider, lsn uint64) {
+		if _, err := p.AsOf(lsn); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, d := range []uint64{1, 16, 256, 1024, moves} {
+		b.Run(fmt.Sprintf("d=%d/cold", d), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, t, _ := baseline.EstimatePrecomputeTime(f.Idx, 16)
-				total = t.Seconds()
+				b.StopTimer()
+				p := history.NewProvider(history.StoreSource{St: st})
+				b.StartTimer()
+				asOf(b, p, d)
 			}
-			b.ReportMetric(total, "allpairs-sec")
+		})
+		if d < moves {
+			b.Run(fmt.Sprintf("d=%d/advance", d), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					p := history.NewProvider(history.StoreSource{St: st})
+					asOf(b, p, d)
+					b.StartTimer()
+					asOf(b, p, d+1)
+				}
+			})
+		}
+		b.Run(fmt.Sprintf("d=%d/revisit", d), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p := history.NewProvider(history.StoreSource{St: st})
+				asOf(b, p, d)
+				if d < moves {
+					asOf(b, p, d+1)
+				}
+				before := p.Stats()
+				b.StartTimer()
+				asOf(b, p, d)
+				b.StopTimer()
+				after := p.Stats()
+				if after.ViewHits != before.ViewHits+1 || after.Materializations != before.Materializations {
+					b.Fatalf("revisit of lsn %d: view hits %d→%d, materializations %d→%d; want one hit, no rebuild",
+						d, before.ViewHits, after.ViewHits, before.Materializations, after.Materializations)
+				}
+				b.StartTimer()
+			}
 		})
 	}
+}
+
+// historyStore returns the store of a durable 2,000-object mall DB that
+// has logged the given number of single-object moves after its checkpoint;
+// compaction is off, so every record stays replayable from that checkpoint.
+func historyStore(b *testing.B, moves int) *store.Store {
+	bld, err := gen.Mall(gen.MallSpec{Floors: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 2000
+	db, _, err := Open(bld, gen.Objects(bld, gen.ObjectSpec{N: n, Radius: 5, Instances: 4, Seed: 7}), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := db.Persist(b.TempDir(), DurabilityOptions{CompactBytes: -1}); err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	for i := 0; i < moves; i++ {
+		o := db.Object(ObjectID(i % n))
+		p := o.Center
+		if i%2 == 0 {
+			p.Pt.X += 0.2
+		} else {
+			p.Pt.X -= 0.2
+		}
+		if err := db.MoveObject(object.PointObject(o.ID, p)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := db.Sync(); err != nil {
+		b.Fatal(err)
+	}
+	return db.Store()
 }
 
 // BenchmarkReconcileSharded sweeps reconciliation shard width against
@@ -628,23 +317,20 @@ func BenchmarkPrecomputation(b *testing.B) {
 // scaling instrument for multi-core hosts.
 func BenchmarkReconcileSharded(b *testing.B) {
 	for _, subs := range []int{1000, 10000} {
+		e, batches := cityChurn(b, subs)
 		for _, shards := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("subs=%d/shards=%d", subs, shards), func(b *testing.B) {
-				w, err := bench.NewCityChurn(bench.CitySmoke(), subs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				w.Engine.SetShards(shards)
-				before := w.Engine.Stats()
+				e.SetShards(shards)
+				before := e.Stats()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := w.Engine.ApplyObjectUpdates(w.Batches[i%len(w.Batches)]); err != nil {
+					if _, err := e.ApplyObjectUpdates(batches[i%len(batches)]); err != nil {
 						b.Fatal(err)
 					}
 				}
 				b.StopTimer()
-				st := w.Engine.Stats()
+				st := e.Stats()
 				n := float64(b.N)
 				b.ReportMetric(float64(st.RoutedPairs-before.RoutedPairs)/n, "routed/op")
 				b.ReportMetric(float64(st.AffectedSubs-before.AffectedSubs)/n, "affected-subs/op")
@@ -653,28 +339,53 @@ func BenchmarkReconcileSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkCityMixed is the city-scale mixed panel: one iteration is one
-// round of the read/write/subscription mix (one move batch through the
-// engine, one iRQ, one ikNN). The benchfig "city" panel publishes the
-// corresponding p99 latency budget at the full CityDefault scale.
-func BenchmarkCityMixed(b *testing.B) {
-	w, err := bench.NewCityChurn(bench.CitySmoke(), 1000)
+// cityChurn builds the reconciliation workload: a 2×3 city of 3–6-floor
+// buildings holding 20K objects, a private index under nsubs standing
+// queries (7 of 8 range r=30, 1 of 8 kNN k=10), and 64 coalesced batches
+// of 32 distinct moves. Each move re-reports an object within 15 m of its
+// original position, so any batch can be replayed at any time.
+func cityChurn(b *testing.B, nsubs int) (*query.Subscriptions, [][]index.ObjectUpdate) {
+	const rows, cols, nobj, radius = 2, 3, 20_000, 8
+	layout, err := gen.City(gen.CitySpec{Rows: rows, Cols: cols, FloorsMin: 3, FloorsMax: 6,
+		Seed: nobj*17 + rows*100 + cols})
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := query.New(w.Idx, query.Options{})
-	queries := gen.QueryPoints(w.Idx.Building(), 64, 7106)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.Engine.ApplyObjectUpdates(w.Batches[i%len(w.Batches)]); err != nil {
-			b.Fatal(err)
+	objs := gen.Objects(layout.B, gen.ObjectSpec{N: nobj, Radius: radius, Instances: 20, Seed: nobj*31 + rows})
+	idx, _, err := index.Build(layout.B, objs, index.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := query.NewSubscriptions(idx)
+	for i, q := range gen.QueryPoints(layout.B, nsubs, 7102) {
+		if i%8 == 7 {
+			_, _, err = e.SubscribeKNN(q, 10)
+		} else {
+			_, _, err = e.SubscribeRange(q, 30)
 		}
-		if _, _, err := p.RangeQuery(queries[i%len(queries)], 50); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := p.KNNQuery(queries[(i+7)%len(queries)], 10); err != nil {
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
+	rng := rand.New(rand.NewSource(7104))
+	snap := idx.Current()
+	batches := make([][]index.ObjectUpdate, 64)
+	for i := range batches {
+		seen := map[object.ID]bool{}
+		for len(batches[i]) < 32 {
+			o := objs[rng.Intn(len(objs))]
+			if seen[o.ID] {
+				continue
+			}
+			seen[o.ID] = true
+			c := o.Center
+			next := indoor.Pos(c.Pt.X+rng.Float64()*30-15, c.Pt.Y+rng.Float64()*30-15, c.Floor)
+			if snap.LocatePartition(next) < 0 {
+				next = c
+			}
+			batches[i] = append(batches[i], index.ObjectUpdate{
+				Op: index.UpdateMove, Object: object.SampleGaussian(rng, o.ID, next, radius, 10)})
+		}
+	}
+	return e, batches
 }

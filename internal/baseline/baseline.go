@@ -81,9 +81,9 @@ func Precompute(idx *index.Index) *Precomputed {
 
 // EstimatePrecomputeTime measures single-source Dijkstra cost over a sample
 // of doors and extrapolates the full all-pairs wall time. Figure 15(d)
-// reports pre-computation times above half an hour at 2K partitions; the
-// benchmark harness uses this estimator to chart the same series without
-// stalling the suite, and documents the extrapolation in EXPERIMENTS.md.
+// reports pre-computation times above half an hour at 2K partitions;
+// cmd/benchfig uses this estimator to chart the same series without
+// stalling, and marks each total it prints as extrapolated.
 func EstimatePrecomputeTime(idx *index.Index, sample int) (perSource time.Duration, total time.Duration, doors int) {
 	g, n := doorGraph(idx)
 	if n == 0 {

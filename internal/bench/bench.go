@@ -3,8 +3,8 @@
 // points (floors ∈ {10,20,30} ↔ partitions ∈ {1K,2K,3K}; objects ∈
 // {10K,20K,30K}; uncertainty radius ∈ {5,10,15} m; r ∈ {50,100,150} m;
 // k ∈ {50,100,150}) and runs the query series of Figures 12–15, averaging
-// over a pool of random query points. Both the root testing.B benchmarks
-// and cmd/benchfig drive this package.
+// over a pool of random query points. cmd/benchfig is its only front end;
+// the root package's kernel benchmarks borrow the default fixture.
 package bench
 
 import (
@@ -17,7 +17,6 @@ import (
 	"repro/internal/indoor"
 	"repro/internal/object"
 	"repro/internal/query"
-	"repro/internal/serve"
 )
 
 // Paper parameter points; defaults bolded in §V-A.
@@ -49,17 +48,6 @@ const (
 	DefaultInstances = 100
 )
 
-// ConcurrencyWorkers is the worker sweep of the concurrent-throughput
-// experiment.
-var ConcurrencyWorkers = []int{1, 2, 4, 8}
-
-// ServeWorkload is the concurrent-serving experiment's workload: the
-// small Floors=2, N=1000 mall, where index contention rather than raw
-// query cost dominates.
-func ServeWorkload() Config {
-	return Config{Floors: 2, Objects: 1000, Radius: 8, Instances: 20}
-}
-
 // Config identifies a workload fixture.
 type Config struct {
 	Floors    int
@@ -84,12 +72,10 @@ func (c Config) String() string {
 // F is a built fixture: building, objects, composite index and a query
 // pool.
 type F struct {
-	Cfg        Config
-	B          *indoor.Building
-	Objs       []*object.Object
-	Idx        *index.Index
-	BuildStats index.BuildStats
-	Queries    []indoor.Position
+	B       *indoor.Building
+	Objs    []*object.Object
+	Idx     *index.Index
+	Queries []indoor.Position
 }
 
 var (
@@ -117,12 +103,12 @@ func Fixture(cfg Config) (*F, error) {
 		N: cfg.Objects, Radius: cfg.Radius, Instances: cfg.Instances,
 		Seed: int64(cfg.Objects)*31 + int64(cfg.Floors),
 	})
-	idx, stats, err := index.Build(b, objs, index.Options{})
+	idx, _, err := index.Build(b, objs, index.Options{})
 	if err != nil {
 		return nil, err
 	}
 	f := &F{
-		Cfg: cfg, B: b, Objs: objs, Idx: idx, BuildStats: stats,
+		B: b, Objs: objs, Idx: idx,
 		Queries: gen.QueryPoints(b, DefaultQueries, 4242),
 	}
 	fixtures[cfg] = f
@@ -144,7 +130,6 @@ func (f *F) Processor(opts query.Options) *query.Processor {
 // Point is one aggregated measurement: mean per-query wall time, mean phase
 // times and mean pruning statistics over the query pool.
 type Point struct {
-	Label      string
 	MeanTotal  time.Duration
 	Filtering  time.Duration
 	Subgraph   time.Duration
@@ -171,40 +156,6 @@ func RunKNN(f *F, k int, nq int, opts query.Options) (Point, error) {
 		res, st, err := p.KNNQuery(q, k)
 		return len(res), st, err
 	})
-}
-
-// RunBatchIRQ drives the serving layer: nq range queries (cycling the
-// fixture's pool) fanned over the given worker count, returning the
-// batch's aggregate metrics. Per-query answers are identical to the serial
-// path; only scheduling differs.
-func RunBatchIRQ(f *F, r float64, nq, workers int) (serve.Metrics, error) {
-	reqs := make([]serve.RangeRequest, nq)
-	for i := range reqs {
-		reqs[i] = serve.RangeRequest{Q: f.Queries[i%len(f.Queries)], R: r}
-	}
-	pool := serve.NewPool(f.Idx, serve.Config{Workers: workers})
-	resps, m := pool.RangeBatch(reqs)
-	return m, firstErr(resps)
-}
-
-// RunBatchKNN is RunBatchIRQ for k-nearest-neighbour batches.
-func RunBatchKNN(f *F, k, nq, workers int) (serve.Metrics, error) {
-	reqs := make([]serve.KNNRequest, nq)
-	for i := range reqs {
-		reqs[i] = serve.KNNRequest{Q: f.Queries[i%len(f.Queries)], K: k}
-	}
-	pool := serve.NewPool(f.Idx, serve.Config{Workers: workers})
-	resps, m := pool.KNNBatch(reqs)
-	return m, firstErr(resps)
-}
-
-func firstErr(resps []serve.Response) error {
-	for _, r := range resps {
-		if r.Err != nil {
-			return r.Err
-		}
-	}
-	return nil
 }
 
 func run(f *F, nq int, opts query.Options, exec func(*query.Processor, indoor.Position) (int, *query.Stats, error)) (Point, error) {
