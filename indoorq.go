@@ -445,12 +445,6 @@ func (db *DB) MergePartitions(pa, pb PartitionID) (merged PartitionID, err error
 	return m.ResultA, err
 }
 
-// RebuildSkeleton recomputes the index's skeleton tier and refreshes
-// standing queries (skeleton anchors feed their bounds).
-func (db *DB) RebuildSkeleton() {
-	_, _ = db.Apply(Mutation{Kind: MutRebuildSkeleton})
-}
-
 // LocatePartition returns the partition containing a position via the
 // current snapshot's tree tier, or -1.
 func (db *DB) LocatePartition(q Position) PartitionID {
@@ -624,11 +618,6 @@ func (db *DB) Save(w io.Writer) error {
 	}
 	_, err = w.Write(buf.Bytes())
 	return err
-}
-
-// SaveBuilding writes a building (and optional objects) as JSON.
-func SaveBuilding(w io.Writer, b *Building, objs []*Object) error {
-	return serde.Encode(w, b, objs)
 }
 
 // LoadBuilding reads a building and objects from JSON.

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"repro/internal/distance"
-	"repro/internal/geom"
+	"repro/internal/doorgraph"
 	"repro/internal/graph"
 	"repro/internal/index"
 	"repro/internal/indoor"
@@ -23,58 +23,40 @@ import (
 // building's topological layer. A topological change invalidates it
 // wholesale (the paper's §V-B.4 point): Update is simply a full recompute.
 type Precomputed struct {
-	// Doors maps matrix rows to door positions for diagnostics.
+	// NDoors is the number of door nodes in the doors graph.
 	NDoors int
-	// D[i][j] is the indoor distance from door i to door j.
+	// D[i][j] is the indoor distance from door i to door j, indexed by the
+	// dense door ids of the snapshot's DoorGraph.
 	D [][]float64
 	// Elapsed is the wall time of the last (re)computation.
 	Elapsed time.Duration
 }
 
-// doorGraph assembles the global doors graph over every unit of the index:
-// nodes are door references, a directed edge a→b through unit u exists iff
-// a permits entry into u, weighted by the intra-unit walking distance.
-func doorGraph(idx *index.Index) (*graph.Graph, int) {
-	node := make(map[*index.DoorRef]int)
-	g := graph.New(0)
-	nodeOf := func(d *index.DoorRef) int {
-		n, ok := node[d]
-		if !ok {
-			n = g.AddNode()
-			node[d] = n
-		}
-		return n
-	}
-	var units []*index.Unit
-	idx.Current().SearchTree(func(boxAny) bool { return true }, func(u *index.Unit) {
-		units = append(units, u)
-	})
-	sort.Slice(units, func(i, j int) bool { return units[i].ID < units[j].ID })
-	for _, u := range units {
-		for _, a := range u.Doors {
-			if !a.CanEnter(u) {
-				continue
-			}
-			na := nodeOf(a)
-			for _, b := range u.Doors {
-				if b == a {
-					continue
-				}
-				g.AddEdge(na, nodeOf(b), u.WalkDist(a.Position(), b.Position()))
-			}
-		}
-	}
-	return g, g.N()
+// fromDoor runs one unrestricted single-source Dijkstra over the compiled
+// doors graph, leaving the distances from door src in sc.
+func fromDoor(g *doorgraph.Graph, sc *graph.Scratch, src int32) {
+	sc.Reset(g.NumDoors(), g.NumUnits())
+	sc.Improve(src, 0)
+	sc.Push(src, 0)
+	g.Dijkstra(sc, math.Inf(1), false)
 }
 
-// Precompute runs the full all-pairs computation: one Dijkstra per door.
-// This is deliberately the expensive operation the composite index avoids.
+// Precompute runs the full all-pairs computation: one Dijkstra per door
+// over the index's own doors graph. This is deliberately the expensive
+// operation the composite index avoids.
 func Precompute(idx *index.Index) *Precomputed {
 	start := time.Now()
-	g, n := doorGraph(idx)
+	g := idx.Current().DoorGraph().Graph()
+	sc := graph.AcquireScratch()
+	defer sc.Release()
+	n := g.NumDoors()
 	d := make([][]float64, n)
-	for s := 0; s < n; s++ {
-		d[s] = g.Dijkstra([]graph.Source{{Node: s}}, math.Inf(1))
+	for s := range d {
+		fromDoor(g, sc, int32(s))
+		d[s] = make([]float64, n)
+		for t := range d[s] {
+			d[s][t] = sc.Dist(int32(t))
+		}
 	}
 	return &Precomputed{NDoors: n, D: d, Elapsed: time.Since(start)}
 }
@@ -85,13 +67,16 @@ func Precompute(idx *index.Index) *Precomputed {
 // cmd/benchfig uses this estimator to chart the same series without
 // stalling, and marks each total it prints as extrapolated.
 func EstimatePrecomputeTime(idx *index.Index, sample int) (perSource time.Duration, total time.Duration, doors int) {
-	g, n := doorGraph(idx)
+	g := idx.Current().DoorGraph().Graph()
+	n := g.NumDoors()
 	if n == 0 {
 		return 0, 0, 0
 	}
 	if sample <= 0 || sample > n {
 		sample = n
 	}
+	sc := graph.AcquireScratch()
+	defer sc.Release()
 	start := time.Now()
 	step := n / sample
 	if step == 0 {
@@ -99,17 +84,13 @@ func EstimatePrecomputeTime(idx *index.Index, sample int) (perSource time.Durati
 	}
 	ran := 0
 	for s := 0; s < n && ran < sample; s += step {
-		g.Dijkstra([]graph.Source{{Node: s}}, math.Inf(1))
+		fromDoor(g, sc, int32(s))
 		ran++
 	}
 	elapsed := time.Since(start)
 	perSource = elapsed / time.Duration(ran)
 	return perSource, perSource * time.Duration(n), n
 }
-
-// boxAny matches the SearchTree descend signature without importing geom
-// into every call site.
-type boxAny = geom.Rect3
 
 // Oracle answers queries by exhaustive exact evaluation on a full distance
 // engine: the ground truth for the test suite.

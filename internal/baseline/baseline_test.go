@@ -2,10 +2,12 @@ package baseline
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/distance"
 	"repro/internal/gen"
+	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/indoor"
 )
@@ -128,5 +130,115 @@ func TestOracleConsistency(t *testing.T) {
 	}
 	if _, err := or.KNN(indoor.Pos(-1, -1, 0), 3); err == nil {
 		t.Error("oracle outside the building must error")
+	}
+}
+
+// refDijkstra is the textbook O(n²) array Dijkstra from src over adjacency
+// lists; unreachable nodes stay at +Inf.
+func refDijkstra(adj [][]refEdge, src int) []float64 {
+	dist := make([]float64, len(adj))
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[src] = 0
+	settled := make([]bool, len(adj))
+	for {
+		u := -1
+		for v := range dist {
+			if !settled[v] && !math.IsInf(dist[v], 1) && (u < 0 || dist[v] < dist[u]) {
+				u = v
+			}
+		}
+		if u < 0 {
+			return dist
+		}
+		settled[u] = true
+		for _, e := range adj[u] {
+			if nd := dist[u] + e.w; nd < dist[e.to] {
+				dist[e.to] = nd
+			}
+		}
+	}
+}
+
+type refEdge struct {
+	to int
+	w  float64
+}
+
+// TestPrecomputeMatchesReference rebuilds the §II-A doors graph from the
+// index's units — an edge a→b through unit u iff a permits entry into u,
+// weighted by u's walking distance — on a mall with closed and one-way
+// doors, and requires every row of the precomputed matrix to equal a
+// reference Dijkstra bit for bit once mapped through the dense door ids.
+func TestPrecomputeMatchesReference(t *testing.T) {
+	b, err := gen.Mall(gen.MallSpec{Floors: 2, OneWayFraction: 0.2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneWay, closed := 0, 0
+	for _, d := range b.Doors() {
+		if d.OneWay {
+			oneWay++
+		} else if closed < 3 && d.P2 != indoor.NoPartition {
+			if err := b.SetDoorClosed(d.ID, true); err != nil {
+				t.Fatal(err)
+			}
+			closed++
+		}
+	}
+	if oneWay == 0 || closed == 0 {
+		t.Fatalf("fixture needs one-way and closed doors: %d one-way, %d closed", oneWay, closed)
+	}
+	idx, _, err := index.Build(b, nil, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := idx.Current()
+	var units []*index.Unit
+	snap.SearchTree(func(geom.Rect3) bool { return true }, func(u *index.Unit) {
+		units = append(units, u)
+	})
+	sort.Slice(units, func(i, j int) bool { return units[i].ID < units[j].ID })
+	node := make(map[*index.DoorRef]int)
+	var doors []*index.DoorRef
+	var adj [][]refEdge
+	nodeOf := func(d *index.DoorRef) int {
+		n, ok := node[d]
+		if !ok {
+			n = len(doors)
+			node[d] = n
+			doors = append(doors, d)
+			adj = append(adj, nil)
+		}
+		return n
+	}
+	for _, u := range units {
+		for _, a := range u.Doors {
+			if !a.CanEnter(u) {
+				continue
+			}
+			na := nodeOf(a)
+			for _, c := range u.Doors {
+				if c != a {
+					adj[na] = append(adj[na], refEdge{nodeOf(c), u.WalkDist(a.Position(), c.Position())})
+				}
+			}
+		}
+	}
+
+	pre := Precompute(idx)
+	dg := snap.DoorGraph()
+	if pre.NDoors != dg.NumDoors() || pre.NDoors != len(doors) {
+		t.Fatalf("NDoors = %d, door graph %d, reference %d", pre.NDoors, dg.NumDoors(), len(doors))
+	}
+	for s, ds := range doors {
+		want := refDijkstra(adj, s)
+		row := pre.D[dg.DoorID(ds)]
+		for t2, dt := range doors {
+			if got := row[dg.DoorID(dt)]; got != want[t2] {
+				t.Fatalf("door %d → door %d: precomputed %g, reference %g", s, t2, got, want[t2])
+			}
+		}
 	}
 }

@@ -16,8 +16,11 @@ import (
 // evaluate whole candidate slices against the engine's single pinned
 // snapshot/anchor setup, write results into a recycled Arena, and the
 // engines themselves draw their evaluation buffers from a package pool so
-// the grown storage survives engine churn. The ikNN refine loop and the
-// kNN-subscription refresh both route through these kernels.
+// the grown storage survives engine churn. The ikNN pruning phase, the
+// Lemma 3 kbound and the kNN-subscription refresh route through
+// ObjectBoundsBatch and TLUBatch. The refinement ladder resolves one object
+// at a time through ExactDistBracket; ExactDistBracketBatch serves the
+// benchmark's per-layer replay of the bracket kernel.
 
 // evalBufs bundles an engine's evaluation scratch: the per-subregion
 // Lemma 1/2 evaluations, the per-unit door weights, and the Equation 8
@@ -47,20 +50,15 @@ func (b *evalBufs) release() {
 // Arena owns the output storage of the batch kernels. Slices returned by
 // ObjectBoundsBatch/TLUBatch/ExactDistBracketBatch alias the arena and
 // stay valid until the same kernel runs again on this arena or the arena
-// is released; callers that need two generations alive at once (for
-// example a bracket pass followed by an escalated re-bracket of the open
-// candidates) must consume the first before issuing the second. Arenas are
-// pooled: AcquireArena/Release recycle the grown buffers across batches,
-// which is where the steady-state allocation win comes from.
-//
-// An Arena additionally lends an object.ID staging buffer (IDs) so callers
-// can collect escalation subsets without allocating.
+// is released, so a caller must consume one result before running the
+// same kernel on the arena again. Arenas are pooled: AcquireArena/Release
+// recycle the grown buffers across batches, which is where the
+// steady-state allocation win comes from.
 type Arena struct {
 	bounds []Bounds
 	tlus   []float64
 	low    []float64
 	high   []float64
-	ids    []object.ID
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
@@ -73,21 +71,10 @@ func AcquireArena() *Arena {
 // Release returns the arena to the pool. The arena and every slice it
 // handed out must not be used afterwards. Safe on nil.
 func (a *Arena) Release() {
-	if a == nil {
-		return
+	if a != nil {
+		arenaPool.Put(a)
 	}
-	a.ids = a.ids[:0]
-	arenaPool.Put(a)
 }
-
-// IDs returns the arena's empty object.ID staging buffer; append to it and
-// pass the result back into a batch kernel. A second IDs call recycles the
-// same storage.
-func (a *Arena) IDs() []object.ID { return a.ids[:0] }
-
-// KeepIDs stores the caller-grown staging slice back on the arena so its
-// capacity is retained for the next IDs call.
-func (a *Arena) KeepIDs(ids []object.ID) { a.ids = ids }
 
 func growBounds(buf *[]Bounds, n int) []Bounds {
 	if cap(*buf) < n {

@@ -153,14 +153,8 @@ func (e *Engine) Close() {
 	}
 }
 
-// Full reports whether the engine covers every unit.
-func (e *Engine) Full() bool { return e.full }
-
 // Query returns the anchored query position.
 func (e *Engine) Query() indoor.Position { return e.q }
-
-// QueryUnit returns the unit containing the query point.
-func (e *Engine) QueryUnit() *index.Unit { return e.qUnit }
 
 // DoorDist returns the indoor distance from the query point to a door
 // (+Inf when the door is outside the engine's unit set or unreachable).

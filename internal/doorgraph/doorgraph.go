@@ -47,10 +47,6 @@ func (g *Graph) NumUnits() int { return g.nUnits }
 // NumEdges returns the total directed edge count.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
-// Out returns the out-edges of door d. The slice aliases the graph's edge
-// array and must not be modified.
-func (g *Graph) Out(d int32) []Edge { return g.edges[g.off[d]:g.off[d+1]] }
-
 // Dijkstra runs the seeded shortest-path search over the compiled graph.
 // Seeds must already be pushed into sc (Improve + Push) and sc must have
 // been Reset to (NumDoors, NumUnits). Nodes farther than bound stay at

@@ -180,13 +180,6 @@ func New(inner FS, rules ...*Rule) *Faulty {
 	return &Faulty{inner: inner, rules: rules, ops: make(map[Op]int)}
 }
 
-// AddRule appends a rule to the live plan.
-func (f *Faulty) AddRule(r *Rule) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.rules = append(f.rules, r)
-}
-
 // Clear removes every rule; the filesystem heals.
 func (f *Faulty) Clear() {
 	f.mu.Lock()

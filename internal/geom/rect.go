@@ -60,11 +60,6 @@ func (r Rect) Contains(p Point) bool {
 		p.Y >= r.MinY-Eps && p.Y <= r.MaxY+Eps
 }
 
-// ContainsStrict reports containment without the Eps slack on the boundary.
-func (r Rect) ContainsStrict(p Point) bool {
-	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
-}
-
 // ContainsRect reports whether s is entirely inside r.
 func (r Rect) ContainsRect(s Rect) bool {
 	if s.IsEmpty() {

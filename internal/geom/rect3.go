@@ -67,11 +67,6 @@ func (b Rect3) Intersects3(c Rect3) bool {
 	return b.Rect.Intersects(c.Rect) && b.MinZ <= c.MaxZ+Eps && c.MinZ <= b.MaxZ+Eps
 }
 
-// Contains3 reports whether p lies inside the box.
-func (b Rect3) Contains3(p Point3) bool {
-	return b.Rect.Contains(p.XY()) && p.Z >= b.MinZ-Eps && p.Z <= b.MaxZ+Eps
-}
-
 // ContainsRect3 reports whether c is entirely inside b.
 func (b Rect3) ContainsRect3(c Rect3) bool {
 	if c.IsEmpty() {

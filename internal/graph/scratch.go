@@ -1,6 +1,14 @@
+// Package graph holds the pooled working storage of every shortest-path
+// search in the tree: a generation-stamped Scratch (tentative distances, a
+// binary min-heap and a mark set) that doorgraph.Graph.Dijkstra runs in.
+// The search itself lives with the graph it walks, in internal/doorgraph;
+// the query filtering phase also borrows the mark set as a visited stamp.
 package graph
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // Scratch is reusable Dijkstra working storage: a tentative-distance array,
 // a binary min-heap and a membership mark set, all generation-stamped so a
@@ -72,7 +80,7 @@ func (s *Scratch) Reset(nDist, nMark int) {
 // Dist returns the tentative distance of node i (+Inf when untouched).
 func (s *Scratch) Dist(i int32) float64 {
 	if s.distGen[i] != s.gen {
-		return Inf
+		return math.Inf(1)
 	}
 	return s.dist[i]
 }

@@ -32,9 +32,6 @@ type DoorGraph struct {
 // Graph returns the compiled CSR doors graph.
 func (dg *DoorGraph) Graph() *doorgraph.Graph { return dg.g }
 
-// Epoch returns the topology epoch the snapshot was compiled at.
-func (dg *DoorGraph) Epoch() uint64 { return dg.epoch }
-
 // NumDoors returns the number of door nodes in the snapshot.
 func (dg *DoorGraph) NumDoors() int { return len(dg.doors) }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/geom"
-	"repro/internal/graph"
 	"repro/internal/indoor"
 	"repro/internal/object"
 )
@@ -52,20 +51,44 @@ func buildSkeleton(b *indoor.Building) *Skeleton {
 	}
 
 	n := len(sk.entrances)
-	g := graph.New(n)
+	m := make([][]float64, n)
+	for i := range m {
+		m[i] = make([]float64, n)
+		for j := range m[i] {
+			if i != j {
+				m[i][j] = math.Inf(1)
+			}
+		}
+	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			ei, ej := sk.entrances[i], sk.entrances[j]
 			switch {
 			case ei.stair == ej.stair:
 				run := b.Partition(ei.stair).StairLength
-				g.AddBiEdge(i, j, run)
+				m[i][j], m[j][i] = run, run
 			case ei.floor == ej.floor:
-				g.AddBiEdge(i, j, ei.pos.DistTo(ej.pos))
+				w := ei.pos.DistTo(ej.pos)
+				m[i][j], m[j][i] = w, w
 			}
 		}
 	}
-	sk.m = g.FloydWarshall()
+	// Property (4): Floyd–Warshall in place over the entrance matrix, one
+	// row per staircase entrance.
+	for k := 0; k < n; k++ {
+		for i := 0; i < n; i++ {
+			dik := m[i][k]
+			if math.IsInf(dik, 1) {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				if nd := dik + m[k][j]; nd < m[i][j] {
+					m[i][j] = nd
+				}
+			}
+		}
+	}
+	sk.m = m
 	return sk
 }
 

@@ -179,3 +179,67 @@ func TestRebuildSkeletonAfterStairRemoval(t *testing.T) {
 		t.Error("skeleton must still route after one staircase removal")
 	}
 }
+
+// TestSkeletonMatchesReference checks Ms2s against one textbook O(n²)
+// Dijkstra per entrance over the skeleton graph of properties (2) and (3):
+// property (4) must agree with a per-source shortest-path search.
+func TestSkeletonMatchesReference(t *testing.T) {
+	b := mall(t, 3)
+	sk := buildIdx(t, b, nil).Current().Skeleton()
+	n := sk.NumEntrances()
+	w := make([][]float64, n) // edge weight, +Inf where there is no edge
+	for i := range w {
+		w[i] = make([]float64, n)
+		for j := range w[i] {
+			ei, ej := sk.entrances[i], sk.entrances[j]
+			switch {
+			case i == j:
+				w[i][j] = math.Inf(1)
+			case ei.stair == ej.stair:
+				w[i][j] = b.Partition(ei.stair).StairLength
+			case ei.floor == ej.floor:
+				w[i][j] = ei.pos.DistTo(ej.pos)
+			default:
+				w[i][j] = math.Inf(1)
+			}
+		}
+	}
+	multiHop := false
+	for src := 0; src < n; src++ {
+		dist := make([]float64, n)
+		for i := range dist {
+			dist[i] = math.Inf(1)
+		}
+		dist[src] = 0
+		settled := make([]bool, n)
+		for {
+			u := -1
+			for v := range dist {
+				if !settled[v] && !math.IsInf(dist[v], 1) && (u < 0 || dist[v] < dist[u]) {
+					u = v
+				}
+			}
+			if u < 0 {
+				break
+			}
+			settled[u] = true
+			for v := range dist {
+				if nd := dist[u] + w[u][v]; nd < dist[v] {
+					dist[v] = nd
+				}
+			}
+		}
+		for j, want := range dist {
+			got := sk.Ms2s(src, j)
+			if math.IsInf(got, 1) != math.IsInf(want, 1) || math.Abs(got-want) > 1e-9 {
+				t.Fatalf("Ms2s[%d][%d] = %g, reference %g", src, j, got, want)
+			}
+			if sk.entrances[j].floor-sk.entrances[src].floor == 2 && !math.IsInf(want, 1) {
+				multiHop = true
+			}
+		}
+	}
+	if !multiHop {
+		t.Fatal("no finite route spans two floors: property (4) went unexercised")
+	}
+}

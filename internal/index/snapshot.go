@@ -131,16 +131,6 @@ func (t *topoLayer) unitAt(id UnitID) *Unit {
 // NumUnits returns the number of index units.
 func (s *Snapshot) NumUnits() int { return s.topo.numUnits }
 
-// UnitIDBound returns an exclusive upper bound on the unit ids live in this
-// snapshot (ids are dense and never reused). It is the footprint export the
-// continuous-query router keys on: a unit-indexed dense array of size
-// UnitIDBound covers every unit a query footprint or an object record can
-// name in this snapshot.
-func (s *Snapshot) UnitIDBound() UnitID { return UnitID(len(s.topo.units)) }
-
-// TreeHeight exposes the tree tier's height (diagnostics).
-func (s *Snapshot) TreeHeight() int { return s.topo.tree.Height() }
-
 // PartitionOf implements the h-table lookup.
 func (s *Snapshot) PartitionOf(u UnitID) indoor.PartitionID { return s.topo.hTable[u] }
 

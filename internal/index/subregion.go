@@ -61,23 +61,6 @@ func (s *Snapshot) ObjectSubregions(id object.ID) []Subregion {
 	return s.entryOf(id).subs
 }
 
-// ObjectMinSkel returns the minimum skeleton distance (Equation 10) from q
-// to any subregion of the object — the object-level geometric lower bound
-// used by the filtering phase. Unknown objects report +Inf.
-func (s *Snapshot) ObjectMinSkel(q indoor.Position, id object.ID) float64 {
-	best := math.Inf(1)
-	for _, sub := range s.entryOf(id).subs {
-		u := s.topo.unitAt(sub.Unit)
-		if u == nil {
-			continue
-		}
-		if v := s.topo.skeleton.MinDistRect(q, sub.MBR, u.FloorLo, u.FloorHi); v < best {
-			best = v
-		}
-	}
-	return best
-}
-
 // ObjectMinEuclid3 returns the 3D Euclidean lower bound from q to any
 // subregion MBR — the weaker geometric bound used when the skeleton tier is
 // disabled (the Fig 15(a) ablation).

@@ -75,7 +75,6 @@ type Transport struct {
 
 	enabled  atomic.Bool
 	injected atomic.Uint64 // faults actually fired
-	requests atomic.Uint64
 }
 
 // NewTransport returns a chaos transport over inner with the given
@@ -96,9 +95,6 @@ func (t *Transport) SetEnabled(on bool) { t.enabled.Store(on) }
 // Injected returns how many faults have fired.
 func (t *Transport) Injected() uint64 { return t.injected.Load() }
 
-// Requests returns how many requests have passed through.
-func (t *Transport) Requests() uint64 { return t.requests.Load() }
-
 // roll draws from the seeded rng under the lock.
 func (t *Transport) roll() float64 {
 	t.mu.Lock()
@@ -113,7 +109,6 @@ func (t *Transport) rollInt64(n int64) int64 {
 }
 
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	t.requests.Add(1)
 	if !t.enabled.Load() {
 		return t.inner.RoundTrip(req)
 	}

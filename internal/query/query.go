@@ -180,11 +180,12 @@ func (ex *exec) rangeUnits(q indoor.Position, r float64) []index.UnitID {
 	return units
 }
 
-// refiner resolves exact expected distances for refinement-phase objects
-// with an escalation ladder: the phase engine's bracket first, then an
-// engine over a 4× wider radius, and only then the full building — keeping
-// the expensive full Dijkstra off the common path (it would otherwise
-// dominate query time on tall buildings).
+// refiner resolves refinement-phase objects with an escalation ladder:
+// the phase engine's bracket first, then an engine over the wider radius
+// 2r+100, and only then the full building — keeping the expensive full
+// Dijkstra off the common path (it would otherwise dominate query time on
+// tall buildings). The wider engines are built on first need and kept for
+// the refiner's lifetime.
 type refiner struct {
 	ex    *exec
 	q     indoor.Position
@@ -203,139 +204,42 @@ func (rf *refiner) Close() {
 	rf.full.Close()
 }
 
-func (rf *refiner) ensureExt() error {
-	if rf.ext != nil {
-		return nil
+// resolve climbs the ladder for one object until settled accepts a rung's
+// [low, high] bracket of its expected distance. The full rung is exact: it
+// returns (d, d) and counts a FullFallback. An iRQ decision settles on
+// decided(r) and the object qualifies iff high <= r; an exact distance
+// settles on closed and is high.
+func (rf *refiner) resolve(o *object.Object, settled func(low, high float64) bool) (low, high float64, err error) {
+	if low, high = rf.eng.ExactDistBracket(o, rf.r); settled(low, high) {
+		return low, high, nil
 	}
-	rf.extR = 2*rf.r + 100
-	eng, err := distance.New(rf.ex.s, rf.q, rf.ex.rangeUnits(rf.q, rf.extR), math.Inf(1))
-	if err != nil {
-		return err
+	if rf.ext == nil {
+		rf.extR = 2*rf.r + 100
+		if rf.ext, err = distance.New(rf.ex.s, rf.q, rf.ex.rangeUnits(rf.q, rf.extR), math.Inf(1)); err != nil {
+			return 0, 0, err
+		}
 	}
-	rf.ext = eng
-	return nil
-}
-
-func (rf *refiner) ensureFull() error {
-	if rf.full != nil {
-		return nil
+	if low, high = rf.ext.ExactDistBracket(o, rf.extR); settled(low, high) {
+		return low, high, nil
 	}
-	eng, err := distance.NewFull(rf.ex.s, rf.q)
-	if err != nil {
-		return err
-	}
-	rf.full = eng
-	return nil
-}
-
-// decideWithin answers "is E(|q,O|I) ≤ threshold" with the cheapest engine
-// that resolves it, also returning the distance when the object qualifies
-// (NaN-free; an overestimating-but-qualifying upper view is fine for iRQ
-// reporting since it is itself ≤ threshold only when closed).
-func (rf *refiner) decideWithin(o *object.Object, threshold float64) (bool, float64, error) {
-	low, high := rf.eng.ExactDistBracket(o, rf.r)
-	if high <= threshold {
-		return true, high, nil
-	}
-	if low > threshold {
-		return false, 0, nil
-	}
-	if err := rf.ensureExt(); err != nil {
-		return false, 0, err
-	}
-	low, high = rf.ext.ExactDistBracket(o, rf.extR)
-	if high <= threshold {
-		return true, high, nil
-	}
-	if low > threshold {
-		return false, 0, nil
-	}
-	if err := rf.ensureFull(); err != nil {
-		return false, 0, err
+	if rf.full == nil {
+		if rf.full, err = distance.NewFull(rf.ex.s, rf.q); err != nil {
+			return 0, 0, err
+		}
 	}
 	rf.stats.FullFallbacks++
 	d, _ := rf.full.ExactDist(o)
-	return d <= threshold, d, nil
+	return d, d, nil
 }
 
-// exact returns the true expected distance through the escalation ladder.
-func (rf *refiner) exact(o *object.Object) (float64, error) {
-	low, high := rf.eng.ExactDistBracket(o, rf.r)
-	if low == high {
-		return high, nil
-	}
-	if err := rf.ensureExt(); err != nil {
-		return 0, err
-	}
-	low, high = rf.ext.ExactDistBracket(o, rf.extR)
-	if low == high {
-		return high, nil
-	}
-	if err := rf.ensureFull(); err != nil {
-		return 0, err
-	}
-	rf.stats.FullFallbacks++
-	d, _ := rf.full.ExactDist(o)
-	return d, nil
+// decided is the iRQ settle rule at radius r: the bracket lies wholly on
+// one side of r.
+func decided(r float64) func(low, high float64) bool {
+	return func(low, high float64) bool { return high <= r || low > r }
 }
 
-// exactBatch resolves the true expected distance of every candidate id
-// through the batched Eq-8 kernels: one bracket pass per ladder rung over
-// the whole (shrinking) slice instead of climbing the ladder per object.
-// Each rung shares its engine's single pinned snapshot/anchor setup and
-// writes into the recycled arena; only candidates whose bracket stays open
-// ride to the next rung. Resolved distances are delivered through emit in
-// resolution order (callers sort or key by id, so order carries no
-// meaning). Unknown ids resolve to +Inf like the serial ladder would.
-func (rf *refiner) exactBatch(ids []object.ID, a *distance.Arena, emit func(object.ID, float64)) error {
-	if len(ids) == 0 {
-		return nil
-	}
-	low, high := rf.eng.ExactDistBracketBatch(ids, rf.r, a)
-	open := a.IDs()
-	for i, id := range ids {
-		if low[i] == high[i] {
-			emit(id, high[i])
-		} else {
-			open = append(open, id)
-		}
-	}
-	defer a.KeepIDs(open)
-	if len(open) == 0 {
-		return nil
-	}
-	if err := rf.ensureExt(); err != nil {
-		return err
-	}
-	low, high = rf.ext.ExactDistBracketBatch(open, rf.extR, a)
-	n := 0
-	for i, id := range open {
-		if low[i] == high[i] {
-			emit(id, high[i])
-		} else {
-			open[n] = id
-			n++
-		}
-	}
-	open = open[:n]
-	if n == 0 {
-		return nil
-	}
-	if err := rf.ensureFull(); err != nil {
-		return err
-	}
-	objs := rf.ex.s.Objects()
-	for _, id := range open {
-		rf.stats.FullFallbacks++
-		if o := objs.Get(id); o != nil {
-			d, _ := rf.full.ExactDist(o)
-			emit(id, d)
-		} else {
-			emit(id, math.Inf(1))
-		}
-	}
-	return nil
-}
+// closed is the exact-distance settle rule: the bracket has shut.
+func closed(low, high float64) bool { return low == high }
 
 // knnScratch pools the ikNN query-layer staging slices (sorted uppers, the
 // undetermined set, the exact-result staging) so steady-state queries
@@ -421,14 +325,13 @@ func (p *Processor) RangeQueryOn(s *index.Snapshot, q indoor.Position, r float64
 	rf := &refiner{ex: ex, q: q, r: r, eng: eng, stats: st}
 	defer rf.Close()
 	for _, oid := range undetermined {
-		o := s.Objects().Get(oid)
 		st.Refined++
-		in, d, err := rf.decideWithin(o, r)
+		_, high, err := rf.resolve(s.Objects().Get(oid), decided(r))
 		if err != nil {
 			return nil, st, err
 		}
-		if in {
-			results = append(results, Result{ID: oid, Distance: d})
+		if high <= r {
+			results = append(results, Result{ID: oid, Distance: high})
 		}
 	}
 	st.Refinement = time.Since(start)
@@ -631,25 +534,9 @@ func (p *Processor) KNNQueryOn(s *index.Snapshot, q indoor.Position, k int) ([]R
 	// Phase 1: filtering — seeds, kbound from the TLU (Lemma 3), then the
 	// geometric range search with kbound.
 	start := time.Now()
-	seedUnits, seeds, err := ex.kSeedsSelection(q, k)
+	kbound, err := ex.kbound(q, k, ar)
 	if err != nil {
 		return nil, st, err
-	}
-	kbound := math.Inf(1)
-	if len(seeds) >= k {
-		// The seed engine's Dijkstra is restricted to the seed units, so
-		// its door distances are lengths of some real path — exactly the
-		// looser-bound requirement of Lemma 3. With at least k finite
-		// TLUs, the k-th smallest is an upper bound on the k-th nearest
-		// neighbour's expected distance.
-		seedEng, err := distance.New(s, q, seedUnits, math.Inf(1))
-		if err != nil {
-			return nil, st, err
-		}
-		tlus := seedEng.TLUBatch(seeds, ar)
-		seedEng.Close()
-		sort.Float64s(tlus)
-		kbound = tlus[k-1]
 	}
 	units, candidates := ex.rangeSearch(q, kbound)
 	st.Filtering = time.Since(start)
@@ -708,17 +595,20 @@ func (p *Processor) KNNQueryOn(s *index.Snapshot, q indoor.Position, k int) ([]R
 	st.Pruning = time.Since(start)
 
 	// Phase 4: refinement — candidates whose bracket stays open (far
-	// subregions beyond kbound) climb the escalation ladder, one batched
-	// bracket pass per rung, so the final ordering uses true expected
-	// distances.
+	// subregions beyond kbound) climb the escalation ladder, so the final
+	// ordering uses true expected distances.
 	start = time.Now()
 	rf := &refiner{ex: ex, q: q, r: kbound, eng: eng, stats: st}
 	defer rf.Close()
 	exact := scr.exact[:0]
 	st.Refined += len(undetermined)
-	err = rf.exactBatch(undetermined, ar, func(id object.ID, d float64) {
-		exact = append(exact, Result{ID: id, Distance: d})
-	})
+	for _, oid := range undetermined {
+		var d float64
+		if _, d, err = rf.resolve(s.Objects().Get(oid), closed); err != nil {
+			break
+		}
+		exact = append(exact, Result{ID: oid, Distance: d})
+	}
 	scr.exact = exact
 	if err != nil {
 		return nil, st, err
@@ -740,8 +630,24 @@ func (p *Processor) KNNQueryOn(s *index.Snapshot, q indoor.Position, k int) ([]R
 	return results, st, nil
 }
 
-// KSeedsForTest exposes kSeedsSelection for diagnostics and tests.
-func (p *Processor) KSeedsForTest(q indoor.Position, k int) ([]index.UnitID, []object.ID, error) {
-	ex := &exec{s: p.Pin(), opts: p.opts}
-	return ex.kSeedsSelection(q, k)
+// kbound is the Lemma 3 filtering radius of an ikNN at q: the seed flood
+// (Algorithm 5), the seeds' TLUs on an engine restricted to the seed
+// units, and the k-th smallest of them. The restriction makes every door
+// distance the length of some real path — exactly the looser-bound
+// requirement of Lemma 3 — so with at least k finite TLUs the k-th
+// smallest bounds the k-th nearest neighbour's expected distance. With
+// fewer than k closed seeds the bound is +Inf.
+func (ex *exec) kbound(q indoor.Position, k int, ar *distance.Arena) (float64, error) {
+	seedUnits, seeds, err := ex.kSeedsSelection(q, k)
+	if err != nil || len(seeds) < k {
+		return math.Inf(1), err
+	}
+	seedEng, err := distance.New(ex.s, q, seedUnits, math.Inf(1))
+	if err != nil {
+		return 0, err
+	}
+	defer seedEng.Close()
+	tlus := seedEng.TLUBatch(seeds, ar)
+	sort.Float64s(tlus)
+	return tlus[k-1], nil
 }

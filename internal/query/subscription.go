@@ -50,8 +50,8 @@ type Subscriptions struct {
 
 	// inv is the inverted unit→query index: inv[u] lists the ids of the
 	// subscriptions whose candidate-unit footprint contains unit u. Unit
-	// ids are dense and never reused (Snapshot.UnitIDBound), so a plain
-	// slice indexes it without hashing.
+	// ids are dense and never reused, so a plain slice indexes it without
+	// hashing.
 	inv [][]int
 
 	// shards is the reconciliation shard width; 0 (the default) resolves
@@ -627,50 +627,33 @@ func (e *Subscriptions) refreshRange(s *standingQuery) error {
 // the candidate cache through the KBound.
 func (e *Subscriptions) refreshKNN(s *standingQuery) error {
 	ex := &exec{s: e.p.Pin(), opts: e.p.opts}
-	seedUnits, seeds, err := ex.kSeedsSelection(s.q, s.k)
-	if err != nil {
-		return err
-	}
 	ar := distance.AcquireArena()
 	defer ar.Release()
-	bound := math.Inf(1)
-	if len(seeds) >= s.k {
-		seedEng, err := distance.New(ex.s, s.q, seedUnits, math.Inf(1))
-		if err != nil {
-			return err
-		}
-		tlus := seedEng.TLUBatch(seeds, ar)
-		seedEng.Close()
-		sort.Float64s(tlus)
-		bound = tlus[s.k-1]
+	bound, err := ex.kbound(s.q, s.k, ar)
+	if err != nil {
+		return err
 	}
 	ph, cands, err := buildPhaseOn(ex, s.q, bound)
 	if err != nil {
 		return err
 	}
-	// One batched bounds pass prunes the candidate list in place, then one
-	// batched bracket ladder resolves every survivor's exact distance —
-	// the same shared-engine amortisation the ikNN refine loop uses.
+	// One batched bounds pass prunes the candidates, then the refinement
+	// ladder resolves every survivor's exact distance.
 	bounds := ph.eng.ObjectBoundsBatch(cands, bound, ar)
-	n := 0
+	cand := make(map[object.ID]float64, len(cands))
+	unbounded := math.IsInf(bound, 1)
 	for i, oid := range cands {
 		if bounds[i].Lower > bound {
 			continue
 		}
-		cands[n] = oid
-		n++
-	}
-	cands = cands[:n]
-	cand := make(map[object.ID]float64, len(cands))
-	unbounded := math.IsInf(bound, 1)
-	err = ph.rf.exactBatch(cands, ar, func(oid object.ID, d float64) {
+		_, d, err := ph.rf.resolve(ex.s.Objects().Get(oid), closed)
+		if err != nil {
+			ph.release()
+			return err
+		}
 		if d <= bound || unbounded {
 			cand[oid] = d
 		}
-	})
-	if err != nil {
-		ph.release()
-		return err
 	}
 	s.phase.release()
 	s.phase = ph
@@ -719,8 +702,11 @@ func evalRange(ph *phase, q indoor.Position, r float64, oid object.ID) (bool, er
 	case b.Lower > r:
 		return false, nil
 	}
-	in, _, err := ph.rf.decideWithin(o, r)
-	return in, err
+	_, high, err := ph.rf.resolve(o, decided(r))
+	if err != nil {
+		return false, err
+	}
+	return high <= r, nil
 }
 
 // evalKNNCand re-evaluates one object against a kNN subscription's
@@ -744,7 +730,7 @@ func evalKNNCand(ph *phase, q indoor.Position, r float64, oid object.ID, cand ma
 			return nil
 		}
 	}
-	d, err := ph.rf.exact(o)
+	_, d, err := ph.rf.resolve(o, closed)
 	if err != nil {
 		return err
 	}
