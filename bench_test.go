@@ -1,7 +1,8 @@
 package indoorq
 
 // Kernel benchmarks: single-query hot paths, batch serving, queries under
-// paced churn, time-travel reconstruction and sharded reconciliation. The
+// paced churn, time-travel reconstruction, sharded reconciliation and
+// scoped topology commits. The
 // paper's Figure 12–15 series live in cmd/benchfig (`benchfig -fig all`),
 // and end-to-end numbers through the daemons live in benchmark/; README
 // "Performance" discusses both.
@@ -317,7 +318,7 @@ func historyStore(b *testing.B, moves int) *store.Store {
 // scaling instrument for multi-core hosts.
 func BenchmarkReconcileSharded(b *testing.B) {
 	for _, subs := range []int{1000, 10000} {
-		e, batches := cityChurn(b, subs)
+		e, _, batches := cityChurn(b, subs)
 		for _, shards := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("subs=%d/shards=%d", subs, shards), func(b *testing.B) {
 				e.SetShards(shards)
@@ -339,12 +340,41 @@ func BenchmarkReconcileSharded(b *testing.B) {
 	}
 }
 
+// BenchmarkTopologyCommit is the topology write path on the city churn
+// workload: one iteration closes a door and reopens it, both through the
+// subscription engine under 1,000 standing queries — index commit,
+// topology diff, admission, and the sharded pass that refreshes the
+// admitted subscriptions and routes the changed units' objects to the
+// carried ones. admitted/op and carried/op count subscriptions per
+// iteration (two commits).
+func BenchmarkTopologyCommit(b *testing.B) {
+	e, idx, _ := cityChurn(b, 1000)
+	doors := idx.Building().Doors()
+	rng := rand.New(rand.NewSource(7106))
+	before := e.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := doors[rng.Intn(len(doors))].ID
+		for _, closed := range []bool{true, false} {
+			if _, _, err := e.Topology(index.Mutation{Kind: index.MutSetDoorClosed, DoorID: d, Closed: closed}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	st := e.Stats()
+	n := float64(b.N)
+	b.ReportMetric(float64(st.TopoAdmitted-before.TopoAdmitted)/n, "admitted/op")
+	b.ReportMetric(float64(st.TopoCarried-before.TopoCarried)/n, "carried/op")
+}
+
 // cityChurn builds the reconciliation workload: a 2×3 city of 3–6-floor
 // buildings holding 20K objects, a private index under nsubs standing
 // queries (7 of 8 range r=30, 1 of 8 kNN k=10), and 64 coalesced batches
 // of 32 distinct moves. Each move re-reports an object within 15 m of its
 // original position, so any batch can be replayed at any time.
-func cityChurn(b *testing.B, nsubs int) (*query.Subscriptions, [][]index.ObjectUpdate) {
+func cityChurn(b *testing.B, nsubs int) (*query.Subscriptions, *index.Index, [][]index.ObjectUpdate) {
 	const rows, cols, nobj, radius = 2, 3, 20_000, 8
 	layout, err := gen.City(gen.CitySpec{Rows: rows, Cols: cols, FloorsMin: 3, FloorsMax: 6,
 		Seed: nobj*17 + rows*100 + cols})
@@ -387,5 +417,5 @@ func cityChurn(b *testing.B, nsubs int) (*query.Subscriptions, [][]index.ObjectU
 				Op: index.UpdateMove, Object: object.SampleGaussian(rng, o.ID, next, radius, 10)})
 		}
 	}
-	return e, batches
+	return e, idx, batches
 }

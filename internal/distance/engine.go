@@ -43,6 +43,10 @@ type Engine struct {
 	anchor *index.SkelAnchor
 	full   bool
 
+	// reach is a full engine's largest finite door distance handed out,
+	// +Inf once it resolved an unreachable object (see Reach).
+	reach float64
+
 	// Reusable evaluation buffers, recycled across engines through the
 	// package pool (see batch.go).
 	bufs *evalBufs
@@ -126,7 +130,8 @@ func (e *Engine) run(unitIDs []index.UnitID, bound float64) {
 // while subsequent ObjectBounds/TLU/ExactDist calls read the new
 // snapshot's object records. The subscription engine rebinds its
 // standing engines after every object update instead of re-running the
-// subgraph phase; a topology change fails the rebind and forces a refresh.
+// subgraph phase. Across a topology commit the rebind fails; the caller
+// then either carries the engine (Carry) or refreshes it.
 func (e *Engine) Rebind(s *index.Snapshot) bool {
 	if s.TopoEpoch() != e.idx.TopoEpoch() {
 		return false
@@ -134,6 +139,30 @@ func (e *Engine) Rebind(s *index.Snapshot) bool {
 	e.idx = s
 	return true
 }
+
+// Carry moves a restricted engine to a snapshot of a later topology epoch
+// whose commit changed no unit within the engine's radius: it reads units
+// and objects from s but keeps the door distances and the compiled graph
+// of the epoch it was built at. Door ids translate by the immutable
+// DoorRef serial, so the old graph still indexes every unchanged door; a
+// door created since resolves to +Inf, which the cap discipline reads as
+// "beyond cap" — sound, because a new door lies in a changed unit, and
+// every changed unit is farther than cap. Deciding that the commit left
+// the radius untouched is the caller's job (Snapshot.TopoDelta plus the
+// Equation 10 bound). A full engine must not be carried: it is
+// unrestricted, so its distances beyond Reach may be stale.
+func (e *Engine) Carry(s *index.Snapshot) { e.idx = s }
+
+// Reach reports which part of the topology a full engine's answers so far
+// depend on: the largest finite door distance it handed out, or +Inf once
+// it resolved an unreachable object (opening a door anywhere may make it
+// reachable). A topology change farther than Reach from the query point,
+// by the Equation 10 bound, cannot change any of those answers: a door
+// distance d is a shortest path that never leaves the units within d, and
+// a new path through a changed unit is longer than d. Zero for an engine
+// that handed out nothing, and for restricted engines, whose radius is
+// their cap.
+func (e *Engine) Reach() float64 { return e.reach }
 
 // Snapshot returns the index snapshot the engine is bound to.
 func (e *Engine) Snapshot() *index.Snapshot { return e.idx }
@@ -163,7 +192,11 @@ func (e *Engine) DoorDist(d *index.DoorRef) float64 {
 	if n < 0 {
 		return math.Inf(1)
 	}
-	return e.sc.Dist(n)
+	v := e.sc.Dist(n)
+	if e.full && v > e.reach && !math.IsInf(v, 1) {
+		e.reach = v
+	}
+	return v
 }
 
 // inUnitSet reports whether a unit belongs to the engine's restricted set.

@@ -420,3 +420,88 @@ func TestRestrictedAgreesWithFullOnMall(t *testing.T) {
 		t.Fatal("no objects closed their bracket on the restricted engine")
 	}
 }
+
+// A restricted engine carried across a door toggle outside its unit set
+// answers exactly like an engine built fresh over the same units on the
+// new snapshot, for objects inside and outside the set alike.
+func TestCarryMatchesFreshOutsideRadius(t *testing.T) {
+	b, parts := corridor3(t)
+	d := b.AddRoom(0, geom.R(30, 0, 40, 10))
+	far, err := b.AddDoor(geom.Pt(30, 5), 0, parts[2].ID, d.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := []*object.Object{
+		object.PointObject(0, indoor.Pos(15, 5, 0)),
+		object.PointObject(1, indoor.Pos(35, 5, 0)),
+		{ID: 2, Instances: []object.Instance{
+			{Pos: indoor.Pos(8, 5, 0), P: 0.5}, {Pos: indoor.Pos(25, 5, 0), P: 0.5}}},
+	}
+	idx, _, err := index.Build(b, objs, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := indoor.Pos(5, 5, 0)
+	set := append(idx.Current().UnitsOf(parts[0].ID), idx.Current().UnitsOf(parts[1].ID)...)
+	carried, err := New(idx.Current(), q, set, math.Inf(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer carried.Close()
+	if _, err := idx.Apply(index.Mutation{Kind: index.MutSetDoorClosed, DoorID: far.ID, Closed: true}); err != nil {
+		t.Fatal(err)
+	}
+	cur := idx.Current()
+	if carried.Rebind(cur) {
+		t.Fatal("Rebind must refuse a new topology epoch")
+	}
+	carried.Carry(cur)
+	fresh, err := New(cur, q, set, math.Inf(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	for _, o := range objs {
+		for _, cap := range []float64{12, math.Inf(1)} {
+			cl, ch := carried.ExactDistBracket(o, cap)
+			fl, fh := fresh.ExactDistBracket(o, cap)
+			if cl != fl || ch != fh {
+				t.Errorf("object %d cap %g: carried [%g, %g], fresh [%g, %g]", o.ID, cap, cl, ch, fl, fh)
+			}
+			if cb, fb := carried.ObjectBounds(o, cap), fresh.ObjectBounds(o, cap); cb != fb {
+				t.Errorf("object %d cap %g: carried bounds %+v, fresh %+v", o.ID, cap, cb, fb)
+			}
+		}
+	}
+	if !carried.Rebind(cur) {
+		t.Fatal("a carried engine must rebind within its new epoch")
+	}
+}
+
+// Reach is the largest finite door distance a full engine handed out,
+// and +Inf once it resolved an unreachable object.
+func TestFullEngineReach(t *testing.T) {
+	b, _ := corridor3(t)
+	b.AddRoom(0, geom.R(40, 0, 50, 10)) // no doors
+	near := object.PointObject(0, indoor.Pos(15, 5, 0))
+	cut := object.PointObject(1, indoor.Pos(45, 5, 0))
+	idx, _, err := index.Build(b, []*object.Object{near, cut}, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := fullEngine(t, idx, indoor.Pos(5, 5, 0))
+	defer e.Close()
+	if e.Reach() != 0 {
+		t.Fatalf("fresh engine reach %g, want 0", e.Reach())
+	}
+	if _, ok := e.ExactDist(near); !ok {
+		t.Fatal("full engine must be exact")
+	}
+	// B's doors sit at 5 m and 15 m from q.
+	if math.Abs(e.Reach()-15) > geom.Eps {
+		t.Fatalf("reach after B's object = %g, want 15", e.Reach())
+	}
+	if d, _ := e.ExactDist(cut); !math.IsInf(d, 1) || !math.IsInf(e.Reach(), 1) {
+		t.Fatalf("unreachable object: dist %g reach %g, want +Inf both", d, e.Reach())
+	}
+}

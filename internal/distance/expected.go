@@ -246,6 +246,9 @@ func (e *Engine) TLU(o *object.Object) float64 {
 // the radius their unit set was filtered with.
 func (e *Engine) ExactDist(o *object.Object) (float64, bool) {
 	_, high := e.ExactDistBracket(o, math.Inf(1))
+	if e.full && math.IsInf(high, 1) {
+		e.reach = math.Inf(1)
+	}
 	return high, e.full
 }
 

@@ -472,3 +472,82 @@ func TestSplitFailureRestoresIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TopoDelta names exactly the units a commit changed: nothing for an
+// object batch, the door's two sides for a toggle, the partition's old
+// and new units plus the neighbours whose door lists changed for a split,
+// and a wholesale change when the skeleton is rebuilt.
+func TestTopoDelta(t *testing.T) {
+	b := mall(t, 1)
+	objs := gen.Objects(b, gen.ObjectSpec{N: 50, Radius: 5, Seed: 4})
+	idx := buildIdx(t, b, objs)
+
+	prev := idx.Current()
+	if err := idx.ApplyObjectUpdates([]ObjectUpdate{{Op: UpdateMove, Object: objs[0]}}); err != nil {
+		t.Fatal(err)
+	}
+	if changed, all := idx.Current().TopoDelta(prev); changed != nil || all {
+		t.Fatalf("object batch: changed %v all %v", changed, all)
+	}
+
+	var door *indoor.Door
+	for _, d := range b.Doors() {
+		if d.P2 != indoor.NoPartition {
+			door = d
+			break
+		}
+	}
+	ref := prev.topo.doorRefs[door.ID]
+	prev = idx.Current()
+	if _, err := idx.Apply(Mutation{Kind: MutSetDoorClosed, DoorID: door.ID, Closed: true}); err != nil {
+		t.Fatal(err)
+	}
+	changed, all := idx.Current().TopoDelta(prev)
+	want := []UnitID{min(ref.U1, ref.U2), max(ref.U1, ref.U2)}
+	if all || len(changed) != 2 || changed[0] != want[0] || changed[1] != want[1] {
+		t.Fatalf("door toggle: changed %v all %v, want %v", changed, all, want)
+	}
+
+	var room *indoor.Partition
+	for _, p := range b.Partitions() {
+		if p.Kind == indoor.Room {
+			room = p
+			break
+		}
+	}
+	prev = idx.Current()
+	oldUnits := prev.UnitsOf(room.ID)
+	split, err := idx.Apply(Mutation{Kind: MutSplit, PartID: room.ID, AlongX: true, At: room.Bounds().Center().X})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := idx.Current()
+	changed, all = cur.TopoDelta(prev)
+	in := make(map[UnitID]bool, len(changed))
+	for _, u := range changed {
+		in[u] = true
+	}
+	for _, u := range append(append(oldUnits, cur.UnitsOf(split.ResultA)...), cur.UnitsOf(split.ResultB)...) {
+		if !in[u] {
+			t.Fatalf("split: unit %d missing from changed %v", u, changed)
+		}
+	}
+	if all || len(changed) >= cur.NumUnits() {
+		t.Fatalf("split: changed %d of %d units, all %v", len(changed), cur.NumUnits(), all)
+	}
+	for _, u := range changed {
+		if _, ok := cur.UnitBox(u); !ok {
+			if _, ok := prev.UnitBox(u); !ok {
+				t.Fatalf("changed unit %d has no box in either snapshot", u)
+			}
+		}
+	}
+
+	prev = idx.Current()
+	if _, err := idx.Apply(Mutation{Kind: MutRebuildSkeleton}); err != nil {
+		t.Fatal(err)
+	}
+	if _, all := idx.Current().TopoDelta(prev); !all {
+		t.Fatal("skeleton rebuild must change every unit")
+	}
+}

@@ -202,3 +202,56 @@ func (t *topoLayer) detachDoor(did indoor.DoorID) {
 	}
 	delete(t.doorRefs, did)
 }
+
+// TopoDelta diffs the snapshot's topological layer against prev's and
+// returns the units a topology commit changed: a unit present in only one
+// of the layers, or present in both with a different rectangle, floor
+// span, stair length, partition, or door list (serials, positions, sides
+// and baked enterability, in order). all reports a skeleton change, which
+// moves the Equation 10 bound everywhere, so callers must treat every
+// unit as changed. The diff is kind-agnostic and costs O(units).
+func (s *Snapshot) TopoDelta(prev *Snapshot) (changed []UnitID, all bool) {
+	a, b := prev.topo, s.topo
+	if a == b {
+		return nil, false
+	}
+	if a.skeleton != b.skeleton {
+		return nil, true
+	}
+	for id := 0; id < max(len(a.units), len(b.units)); id++ {
+		if !sameUnit(a.unitAt(UnitID(id)), b.unitAt(UnitID(id))) {
+			changed = append(changed, UnitID(id))
+		}
+	}
+	return changed, false
+}
+
+// sameUnit reports whether two versions of a unit are topologically
+// identical (both absent counts as identical).
+func sameUnit(x, y *Unit) bool {
+	if x == nil || y == nil {
+		return x == y
+	}
+	if x.Part != y.Part || x.Rect != y.Rect || x.FloorLo != y.FloorLo ||
+		x.FloorHi != y.FloorHi || x.stairLen != y.stairLen || len(x.Doors) != len(y.Doors) {
+		return false
+	}
+	for i, d := range x.Doors {
+		e := y.Doors[i]
+		if d.serial != e.serial || d.Pos != e.Pos || d.Floor != e.Floor ||
+			d.U1 != e.U1 || d.U2 != e.U2 || d.enter1 != e.enter1 || d.enter2 != e.enter2 {
+			return false
+		}
+	}
+	return true
+}
+
+// UnitBox returns the tree-tier box of a unit, reporting false for an
+// absent unit.
+func (s *Snapshot) UnitBox(id UnitID) (geom.Rect3, bool) {
+	u := s.topo.unitAt(id)
+	if u == nil {
+		return geom.Rect3{}, false
+	}
+	return unitBox(s.b, u), true
+}

@@ -195,6 +195,11 @@ type refiner struct {
 	extR  float64
 	full  *distance.Engine
 	stats *Stats
+
+	// fullReach accumulates the full rung's Reach over the refiner's
+	// lifetime, across the full engines a standing query releases and
+	// rebuilds (see phase.carry).
+	fullReach float64
 }
 
 // Close releases the escalation engines' pooled scratch storage (the phase
@@ -229,6 +234,7 @@ func (rf *refiner) resolve(o *object.Object, settled func(low, high float64) boo
 	}
 	rf.stats.FullFallbacks++
 	d, _ := rf.full.ExactDist(o)
+	rf.fullReach = max(rf.fullReach, rf.full.Reach())
 	return d, d, nil
 }
 

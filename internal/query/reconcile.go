@@ -3,11 +3,13 @@ package query
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/object"
 )
@@ -16,7 +18,10 @@ import (
 // paths of the subscription engine: one index mutation (one snapshot swap)
 // followed by one reconciliation pass over the subscriptions the router
 // and the topology-epoch gate admit, sharded by subscription footprint
-// across core-local workers.
+// across core-local workers. A topology commit first scopes itself: only
+// the subscriptions whose dependency radius reaches a changed unit are
+// left stale for the pass to refresh, and the objects bucketed in changed
+// units are routed to the rest as if they had moved.
 //
 // Sharding model. The affected subscriptions (ascending by id) are
 // partitioned across shardWidth() shards keyed by each subscription's
@@ -59,6 +64,8 @@ type reconShard struct {
 	// that subscription's id).
 	err    error
 	errSub int
+	// topo marks a topology pass (see evalFailed).
+	topo bool
 }
 
 type reconSeg struct {
@@ -113,7 +120,12 @@ func (e *Subscriptions) ApplyObjectUpdates(ups []index.ObjectUpdate) ([]SubEvent
 	for _, id := range ids {
 		touched[id] = append(touched[id], cur.ObjectUnitsView(id)...)
 	}
-	evs, err := e.reconcile(cur, touched)
+	routed := e.route(touched)
+	e.stats.Updates += uint64(len(touched))
+	for _, objs := range routed {
+		e.stats.RoutedPairs += uint64(len(objs))
+	}
+	evs, err := e.reconcile(cur, routed, false)
 	e.record(evs)
 	return evs, err
 }
@@ -144,25 +156,28 @@ func (e *Subscriptions) shardState(nsh int) []reconShard {
 	return shards
 }
 
-// reconcile runs one pass over the subscriptions an update batch can
-// affect: the router-admitted ones plus — only when the current snapshot's
-// topology epoch differs from the last one the engine reconciled against —
-// every subscription whose epoch no longer matches (a topology change
-// refreshes wholesale; Topology's pass is exactly this gate with nothing
-// routed). The epoch gate keeps the steady state O(routed): an object
-// batch cannot change the epoch, so a full O(registered) scan happens at
-// most once per topology change. A subscription whose refresh failed
-// during such a scan stays stale but remains advertised in the router
-// under its old footprint, so a later routed update (or the next topology
-// operation) retries its refresh.
+// reconcile runs one pass over the subscriptions an operation can
+// affect: the routed ones (routed[id] lists the objects to re-evaluate
+// against subscription id) plus — only when the current snapshot's
+// topology epoch differs from the last one the engine reconciled against
+// — every subscription still bound to an older epoch, which refreshes
+// wholesale. Topology carries the subscriptions a commit cannot change to
+// the new epoch before the pass, so the gate admits exactly the ones it
+// left stale. The gate keeps the steady state O(routed): an object batch
+// cannot change the epoch, so a full O(registered) scan happens at most
+// once per topology change. A subscription whose refresh failed during
+// such a scan stays stale but remains advertised in the router under its
+// old footprint, so a later routed update (or the next topology
+// operation) retries its refresh. topo marks a topology pass, which
+// repairs a failed routed evaluation instead of reporting it (see
+// evalFailed).
 //
 // The pass shards the affected subscriptions across core-local workers
 // (see the package note on the sharding model and ordering contract); the
 // first error by subscription order is reported alongside the events
 // gathered so far, exactly as the serial reconciler did.
-func (e *Subscriptions) reconcile(cur *index.Snapshot, touched map[object.ID][]index.UnitID) ([]SubEvent, error) {
+func (e *Subscriptions) reconcile(cur *index.Snapshot, routed map[int][]object.ID, topo bool) ([]SubEvent, error) {
 	start := time.Now()
-	routed := e.route(touched)
 	ids := make([]int, 0, len(routed))
 	if cur.TopoEpoch() != e.lastTopoEpoch {
 		for id, s := range e.standing {
@@ -179,11 +194,7 @@ func (e *Subscriptions) reconcile(cur *index.Snapshot, touched map[object.ID][]i
 	sort.Ints(ids)
 
 	e.stats.Batches++
-	e.stats.Updates += uint64(len(touched))
 	e.stats.AffectedSubs += uint64(len(ids))
-	for _, objs := range routed {
-		e.stats.RoutedPairs += uint64(len(objs))
-	}
 	if len(ids) == 0 {
 		e.noteBatchLatency(time.Since(start))
 		return nil, nil
@@ -194,6 +205,9 @@ func (e *Subscriptions) reconcile(cur *index.Snapshot, touched map[object.ID][]i
 		nsh = len(ids)
 	}
 	shards := e.shardState(nsh)
+	for i := range shards {
+		shards[i].topo = topo
+	}
 	for _, id := range ids {
 		sh := &shards[shardOf(e.standing[id], nsh)]
 		sh.ids = append(sh.ids, id)
@@ -326,11 +340,28 @@ func (sh *reconShard) noteErr(sub int, err error) {
 	}
 }
 
+// evalFailed handles a routed evaluation that failed part-way through a
+// subscription. An object batch reports the error (the first by
+// subscription order is returned). A topology pass must not leave a
+// carried subscription bound to the new epoch with objects unevaluated:
+// it refreshes the subscription wholesale and, when even that fails,
+// marks it stale so the next routed update or topology operation repairs
+// it.
+func (e *Subscriptions) evalFailed(sh *reconShard, s *standingQuery, err error) {
+	if !sh.topo {
+		sh.noteErr(s.id, err)
+		return
+	}
+	if !e.refreshInto(sh, s) {
+		s.ex = nil
+	}
+}
+
 func (e *Subscriptions) reconcileRangeInto(sh *reconShard, s *standingQuery, seq, lsn uint64, objs []object.ID) {
 	for _, oid := range objs {
 		in, err := evalRange(&s.phase, s.q, s.r, oid)
 		if err != nil {
-			sh.noteErr(s.id, err)
+			e.evalFailed(sh, s, err)
 			return
 		}
 		was := s.members[oid]
@@ -348,7 +379,7 @@ func (e *Subscriptions) reconcileRangeInto(sh *reconShard, s *standingQuery, seq
 func (e *Subscriptions) reconcileKNNInto(sh *reconShard, s *standingQuery, seq, lsn uint64, objs []object.ID) {
 	for _, oid := range objs {
 		if err := evalKNNCand(&s.phase, s.q, s.r, oid, s.cand); err != nil {
-			sh.noteErr(s.id, err)
+			e.evalFailed(sh, s, err)
 			return
 		}
 	}
@@ -390,12 +421,13 @@ func (e *Subscriptions) rediffTopKInto(sh *reconShard, s *standingQuery, seq, ls
 }
 
 // refreshInto refreshes a subscription wholesale and appends the result
-// delta to the shard buffer (reconcileShard sorts the segment). A failed
-// refresh is swallowed: the subscription stays on its last good state and
-// a later operation repairs it. A successful one queues the footprint
-// re-advertisement for the serial epilogue, since the shared router must
-// stay untouched inside the parallel fan-out.
-func (e *Subscriptions) refreshInto(sh *reconShard, s *standingQuery) {
+// delta to the shard buffer (reconcileShard sorts the segment), reporting
+// whether the refresh succeeded. A failed refresh is swallowed: the
+// subscription stays on its last good state and a later operation repairs
+// it. A successful one queues the footprint re-advertisement for the
+// serial epilogue, since the shared router must stay untouched inside the
+// parallel fan-out.
+func (e *Subscriptions) refreshInto(sh *reconShard, s *standingQuery) bool {
 	old := s.units
 	before := make(map[object.ID]bool, len(s.members))
 	for oid := range s.members {
@@ -403,7 +435,7 @@ func (e *Subscriptions) refreshInto(sh *reconShard, s *standingQuery) {
 	}
 	beforeDist := s.memberDist
 	if err := e.refresh(s); err != nil {
-		return
+		return false
 	}
 	seq, lsn := s.ex.s.Seq(), s.ex.s.LSN()
 	for oid := range s.members {
@@ -428,30 +460,83 @@ func (e *Subscriptions) refreshInto(sh *reconShard, s *standingQuery) {
 		}
 	}
 	sh.refreshed = append(sh.refreshed, reconRefresh{sub: s.id, oldUnits: old})
+	return true
 }
 
 // Topology commits one topology mutation through the engine: Index.Apply
-// runs under the engine mutex, and the standing queries then refresh in
-// the same sharded pass an object batch uses. Every topology commit
-// advances the snapshot's topology epoch, so the pass's epoch gate admits
-// every subscription and each refreshes wholesale, its events in the
-// pass's (subscription, object, kind) order. It returns the committed
-// mutation (with the ids Apply allocated) and Apply's error: a refresh
-// that fails (e.g. the query point's partition was removed) leaves its
-// subscription on its last good state, exactly as in an object batch, and
-// the next topology operation retries it.
+// runs under the engine mutex, then scope splits the standing queries.
+// The ones whose dependency radius reaches a changed unit (or all of
+// them, when the skeleton changed) stay stale and refresh wholesale in
+// the same sharded pass an object batch uses; the rest are carried to the
+// new epoch with their door distances intact, and the objects bucketed in
+// the changed units are routed to them exactly as if they had moved. The
+// events come in the pass's (subscription, object, kind) order. It
+// returns the committed mutation (with the ids Apply allocated) and
+// Apply's error: a refresh that fails (e.g. the query point's partition
+// was removed) leaves its subscription on its last good state, exactly as
+// in an object batch, and the next topology operation retries it.
 func (e *Subscriptions) Topology(m index.Mutation) (index.Mutation, []SubEvent, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	prev := e.p.Pin()
 	m, err := e.p.idx.Apply(m)
 	if err != nil || len(e.standing) == 0 {
 		return m, nil, err
 	}
-	// A topology pass routes no objects, so its only failures are
-	// refreshes, which reconcile already swallows.
-	evs, _ := e.reconcile(e.p.Pin(), nil)
+	cur := e.p.Pin()
+	// A topology pass repairs its own evaluation failures (evalFailed),
+	// so reconcile reports no error here.
+	evs, _ := e.reconcile(cur, e.route(e.scope(prev, cur)), true)
 	e.record(evs)
 	return m, evs, nil
+}
+
+// scope admits and carries the standing queries across a topology commit
+// from prev to cur and returns the objects to route to the carried ones:
+// every object bucketed in a changed unit, before or after the commit,
+// with its units in both snapshots. A subscription is admitted — left
+// stale for the pass to refresh — when it is already stale (bound to an
+// epoch older than prev's, or without a phase), when the skeleton changed,
+// or when the tree box of a changed unit in either snapshot lies within
+// its dependency radius; every other one is carried. Topology passes do
+// not count towards Updates or RoutedPairs: those measure object batches.
+func (e *Subscriptions) scope(prev, cur *index.Snapshot) map[object.ID][]index.UnitID {
+	if cur.TopoEpoch() == prev.TopoEpoch() {
+		return nil
+	}
+	changed, all := cur.TopoDelta(prev)
+	var boxes []geom.Rect3
+	for _, u := range changed {
+		for _, snap := range []*index.Snapshot{prev, cur} {
+			if b, ok := snap.UnitBox(u); ok {
+				boxes = append(boxes, b)
+			}
+		}
+	}
+	carried := 0
+	for _, s := range e.standing {
+		if all || s.ex == nil || s.ex.s.TopoEpoch() != prev.TopoEpoch() || s.reaches(boxes) {
+			continue
+		}
+		s.carry(cur)
+		carried++
+	}
+	e.stats.TopoCarried += uint64(carried)
+	e.stats.TopoAdmitted += uint64(len(e.standing) - carried)
+	if carried == 0 {
+		return nil
+	}
+	touched := make(map[object.ID][]index.UnitID)
+	for _, u := range changed {
+		for _, snap := range []*index.Snapshot{prev, cur} {
+			for _, oid := range snap.BucketObjectsView(u) {
+				if _, ok := touched[oid]; !ok {
+					touched[oid] = append(slices.Clip(prev.ObjectUnitsView(oid)), cur.ObjectUnitsView(oid)...)
+				}
+			}
+		}
+	}
+	return touched
 }
 
 // FanOut runs fn(0..n-1) across min(workers, n) goroutines (workers ≤ 0

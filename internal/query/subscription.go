@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/distance"
+	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/indoor"
 	"repro/internal/object"
@@ -172,6 +173,11 @@ type SubStats struct {
 	// Refreshes counts wholesale re-runs of a subscription's filtering and
 	// subgraph phases (topology changes, kNN candidate exhaustion).
 	Refreshes uint64
+	// TopoAdmitted counts, per topology commit, the subscriptions admitted
+	// to wholesale refresh (their dependency radius reaches a changed
+	// unit, or they were already stale); TopoCarried counts the ones
+	// carried to the new epoch with their door distances intact.
+	TopoAdmitted, TopoCarried uint64
 	// EventsDropped counts events discarded by event-log overflow (the
 	// log's cap was hit before the consumer drained).
 	EventsDropped uint64
@@ -227,9 +233,11 @@ type phase struct {
 	rf      *refiner
 }
 
-// rebind retargets the phase's cached engines at a newer snapshot; it
-// fails when the topology epoch changed (the door-distance caches would
-// be stale), in which case the caller refreshes instead.
+// rebind retargets the phase's cached engines at a newer snapshot of the
+// same topology epoch. It fails when the phase is stale — bound to an
+// older epoch, because Topology admitted it for refresh or its refresh
+// failed — and the caller then refreshes instead; a phase Topology
+// carried is already bound to the current epoch and rebinds.
 func (p *phase) rebind(cur *index.Snapshot) bool {
 	if p.ex == nil || p.ex.s.TopoEpoch() != cur.TopoEpoch() {
 		return false
@@ -245,6 +253,50 @@ func (p *phase) rebind(cur *index.Snapshot) bool {
 	}
 	p.ex.s = cur
 	return true
+}
+
+// dependRadius is how far, by the Equation 10 bound around the query
+// point, the topology the phase's answers depend on extends. Every answer
+// is an expected distance (§II-C) or a bracket of one, computed by a rung
+// of the refinement ladder from door distances over the units within that
+// rung's radius: the phase radius (r, or the kNN kbound R) for the phase
+// engine, extR for the extended engine once built, and the accumulated
+// Reach of the full engine once it was used. A topology change farther
+// out than the maximum cannot move any of them.
+func (p *phase) dependRadius() float64 {
+	d := p.rf.r
+	if p.rf.ext != nil {
+		d = max(d, p.rf.extR)
+	}
+	return max(d, p.rf.fullReach)
+}
+
+// reaches reports whether any of the boxes — the tree boxes of the units
+// a topology commit changed — lies within the phase's dependency radius.
+func (p *phase) reaches(boxes []geom.Rect3) bool {
+	r := p.dependRadius()
+	for _, b := range boxes {
+		if p.ex.geomBound(p.anchor, p.rf.q, b) <= r {
+			return true
+		}
+	}
+	return false
+}
+
+// carry moves the phase to cur across a topology commit that changed no
+// unit within its dependency radius: the phase engine and the extended
+// engine keep their door distances (distance.Engine.Carry), while the
+// full engine is released — it is unrestricted, so its distances beyond
+// its reach may be stale — and rebuilt on first need. The footprint,
+// anchor and result state stay as they are.
+func (p *phase) carry(cur *index.Snapshot) {
+	p.eng.Carry(cur)
+	if p.rf.ext != nil {
+		p.rf.ext.Carry(cur)
+	}
+	p.rf.full.Close()
+	p.rf.full = nil
+	p.ex.s = cur
 }
 
 // release returns the phase's cached engines to the scratch pool.

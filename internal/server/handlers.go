@@ -367,6 +367,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			RoutedPairs:     ss.RoutedPairs,
 			AffectedSubs:    ss.AffectedSubs,
 			Refreshes:       ss.Refreshes,
+			TopoAdmitted:    ss.TopoAdmitted,
+			TopoCarried:     ss.TopoCarried,
 			Shards:          ss.ReconcileShards,
 			BatchMeanMicros: ss.ReconcileBatchMean.Microseconds(),
 			BatchP50Micros:  ss.ReconcileBatchP50.Microseconds(),

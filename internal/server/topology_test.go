@@ -186,3 +186,33 @@ func TestConcurrentTopologyAddsUnderCompaction(t *testing.T) {
 		t.Fatalf("recovered building %+v, want the leader's %+v", got, want)
 	}
 }
+
+// TestStatsReportTopologyScope: a door toggle over the wire shows up in
+// /v1/stats as subscriptions admitted to refresh plus subscriptions
+// carried, one per standing query, matching the engine's counters.
+func TestStatsReportTopologyScope(t *testing.T) {
+	db, c, _, queries := newLeader(t, server.Config{})
+	for i, q := range queries {
+		if _, _, err := db.Subscribe(indoorq.SubscriptionSpec{Q: q, R: 10 + 20*float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Index().RLock()
+	door := db.Building().Doors()[0].ID
+	db.Index().RUnlock()
+	resp, err := c.Topology(wire.TopologyRequest{Op: wire.TopoSetDoorClosed, Door: int64(door), Closed: true})
+	if err != nil || resp.Err != "" {
+		t.Fatalf("toggle: %v %q", err, resp.Err)
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, want := st.Reconcile, db.SubscriptionStatsSnapshot()
+	if rc.TopoAdmitted+rc.TopoCarried != uint64(len(queries)) {
+		t.Fatalf("admitted %d + carried %d, want %d subscriptions", rc.TopoAdmitted, rc.TopoCarried, len(queries))
+	}
+	if rc.TopoAdmitted != want.TopoAdmitted || rc.TopoCarried != want.TopoCarried {
+		t.Fatalf("/v1/stats %d/%d, engine %d/%d", rc.TopoAdmitted, rc.TopoCarried, want.TopoAdmitted, want.TopoCarried)
+	}
+}

@@ -628,6 +628,11 @@ type ReconcileStats struct {
 	RoutedPairs  uint64 `json:"routedPairs"`
 	AffectedSubs uint64 `json:"affectedSubs"`
 	Refreshes    uint64 `json:"refreshes"`
+	// TopoAdmitted counts the subscriptions topology commits admitted to
+	// wholesale refresh, TopoCarried the ones they carried to the new
+	// epoch untouched, both summed over commits.
+	TopoAdmitted uint64 `json:"topoAdmitted"`
+	TopoCarried  uint64 `json:"topoCarried"`
 	// Shards is the shard width reconciliation passes fan out over.
 	Shards int `json:"shards"`
 	// BatchMeanMicros/P50/P99 aggregate per-batch reconciliation wall
