@@ -6,10 +6,11 @@
 // upper/lower bounds (Lemmas 1–3, Equation 7) and the probabilistic bounds
 // for multi-partition objects (Lemmas 4–5, Equation 8).
 //
-// An Engine is the subgraph phase of §IV-B made reusable: it anchors one
-// query point, runs a multi-source Dijkstra over the doors of a restricted
-// unit set, and then answers bound and exact-distance requests for any
-// object whose uncertainty region lies in those units.
+// An Engine is the subgraph phase of §IV-B made reusable: it binds one
+// query point and its skeleton anchor, runs a multi-source Dijkstra over
+// the doors of a restricted unit set, and then answers bound and
+// exact-distance requests for any object whose uncertainty region lies in
+// those units.
 package distance
 
 import (
@@ -65,38 +66,30 @@ type CaseStats struct {
 
 // New builds an engine over the given candidate units (the output of the
 // filtering phase) against one pinned index snapshot. The query point's
-// own unit is always included. Dijkstra expansion stops beyond bound; pass
-// math.Inf(1) for an unbounded search.
-func New(idx *index.Snapshot, q indoor.Position, unitIDs []index.UnitID, bound float64) (*Engine, error) {
-	qUnit := idx.LocateUnit(q)
-	if qUnit == nil {
-		return nil, fmt.Errorf("distance: query point %v is outside every partition", q)
-	}
-	e := &Engine{idx: idx, q: q, qUnit: qUnit}
-	e.run(unitIDs, bound)
-	return e, nil
+// own unit is always included. a is q's skeleton anchor on idx, which the
+// query evaluation shares with its filtering phase.
+func New(idx *index.Snapshot, q indoor.Position, a *index.SkelAnchor, unitIDs []index.UnitID) (*Engine, error) {
+	return build(idx, q, a, unitIDs, false)
 }
 
 // NewFull builds an engine over every unit of the index: the reference
 // evaluator used for refinement fallback and as the test oracle's
 // counterpart.
 func NewFull(idx *index.Snapshot, q indoor.Position) (*Engine, error) {
+	return build(idx, q, idx.NewSkelAnchor(q), nil, true)
+}
+
+// build performs the subgraph phase against the precompiled door-graph
+// tier: mark the unit set's slots, seed the doors of the query point's
+// unit, and run the membership-restricted Dijkstra in pooled scratch
+// storage. A full engine skips the marking and runs unrestricted.
+func build(idx *index.Snapshot, q indoor.Position, a *index.SkelAnchor, unitIDs []index.UnitID, full bool) (*Engine, error) {
 	qUnit := idx.LocateUnit(q)
 	if qUnit == nil {
 		return nil, fmt.Errorf("distance: query point %v is outside every partition", q)
 	}
-	e := &Engine{idx: idx, q: q, qUnit: qUnit, full: true}
-	e.run(nil, math.Inf(1))
-	return e, nil
-}
-
-// run performs the subgraph phase against the precompiled door-graph tier:
-// mark the unit set's slots, seed the doors of the query point's unit, and
-// run the membership-restricted Dijkstra in pooled scratch storage. A full
-// engine skips the marking and runs unrestricted.
-func (e *Engine) run(unitIDs []index.UnitID, bound float64) {
+	e := &Engine{idx: idx, q: q, qUnit: qUnit, anchor: a, full: full}
 	e.dg = e.idx.DoorGraph()
-	e.anchor = e.idx.NewSkelAnchor(e.q)
 	e.bufs = acquireEvalBufs()
 	e.sc = graph.AcquireScratch()
 	e.sc.Reset(e.dg.NumDoors(), e.dg.NumUnits())
@@ -115,12 +108,12 @@ func (e *Engine) run(unitIDs []index.UnitID, bound float64) {
 		if gid < 0 {
 			continue
 		}
-		w := e.qUnit.WalkDist(e.q, d.Position())
-		if w <= bound && e.sc.Improve(gid, w) {
+		if w := e.qUnit.WalkDist(e.q, d.Position()); e.sc.Improve(gid, w) {
 			e.sc.Push(gid, w)
 		}
 	}
-	e.dg.Graph().Dijkstra(e.sc, bound, !e.full)
+	e.dg.Graph().Dijkstra(e.sc, math.Inf(1), !e.full)
+	return e, nil
 }
 
 // Rebind switches the engine's object-layer reads to a newer snapshot and
@@ -164,9 +157,6 @@ func (e *Engine) Carry(s *index.Snapshot) { e.idx = s }
 // their cap.
 func (e *Engine) Reach() float64 { return e.reach }
 
-// Snapshot returns the index snapshot the engine is bound to.
-func (e *Engine) Snapshot() *index.Snapshot { return e.idx }
-
 // Close releases the engine's pooled scratch storage and evaluation
 // buffers. The engine must not be used afterwards; Close is idempotent and
 // safe on a nil engine.
@@ -182,9 +172,6 @@ func (e *Engine) Close() {
 	}
 }
 
-// Query returns the anchored query position.
-func (e *Engine) Query() indoor.Position { return e.q }
-
 // DoorDist returns the indoor distance from the query point to a door
 // (+Inf when the door is outside the engine's unit set or unreachable).
 func (e *Engine) DoorDist(d *index.DoorRef) float64 {
@@ -199,8 +186,9 @@ func (e *Engine) DoorDist(d *index.DoorRef) float64 {
 	return v
 }
 
-// inUnitSet reports whether a unit belongs to the engine's restricted set.
-func (e *Engine) inUnitSet(id index.UnitID) bool {
+// InUnitSet reports whether a unit belongs to the engine's restricted set
+// (every unit does, for a full engine).
+func (e *Engine) InUnitSet(id index.UnitID) bool {
 	if e.full {
 		return true
 	}
@@ -221,7 +209,7 @@ func (e *Engine) PointDist(p indoor.Position) (float64, bool) {
 	if u.ID == e.qUnit.ID {
 		best = u.WalkDist(e.q, p)
 	}
-	complete := e.inUnitSet(u.ID)
+	complete := e.InUnitSet(u.ID)
 	for _, d := range u.Doors {
 		if !d.CanEnter(u) {
 			continue

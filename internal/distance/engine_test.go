@@ -283,7 +283,8 @@ func TestEngineErrorsOutsideBuilding(t *testing.T) {
 	if _, err := NewFull(idx.Current(), indoor.Pos(-5, -5, 0)); err == nil {
 		t.Error("query outside the building must error")
 	}
-	if _, err := New(idx.Current(), indoor.Pos(-5, -5, 0), nil, math.Inf(1)); err == nil {
+	out := indoor.Pos(-5, -5, 0)
+	if _, err := New(idx.Current(), out, idx.Current().NewSkelAnchor(out), nil); err == nil {
 		t.Error("restricted engine outside the building must error")
 	}
 }
@@ -299,7 +300,8 @@ func TestExactDistBracketCapDiscipline(t *testing.T) {
 	// through the shared door at (20,5), whose restricted distance (15) is
 	// exact, so a cap at or above 15 closes the bracket at the true value.
 	units := append(idx.Current().UnitsOf(parts[0].ID), idx.Current().UnitsOf(parts[1].ID)...)
-	e, err := New(idx.Current(), indoor.Pos(5, 5, 0), units, math.Inf(1))
+	q := indoor.Pos(5, 5, 0)
+	e, err := New(idx.Current(), q, idx.Current().NewSkelAnchor(q), units)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +400,7 @@ func TestRestrictedAgreesWithFullOnMall(t *testing.T) {
 		func(box geom.Rect3) bool { return idx.MinSkelDistBox(q, box) <= 250 },
 		func(u *index.Unit) { units = append(units, u.ID) },
 	)
-	e, err := New(idx.Current(), q, units, math.Inf(1))
+	e, err := New(idx.Current(), q, idx.Current().NewSkelAnchor(q), units)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +445,7 @@ func TestCarryMatchesFreshOutsideRadius(t *testing.T) {
 	}
 	q := indoor.Pos(5, 5, 0)
 	set := append(idx.Current().UnitsOf(parts[0].ID), idx.Current().UnitsOf(parts[1].ID)...)
-	carried, err := New(idx.Current(), q, set, math.Inf(1))
+	carried, err := New(idx.Current(), q, idx.Current().NewSkelAnchor(q), set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +458,7 @@ func TestCarryMatchesFreshOutsideRadius(t *testing.T) {
 		t.Fatal("Rebind must refuse a new topology epoch")
 	}
 	carried.Carry(cur)
-	fresh, err := New(cur, q, set, math.Inf(1))
+	fresh, err := New(cur, q, cur.NewSkelAnchor(q), set)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,5 @@ import (
 
 // KSeedsForTest exposes kSeedsSelection to the package tests.
 func (p *Processor) KSeedsForTest(q indoor.Position, k int) ([]index.UnitID, []object.ID, error) {
-	ex := &exec{s: p.Pin(), opts: p.opts}
-	return ex.kSeedsSelection(q, k)
+	return newExec(p.Pin(), q, p.opts).kSeedsSelection(k)
 }

@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/index"
+	"repro/internal/indoor"
+	"repro/internal/object"
 )
 
 // goldenFile pins the answers and the pruning/refinement counters of a
@@ -34,16 +36,7 @@ func goldenAnswers(t *testing.T) (lines []string, full map[string]int) {
 		{"noskeleton", Options{DisableSkeleton: true}},
 	}
 	for _, floors := range []int{2, 3} {
-		b, err := gen.Mall(gen.MallSpec{Floors: floors})
-		if err != nil {
-			t.Fatal(err)
-		}
-		objs := gen.Objects(b, gen.ObjectSpec{N: 1000, Radius: 8, Instances: 20, Seed: 7})
-		idx, _, err := index.Build(b, objs, index.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		qs := gen.QueryPoints(b, 40, 11)
+		_, idx, qs := goldenMall(t, floors)
 		for _, o := range optSets {
 			p := New(idx, o.opts)
 			for qi, q := range qs {
@@ -77,6 +70,22 @@ func goldenAnswers(t *testing.T) (lines []string, full map[string]int) {
 		}
 	}
 	return lines, full
+}
+
+// goldenMall builds the golden query set's fixture: a mall of the given
+// floors holding 1,000 objects, indexed, and its 40 query points.
+func goldenMall(t *testing.T, floors int) ([]*object.Object, *index.Index, []indoor.Position) {
+	t.Helper()
+	b, err := gen.Mall(gen.MallSpec{Floors: floors})
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := gen.Objects(b, gen.ObjectSpec{N: 1000, Radius: 8, Instances: 20, Seed: 7})
+	idx, _, err := index.Build(b, objs, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return objs, idx, gen.QueryPoints(b, 40, 11)
 }
 
 // TestQueryAnswersGolden compares the fixed query set against the pinned

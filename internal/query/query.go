@@ -1,9 +1,15 @@
 // Package query implements the paper's distance-aware query processors
 // (§IV): the indoor range query iRQ (Algorithm 1) and the indoor k nearest
-// neighbour query ikNNQ (Algorithm 2), built from the four phases of §IV-B
-// — filtering (RangeSearch, Algorithm 4, and kSeedsSelection, Algorithm 5),
-// subgraph (restricted multi-source Dijkstra), pruning (Table III bounds)
-// and refinement (exact expected distances).
+// neighbour query ikNNQ (Algorithm 2), one-shot (Processor) and standing
+// (Subscriptions). Both kinds are one evaluation of the four phases of
+// §IV-B — filtering (RangeSearch, Algorithm 4, and kSeedsSelection,
+// Algorithm 5), subgraph (restricted multi-source Dijkstra), pruning
+// (Table III bounds) and refinement (exact expected distances).
+// buildPhase runs filtering and the subgraph phase into a phase; pruning
+// and refinement then decide candidates against that phase. A one-shot
+// query decides its candidates and releases the phase. A standing query
+// is the same evaluation with the phase kept: every object an update
+// routes to it is decided against that phase until a refresh replaces it.
 //
 // Every run reports per-phase wall time and pruning statistics, which the
 // benchmark harness aggregates into the paper's Figures 12–15. Options
@@ -103,53 +109,51 @@ func New(idx *index.Index, opts Options) *Processor {
 // Pin returns the index's current snapshot for use with the *On variants.
 func (p *Processor) Pin() *index.Snapshot { return p.idx.Current() }
 
-// exec is one query evaluation bound to a pinned snapshot.
+// exec is one query evaluation bound to a pinned snapshot and a query
+// point. Its skeleton anchor is the evaluation's only one: the filtering
+// bounds, the seed flood and every engine of the refinement ladder but
+// the full one evaluate Equation 10 through it.
 type exec struct {
 	s    *index.Snapshot
 	opts Options
+	q    indoor.Position
+	a    *index.SkelAnchor
 }
 
-// anchor prepares the per-query skeleton anchor the geometric bounds
-// evaluate through (nil under the skeleton ablation, which uses Euclidean
-// bounds instead).
-func (ex *exec) anchor(q indoor.Position) *index.SkelAnchor {
-	if ex.opts.DisableSkeleton {
-		return nil
-	}
-	return ex.s.NewSkelAnchor(q)
+func newExec(s *index.Snapshot, q indoor.Position, opts Options) *exec {
+	return &exec{s: s, opts: opts, q: q, a: s.NewSkelAnchor(q)}
 }
 
 // geomBound returns the geometric lower bound used by the filtering phase:
 // Equation 10 (through the query's anchor) by default, plain 3D Euclidean
 // under the ablation.
-func (ex *exec) geomBound(a *index.SkelAnchor, q indoor.Position, box geom.Rect3) float64 {
-	if a == nil {
-		qz := geom.Pt3(q.Pt.X, q.Pt.Y, ex.s.Building().Elevation(q.Floor))
-		return box.MinDist3(qz)
+func (ex *exec) geomBound(box geom.Rect3) float64 {
+	if ex.opts.DisableSkeleton {
+		q := ex.q
+		return box.MinDist3(geom.Pt3(q.Pt.X, q.Pt.Y, ex.s.Building().Elevation(q.Floor)))
 	}
-	return ex.s.AnchorMinDistBox(a, box)
+	return ex.s.AnchorMinDistBox(ex.a, box)
 }
 
 // objectBound is the object-level geometric lower bound.
-func (ex *exec) objectBound(a *index.SkelAnchor, q indoor.Position, id object.ID) float64 {
-	if a == nil {
-		return ex.s.ObjectMinEuclid3(q, id)
+func (ex *exec) objectBound(id object.ID) float64 {
+	if ex.opts.DisableSkeleton {
+		return ex.s.ObjectMinEuclid3(ex.q, id)
 	}
-	return ex.s.AnchorObjectMinSkel(a, id)
+	return ex.s.AnchorObjectMinSkel(ex.a, id)
 }
 
 // rangeSearch is Algorithm 4: it walks the tree tier pruning with the
 // geometric lower bound, returning the candidate units Rp and candidate
 // objects Ro. The cross-unit seen-set is a pooled visited stamp keyed by
 // the object store's slot index, so the walk allocates no per-query map.
-func (ex *exec) rangeSearch(q indoor.Position, r float64) (units []index.UnitID, objs []object.ID) {
+func (ex *exec) rangeSearch(r float64) (units []index.UnitID, objs []object.ID) {
 	store := ex.s.Objects()
 	sc := graph.AcquireScratch()
 	defer sc.Release()
 	sc.Reset(0, store.SlotBound())
-	a := ex.anchor(q)
 	ex.s.SearchTree(
-		func(box geom.Rect3) bool { return ex.geomBound(a, q, box) <= r },
+		func(box geom.Rect3) bool { return ex.geomBound(box) <= r },
 		func(u *index.Unit) {
 			units = append(units, u.ID)
 			for _, oid := range ex.s.BucketObjectsView(u.ID) {
@@ -158,7 +162,7 @@ func (ex *exec) rangeSearch(q indoor.Position, r float64) (units []index.UnitID,
 					continue
 				}
 				sc.Mark(slot)
-				if ex.objectBound(a, q, oid) <= r {
+				if ex.objectBound(oid) <= r {
 					objs = append(objs, oid)
 				}
 			}
@@ -170,43 +174,103 @@ func (ex *exec) rangeSearch(q indoor.Position, r float64) (units []index.UnitID,
 
 // rangeUnits is the unit-only tree walk of Algorithm 4, used to build
 // extended refinement engines without paying the object-side work.
-func (ex *exec) rangeUnits(q indoor.Position, r float64) []index.UnitID {
+func (ex *exec) rangeUnits(r float64) []index.UnitID {
 	var units []index.UnitID
-	a := ex.anchor(q)
 	ex.s.SearchTree(
-		func(box geom.Rect3) bool { return ex.geomBound(a, q, box) <= r },
+		func(box geom.Rect3) bool { return ex.geomBound(box) <= r },
 		func(u *index.Unit) { units = append(units, u.ID) },
 	)
 	return units
 }
 
-// refiner resolves refinement-phase objects with an escalation ladder:
-// the phase engine's bracket first, then an engine over the wider radius
-// 2r+100, and only then the full building — keeping the expensive full
-// Dijkstra off the common path (it would otherwise dominate query time on
-// tall buildings). The wider engines are built on first need and kept for
-// the refiner's lifetime.
-type refiner struct {
+// phase is the output of one evaluation's filtering and subgraph phases —
+// the radius, the candidate-unit footprint and the door-distance engine —
+// plus the refinement ladder over it. Pruning and refinement decide
+// objects against it and record into its Stats. A one-shot query releases
+// it after deciding its candidates; a standing query keeps it (see
+// standingQuery). The ladder climbs from the phase engine's bracket to an
+// engine over the wider radius 2r+100 and only then to the full building,
+// keeping the expensive full Dijkstra off the common path (it would
+// otherwise dominate query time on tall buildings); the wider engines are
+// built on first need and kept for the phase's lifetime.
+type phase struct {
 	ex    *exec
-	q     indoor.Position
-	r     float64 // the cap the phase engine was filtered with
-	eng   *distance.Engine
-	ext   *distance.Engine
-	extR  float64
-	full  *distance.Engine
-	stats *Stats
+	r     float64 // the filtering radius: r, or the kNN kbound R
+	units []index.UnitID
+	st    *Stats
 
-	// fullReach accumulates the full rung's Reach over the refiner's
+	eng  *distance.Engine
+	ext  *distance.Engine
+	extR float64
+	full *distance.Engine
+
+	// fullReach accumulates the full rung's Reach over the phase's
 	// lifetime, across the full engines a standing query releases and
 	// rebuilds (see phase.carry).
 	fullReach float64
 }
 
-// Close releases the escalation engines' pooled scratch storage (the phase
-// engine is owned by the caller). Idempotent.
-func (rf *refiner) Close() {
-	rf.ext.Close()
-	rf.full.Close()
+// buildPhase runs filtering (Algorithm 4 at radius r) and the subgraph
+// phase, recording both into st; the filtering clock runs from start,
+// which the kNN prologue sets before its kbound.
+func (ex *exec) buildPhase(start time.Time, r float64, st *Stats) (*phase, []object.ID, error) {
+	units, candidates := ex.rangeSearch(r)
+	st.Filtering = time.Since(start)
+	st.UnitsRetrieved = len(units)
+	st.Candidates = len(candidates)
+
+	// Subgraph: Dijkstra restricted to the retrieved units. The
+	// restriction is sound: any path of length ≤ r only crosses units
+	// whose geometric lower bound is ≤ r (Lemma 6).
+	start = time.Now()
+	eng, err := distance.New(ex.s, ex.q, ex.a, units)
+	if err != nil {
+		return nil, nil, err
+	}
+	st.Subgraph = time.Since(start)
+	return &phase{ex: ex, r: r, units: units, st: st, eng: eng}, candidates, nil
+}
+
+// release returns the phase's engines' pooled scratch storage.
+// Idempotent.
+func (ph *phase) release() {
+	ph.eng.Close()
+	ph.ext.Close()
+	ph.full.Close()
+	ph.eng, ph.ext, ph.full = nil, nil, nil
+}
+
+// verdict is the iRQ pruning decision for one object.
+type verdict uint8
+
+const (
+	undecided verdict = iota // the bounds straddle r: refine
+	accepted                 // upper bound ≤ r
+	rejected                 // lower bound > r
+)
+
+// prune is the iRQ pruning step for one object: the Table III bounds
+// against the phase radius.
+func (ph *phase) prune(o *object.Object) verdict {
+	switch b := ph.eng.ObjectBounds(o, ph.r); {
+	case b.Upper <= ph.r:
+		ph.st.AcceptedBounds++
+		return accepted
+	case b.Lower > ph.r:
+		ph.st.RejectedBounds++
+		return rejected
+	}
+	return undecided
+}
+
+// refine is the iRQ refinement step for one object: the ladder climbs
+// until the bracket lies wholly on one side of the phase radius. The
+// object qualifies iff the bracket's high end, returned as its distance,
+// is within it.
+func (ph *phase) refine(o *object.Object) (bool, float64, error) {
+	ph.st.Refined++
+	_, high, err := ph.resolve(o, decided(ph.r))
+	return high <= ph.r, high, err
 }
 
 // resolve climbs the ladder for one object until settled accepts a rung's
@@ -214,27 +278,28 @@ func (rf *refiner) Close() {
 // returns (d, d) and counts a FullFallback. An iRQ decision settles on
 // decided(r) and the object qualifies iff high <= r; an exact distance
 // settles on closed and is high.
-func (rf *refiner) resolve(o *object.Object, settled func(low, high float64) bool) (low, high float64, err error) {
-	if low, high = rf.eng.ExactDistBracket(o, rf.r); settled(low, high) {
+func (ph *phase) resolve(o *object.Object, settled func(low, high float64) bool) (low, high float64, err error) {
+	if low, high = ph.eng.ExactDistBracket(o, ph.r); settled(low, high) {
 		return low, high, nil
 	}
-	if rf.ext == nil {
-		rf.extR = 2*rf.r + 100
-		if rf.ext, err = distance.New(rf.ex.s, rf.q, rf.ex.rangeUnits(rf.q, rf.extR), math.Inf(1)); err != nil {
+	ex := ph.ex
+	if ph.ext == nil {
+		ph.extR = 2*ph.r + 100
+		if ph.ext, err = distance.New(ex.s, ex.q, ex.a, ex.rangeUnits(ph.extR)); err != nil {
 			return 0, 0, err
 		}
 	}
-	if low, high = rf.ext.ExactDistBracket(o, rf.extR); settled(low, high) {
+	if low, high = ph.ext.ExactDistBracket(o, ph.extR); settled(low, high) {
 		return low, high, nil
 	}
-	if rf.full == nil {
-		if rf.full, err = distance.NewFull(rf.ex.s, rf.q); err != nil {
+	if ph.full == nil {
+		if ph.full, err = distance.NewFull(ex.s, ex.q); err != nil {
 			return 0, 0, err
 		}
 	}
-	rf.stats.FullFallbacks++
-	d, _ := rf.full.ExactDist(o)
-	rf.fullReach = max(rf.fullReach, rf.full.Reach())
+	ph.st.FullFallbacks++
+	d, _ := ph.full.ExactDist(o)
+	ph.fullReach = max(ph.fullReach, ph.full.Reach())
 	return d, d, nil
 }
 
@@ -279,71 +344,61 @@ func (p *Processor) RangeQuery(q indoor.Position, r float64) ([]Result, *Stats, 
 
 // RangeQueryOn is RangeQuery against an explicitly pinned snapshot.
 func (p *Processor) RangeQueryOn(s *index.Snapshot, q indoor.Position, r float64) ([]Result, *Stats, error) {
-	ex := &exec{s: s, opts: p.opts}
 	st := &Stats{TotalObjects: s.Objects().Len()}
-
-	// Phase 1: filtering.
-	start := time.Now()
-	units, candidates := ex.rangeSearch(q, r)
-	st.Filtering = time.Since(start)
-	st.UnitsRetrieved = len(units)
-	st.Candidates = len(candidates)
-
-	// Phase 2: subgraph — Dijkstra restricted to the retrieved units. The
-	// restriction is sound: any path of length ≤ r only crosses units
-	// whose geometric lower bound is ≤ r (Lemma 6).
-	start = time.Now()
-	eng, err := distance.New(s, q, units, math.Inf(1))
+	ph, results, err := newExec(s, q, p.opts).rangeQuery(r, st)
 	if err != nil {
 		return nil, st, err
 	}
-	defer eng.Close()
-	st.Subgraph = time.Since(start)
+	ph.release()
+	return results, st, nil
+}
 
+// rangeQuery is Algorithm 1: the phase at r, then pruning and refinement
+// of every candidate against it. It returns the phase for the caller to
+// release, or to keep as a range subscription's; on error the phase is
+// already released.
+func (ex *exec) rangeQuery(r float64, st *Stats) (*phase, []Result, error) {
+	ph, candidates, err := ex.buildPhase(time.Now(), r, st)
+	if err != nil {
+		return nil, nil, err
+	}
 	var results []Result
 	var undetermined []object.ID
 
-	// Phase 3: pruning with the Table III bounds.
-	start = time.Now()
-	if p.opts.DisablePruning {
+	// Pruning with the Table III bounds.
+	start := time.Now()
+	if ex.opts.DisablePruning {
 		undetermined = candidates
 	} else {
 		for _, oid := range candidates {
-			o := s.Objects().Get(oid)
-			b := eng.ObjectBounds(o, r)
-			switch {
-			case b.Upper <= r:
-				st.AcceptedBounds++
+			switch ph.prune(ex.s.Objects().Get(oid)) {
+			case accepted:
 				results = append(results, Result{ID: oid, Distance: math.NaN()})
-			case b.Lower <= r:
+			case undecided:
 				undetermined = append(undetermined, oid)
-			default:
-				st.RejectedBounds++
 			}
 		}
 	}
 	st.Pruning = time.Since(start)
 
-	// Phase 4: refinement — bracketed exact distances with the escalation
-	// ladder; brackets only stay open for objects mixing near mass with
-	// far subregions.
+	// Refinement — bracketed exact distances with the escalation ladder;
+	// brackets only stay open for objects mixing near mass with far
+	// subregions.
 	start = time.Now()
-	rf := &refiner{ex: ex, q: q, r: r, eng: eng, stats: st}
-	defer rf.Close()
 	for _, oid := range undetermined {
-		st.Refined++
-		_, high, err := rf.resolve(s.Objects().Get(oid), decided(r))
+		in, d, err := ph.refine(ex.s.Objects().Get(oid))
 		if err != nil {
-			return nil, st, err
+			ph.release()
+			return nil, nil, err
 		}
-		if high <= r {
-			results = append(results, Result{ID: oid, Distance: high})
+		if in {
+			results = append(results, Result{ID: oid, Distance: d})
 		}
 	}
 	st.Refinement = time.Since(start)
 
 	sort.Slice(results, func(i, j int) bool { return results[i].ID < results[j].ID })
-	return results, st, nil
+	return ph, results, nil
 }
 
 // seedFrontier is the kSeedsSelection priority queue: a typed binary
@@ -442,14 +497,14 @@ func (sc *seedScratch) put() {
 // *closed* — every unit of their uncertainty region visited — so that the
 // subsequent TLU evaluation over the visited units is finite for k seeds.
 // It returns the visited units Rp1 and the closed seed objects Ro1.
-func (ex *exec) kSeedsSelection(q indoor.Position, k int) (units []index.UnitID, objs []object.ID, err error) {
-	start := ex.s.LocateUnit(q)
+//
+// The seed flood always keys on the skeleton bound: the ablation only
+// swaps the filtering bound.
+func (ex *exec) kSeedsSelection(k int) (units []index.UnitID, objs []object.ID, err error) {
+	start := ex.s.LocateUnit(ex.q)
 	if start == nil {
-		return nil, nil, fmt.Errorf("query: point %v is outside every partition", q)
+		return nil, nil, fmt.Errorf("query: point %v is outside every partition", ex.q)
 	}
-	// The seed flood always keys on the skeleton bound (the ablation only
-	// swaps the filtering bound), so anchor unconditionally.
-	anchor := ex.s.NewSkelAnchor(q)
 	sscr := seedScratchPool.Get().(*seedScratch)
 	defer sscr.put()
 	h := sscr.h
@@ -510,7 +565,7 @@ func (ex *exec) kSeedsSelection(q indoor.Position, k int) (units []index.UnitID,
 				continue
 			}
 			queued[next] = true
-			h.push(seedEntry{uid: next, key: ex.s.AnchorMinDistUnit(anchor, nu)})
+			h.push(seedEntry{uid: next, key: ex.s.AnchorMinDistUnit(ex.a, nu)})
 		}
 	}
 	return units, objs, nil
@@ -526,7 +581,6 @@ func (p *Processor) KNNQuery(q indoor.Position, k int) ([]Result, *Stats, error)
 
 // KNNQueryOn is KNNQuery against an explicitly pinned snapshot.
 func (p *Processor) KNNQueryOn(s *index.Snapshot, q indoor.Position, k int) ([]Result, *Stats, error) {
-	ex := &exec{s: s, opts: p.opts}
 	st := &Stats{TotalObjects: s.Objects().Len()}
 	if k <= 0 {
 		return nil, st, nil
@@ -537,37 +591,24 @@ func (p *Processor) KNNQueryOn(s *index.Snapshot, q indoor.Position, k int) ([]R
 	scr := knnScratchPool.Get().(*knnScratch)
 	defer knnScratchPool.Put(scr)
 
-	// Phase 1: filtering — seeds, kbound from the TLU (Lemma 3), then the
-	// geometric range search with kbound.
+	ph, candidates, err := newExec(s, q, p.opts).knnPhase(k, st, ar)
+	if err != nil {
+		return nil, st, err
+	}
+	defer ph.release()
+
+	// Pruning around the k-th smallest upper bound, with the bounds of all
+	// candidates evaluated in one batch against the shared subgraph engine
+	// (bounds[i] corresponds to candidates[i]). With pruning off, or no
+	// more than k candidates, every candidate is refined and no bound is
+	// needed.
 	start := time.Now()
-	kbound, err := ex.kbound(q, k, ar)
-	if err != nil {
-		return nil, st, err
-	}
-	units, candidates := ex.rangeSearch(q, kbound)
-	st.Filtering = time.Since(start)
-	st.UnitsRetrieved = len(units)
-	st.Candidates = len(candidates)
-
-	// Phase 2: subgraph.
-	start = time.Now()
-	eng, err := distance.New(s, q, units, math.Inf(1))
-	if err != nil {
-		return nil, st, err
-	}
-	defer eng.Close()
-	st.Subgraph = time.Since(start)
-
-	// Phase 3: pruning around the k-th smallest upper bound, with the
-	// bounds of all candidates evaluated in one batch against the shared
-	// subgraph engine (bounds[i] corresponds to candidates[i]).
-	start = time.Now()
-	bounds := eng.ObjectBoundsBatch(candidates, kbound, ar)
 	var results []Result
 	undetermined := scr.undet[:0]
 	if p.opts.DisablePruning || len(candidates) <= k {
 		undetermined = append(undetermined, candidates...)
 	} else {
+		bounds := ph.eng.ObjectBoundsBatch(candidates, ph.r, ar)
 		uppers := growFloats(&scr.uppers, len(bounds))
 		for i, b := range bounds {
 			uppers[i] = b.Upper
@@ -600,17 +641,15 @@ func (p *Processor) KNNQueryOn(s *index.Snapshot, q indoor.Position, k int) ([]R
 	scr.undet = undetermined
 	st.Pruning = time.Since(start)
 
-	// Phase 4: refinement — candidates whose bracket stays open (far
-	// subregions beyond kbound) climb the escalation ladder, so the final
-	// ordering uses true expected distances.
+	// Refinement — candidates whose bracket stays open (far subregions
+	// beyond kbound) climb the escalation ladder, so the final ordering
+	// uses true expected distances.
 	start = time.Now()
-	rf := &refiner{ex: ex, q: q, r: kbound, eng: eng, stats: st}
-	defer rf.Close()
 	exact := scr.exact[:0]
 	st.Refined += len(undetermined)
 	for _, oid := range undetermined {
 		var d float64
-		if _, d, err = rf.resolve(s.Objects().Get(oid), closed); err != nil {
+		if _, d, err = ph.resolve(s.Objects().Get(oid), closed); err != nil {
 			break
 		}
 		exact = append(exact, Result{ID: oid, Distance: d})
@@ -636,19 +675,31 @@ func (p *Processor) KNNQueryOn(s *index.Snapshot, q indoor.Position, k int) ([]R
 	return results, st, nil
 }
 
-// kbound is the Lemma 3 filtering radius of an ikNN at q: the seed flood
+// knnPhase is the set-up the one-shot ikNN and the kNN subscription
+// share: the Lemma 3 kbound R, then the phase at R, with the kbound's
+// seed flood counted as filtering time.
+func (ex *exec) knnPhase(k int, st *Stats, ar *distance.Arena) (*phase, []object.ID, error) {
+	start := time.Now()
+	kbound, err := ex.kbound(k, ar)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ex.buildPhase(start, kbound, st)
+}
+
+// kbound is the Lemma 3 filtering radius of an ikNN: the seed flood
 // (Algorithm 5), the seeds' TLUs on an engine restricted to the seed
 // units, and the k-th smallest of them. The restriction makes every door
 // distance the length of some real path — exactly the looser-bound
 // requirement of Lemma 3 — so with at least k finite TLUs the k-th
 // smallest bounds the k-th nearest neighbour's expected distance. With
 // fewer than k closed seeds the bound is +Inf.
-func (ex *exec) kbound(q indoor.Position, k int, ar *distance.Arena) (float64, error) {
-	seedUnits, seeds, err := ex.kSeedsSelection(q, k)
+func (ex *exec) kbound(k int, ar *distance.Arena) (float64, error) {
+	seedUnits, seeds, err := ex.kSeedsSelection(k)
 	if err != nil || len(seeds) < k {
 		return math.Inf(1), err
 	}
-	seedEng, err := distance.New(ex.s, q, seedUnits, math.Inf(1))
+	seedEng, err := distance.New(ex.s, ex.q, ex.a, seedUnits)
 	if err != nil {
 		return 0, err
 	}

@@ -359,7 +359,7 @@ func (e *Subscriptions) evalFailed(sh *reconShard, s *standingQuery, err error) 
 
 func (e *Subscriptions) reconcileRangeInto(sh *reconShard, s *standingQuery, seq, lsn uint64, objs []object.ID) {
 	for _, oid := range objs {
-		in, err := evalRange(&s.phase, s.q, s.r, oid)
+		in, err := s.decideRange(oid)
 		if err != nil {
 			e.evalFailed(sh, s, err)
 			return
@@ -378,7 +378,7 @@ func (e *Subscriptions) reconcileRangeInto(sh *reconShard, s *standingQuery, seq
 
 func (e *Subscriptions) reconcileKNNInto(sh *reconShard, s *standingQuery, seq, lsn uint64, objs []object.ID) {
 	for _, oid := range objs {
-		if err := evalKNNCand(&s.phase, s.q, s.r, oid, s.cand); err != nil {
+		if err := s.evalKNNCand(oid, s.cand); err != nil {
 			e.evalFailed(sh, s, err)
 			return
 		}
@@ -387,7 +387,7 @@ func (e *Subscriptions) reconcileKNNInto(sh *reconShard, s *standingQuery, seq, 
 	// distance only while at least k candidates remain inside it. Fewer
 	// means the true top-k may reach beyond the footprint — refresh at a
 	// fresh radius. An infinite radius already covers everything.
-	if len(s.cand) < s.k && !math.IsInf(s.r, 1) {
+	if len(s.cand) < s.k && !math.IsInf(s.phase.r, 1) {
 		e.refreshInto(sh, s)
 		return
 	}

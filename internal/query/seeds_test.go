@@ -28,7 +28,7 @@ func TestKSeedsClosedAndFinite(t *testing.T) {
 		for _, u := range units {
 			inSet[u] = true
 		}
-		eng, err := distance.New(f.idx.Current(), q, units, math.Inf(1))
+		eng, err := distance.New(f.idx.Current(), q, f.idx.Current().NewSkelAnchor(q), units)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestKboundCoversKthNeighbor(t *testing.T) {
 			if len(seeds) < k {
 				continue
 			}
-			eng, err := distance.New(f.idx.Current(), q, units, math.Inf(1))
+			eng, err := distance.New(f.idx.Current(), q, f.idx.Current().NewSkelAnchor(q), units)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -192,45 +192,34 @@ type SubStats struct {
 	ReconcileBatchP99  time.Duration
 }
 
-// standingQuery is one subscription: the cached phase state of its last
-// full evaluation plus its current result state. The zero-value maps are
+// standingQuery is one subscription: the phase of its last full
+// evaluation, kept, plus its current result state. The zero-value maps are
 // only for its own kind.
 type standingQuery struct {
 	id   int
 	kind SubKind
 	q    indoor.Position
-	// r is the range radius for SubRange; for SubKNN it is the footprint
-	// (safe) radius R the candidate cache covers — an upper bound on the
-	// k-th distance established at the last refresh (+Inf when fewer than
-	// k objects were reachable).
-	r float64
-	k int // SubKNN only
+	r    float64 // SubRange only: the query radius
+	k    int     // SubKNN only
 
+	// phase is the kept filtering and subgraph output. A kNN
+	// subscription's phase radius is its footprint (safe) radius R: an
+	// upper bound on the k-th distance established at the last refresh
+	// (+Inf when fewer than k objects were reachable). Refreshes build a
+	// complete replacement phase and swap it in only after every
+	// evaluation succeeded, so a failed refresh can never leave a
+	// subscription half-built — it keeps its previous phase, result state
+	// and router advertisement intact.
 	phase
 
 	// members is the current result set (range membership, or the kNN
 	// top-k). memberDist and cand are kNN-only: memberDist holds the
 	// members' exact distances as last reported, cand the exact distances
-	// of every object within r.
+	// of every object within R.
 	members    map[object.ID]bool
 	memberDist map[object.ID]float64
 	cand       map[object.ID]float64
 	kb         *distance.KBound
-}
-
-// phase is one subscription's cached filtering and subgraph state: the
-// pinned snapshot, the candidate-unit footprint and the door-distance
-// engines. Refreshes build a complete replacement phase and swap it in
-// only after every evaluation succeeded, so a failed refresh can never
-// leave a subscription half-built — it keeps its previous phase, result
-// state and router advertisement intact.
-type phase struct {
-	ex      *exec // the pinned snapshot the cached engines are bound to
-	units   []index.UnitID
-	unitSet map[index.UnitID]bool
-	anchor  *index.SkelAnchor
-	eng     *distance.Engine
-	rf      *refiner
 }
 
 // rebind retargets the phase's cached engines at a newer snapshot of the
@@ -238,20 +227,20 @@ type phase struct {
 // older epoch, because Topology admitted it for refresh or its refresh
 // failed — and the caller then refreshes instead; a phase Topology
 // carried is already bound to the current epoch and rebinds.
-func (p *phase) rebind(cur *index.Snapshot) bool {
-	if p.ex == nil || p.ex.s.TopoEpoch() != cur.TopoEpoch() {
+func (ph *phase) rebind(cur *index.Snapshot) bool {
+	if ph.ex == nil || ph.ex.s.TopoEpoch() != cur.TopoEpoch() {
 		return false
 	}
-	if !p.eng.Rebind(cur) {
+	if !ph.eng.Rebind(cur) {
 		return false
 	}
-	if p.rf.ext != nil && !p.rf.ext.Rebind(cur) {
+	if ph.ext != nil && !ph.ext.Rebind(cur) {
 		return false
 	}
-	if p.rf.full != nil && !p.rf.full.Rebind(cur) {
+	if ph.full != nil && !ph.full.Rebind(cur) {
 		return false
 	}
-	p.ex.s = cur
+	ph.ex.s = cur
 	return true
 }
 
@@ -263,20 +252,20 @@ func (p *phase) rebind(cur *index.Snapshot) bool {
 // engine, extR for the extended engine once built, and the accumulated
 // Reach of the full engine once it was used. A topology change farther
 // out than the maximum cannot move any of them.
-func (p *phase) dependRadius() float64 {
-	d := p.rf.r
-	if p.rf.ext != nil {
-		d = max(d, p.rf.extR)
+func (ph *phase) dependRadius() float64 {
+	d := ph.r
+	if ph.ext != nil {
+		d = max(d, ph.extR)
 	}
-	return max(d, p.rf.fullReach)
+	return max(d, ph.fullReach)
 }
 
 // reaches reports whether any of the boxes — the tree boxes of the units
 // a topology commit changed — lies within the phase's dependency radius.
-func (p *phase) reaches(boxes []geom.Rect3) bool {
-	r := p.dependRadius()
+func (ph *phase) reaches(boxes []geom.Rect3) bool {
+	r := ph.dependRadius()
 	for _, b := range boxes {
-		if p.ex.geomBound(p.anchor, p.rf.q, b) <= r {
+		if ph.ex.geomBound(b) <= r {
 			return true
 		}
 	}
@@ -289,23 +278,14 @@ func (p *phase) reaches(boxes []geom.Rect3) bool {
 // full engine is released — it is unrestricted, so its distances beyond
 // its reach may be stale — and rebuilt on first need. The footprint,
 // anchor and result state stay as they are.
-func (p *phase) carry(cur *index.Snapshot) {
-	p.eng.Carry(cur)
-	if p.rf.ext != nil {
-		p.rf.ext.Carry(cur)
+func (ph *phase) carry(cur *index.Snapshot) {
+	ph.eng.Carry(cur)
+	if ph.ext != nil {
+		ph.ext.Carry(cur)
 	}
-	p.rf.full.Close()
-	p.rf.full = nil
-	p.ex.s = cur
-}
-
-// release returns the phase's cached engines to the scratch pool.
-func (p *phase) release() {
-	p.eng.Close()
-	if p.rf != nil {
-		p.rf.Close()
-	}
-	p.eng, p.rf = nil, nil
+	ph.full.Close()
+	ph.full = nil
+	ph.ex.s = cur
 }
 
 // NewSubscriptions returns a subscription engine over the index.
@@ -613,103 +593,61 @@ func (e *Subscriptions) Stats() SubStats {
 	return st
 }
 
-// refresh re-runs the filtering and subgraph phases for a subscription
-// against a freshly pinned snapshot and rebuilds its result state. The
-// rebuild is all-or-nothing: the replacement phase and result maps are
-// staged completely before the swap, so a failed refresh (e.g. the query
-// point's partition was removed, or a refinement engine failed to build)
-// leaves the subscription's previous phase, result state and router
-// advertisement exactly as they were. The caller updates the router when
-// the footprint changed.
+// refresh re-evaluates a subscription from scratch against a freshly
+// pinned snapshot — the one-shot evaluation of its query, with the phase
+// kept — and rebuilds its result state. The rebuild is all-or-nothing:
+// the replacement phase and result maps are staged completely before the
+// swap, so a failed refresh (e.g. the query point's partition was
+// removed, or a refinement engine failed to build) leaves the
+// subscription's previous phase, result state and router advertisement
+// exactly as they were. The caller updates the router when the footprint
+// changed.
 func (e *Subscriptions) refresh(s *standingQuery) error {
-	switch s.kind {
-	case SubKNN:
-		return e.refreshKNN(s)
-	default:
-		return e.refreshRange(s)
+	snap := e.p.Pin()
+	ex := newExec(snap, s.q, e.p.opts)
+	st := &Stats{TotalObjects: snap.Objects().Len()}
+	if s.kind == SubKNN {
+		return e.refreshKNN(s, ex, st)
 	}
-}
-
-// buildPhaseOn stages a phase over a pinned exec: footprint at radius r,
-// restricted engine, refiner. On success the caller owns the phase (and
-// must release it if it is later discarded).
-func buildPhaseOn(ex *exec, q indoor.Position, r float64) (phase, []object.ID, error) {
-	units, cands := ex.rangeSearch(q, r)
-	eng, err := distance.New(ex.s, q, units, math.Inf(1))
-	if err != nil {
-		return phase{}, nil, err
-	}
-	unitSet := make(map[index.UnitID]bool, len(units))
-	for _, u := range units {
-		unitSet[u] = true
-	}
-	return phase{
-		ex: ex, units: units, unitSet: unitSet, anchor: ex.anchor(q),
-		eng: eng, rf: &refiner{ex: ex, q: q, r: r, eng: eng, stats: &Stats{}},
-	}, cands, nil
-}
-
-func (e *Subscriptions) refreshRange(s *standingQuery) error {
-	ex := &exec{s: e.p.Pin(), opts: e.p.opts}
-	ph, cands, err := buildPhaseOn(ex, s.q, s.r)
+	ph, results, err := ex.rangeQuery(s.r, st)
 	if err != nil {
 		return err
 	}
-	members := make(map[object.ID]bool)
-	for _, oid := range cands {
-		in, err := evalRange(&ph, s.q, s.r, oid)
-		if err != nil {
-			ph.release()
-			return err
-		}
-		if in {
-			members[oid] = true
-		}
+	members := make(map[object.ID]bool, len(results))
+	for _, res := range results {
+		members[res.ID] = true
 	}
 	s.phase.release()
-	s.phase = ph
+	s.phase = *ph
 	s.members = members
 	return nil
 }
 
-// refreshKNN re-establishes the kNN safe-distance state: the seed phase's
-// kbound R (Lemma 3: an upper bound on the k-th distance; +Inf when fewer
-// than k objects are reachable), the candidate footprint at radius R, and
-// the exact distance of every object within R. The top-k then falls out of
-// the candidate cache through the KBound.
-func (e *Subscriptions) refreshKNN(s *standingQuery) error {
-	ex := &exec{s: e.p.Pin(), opts: e.p.opts}
+// refreshKNN re-establishes the kNN safe-distance state: the phase at the
+// kbound R (the kNN prologue a one-shot ikNN runs), and the exact distance
+// of every object within R. The top-k then falls out of the candidate
+// cache through the KBound.
+func (e *Subscriptions) refreshKNN(s *standingQuery, ex *exec, st *Stats) error {
 	ar := distance.AcquireArena()
 	defer ar.Release()
-	bound, err := ex.kbound(s.q, s.k, ar)
+	ph, cands, err := ex.knnPhase(s.k, st, ar)
 	if err != nil {
 		return err
 	}
-	ph, cands, err := buildPhaseOn(ex, s.q, bound)
-	if err != nil {
-		return err
-	}
-	// One batched bounds pass prunes the candidates, then the refinement
-	// ladder resolves every survivor's exact distance.
-	bounds := ph.eng.ObjectBoundsBatch(cands, bound, ar)
+	bounds := ph.eng.ObjectBoundsBatch(cands, ph.r, ar)
 	cand := make(map[object.ID]float64, len(cands))
-	unbounded := math.IsInf(bound, 1)
 	for i, oid := range cands {
-		if bounds[i].Lower > bound {
-			continue
-		}
-		_, d, err := ph.rf.resolve(ex.s.Objects().Get(oid), closed)
+		d, ok, err := ph.cache(ex.s.Objects().Get(oid), bounds[i].Lower)
 		if err != nil {
 			ph.release()
 			return err
 		}
-		if d <= bound || unbounded {
+		if ok {
 			cand[oid] = d
 		}
 	}
 	s.phase.release()
-	s.phase = ph
-	s.r = bound
+	s.phase = *ph
 	s.cand = cand
 	s.members, s.memberDist = topkOf(s)
 	return nil
@@ -731,78 +669,73 @@ func topkOf(s *standingQuery) (map[object.ID]bool, map[object.ID]float64) {
 	return members, dists
 }
 
-// evalRange decides one object's membership against a standing range
-// query's phase.
-func evalRange(ph *phase, q indoor.Position, r float64, oid object.ID) (bool, error) {
-	snap := ph.ex.s
-	o := snap.Objects().Get(oid)
-	if o == nil {
-		return false, nil
-	}
-	// The object must touch the candidate footprint at all (Lemma 6
-	// guarantees objects fully outside it are beyond r).
-	if !ph.touchesFootprint(oid) {
-		return false, nil
-	}
-	if ph.ex.objectBound(ph.anchor, q, oid) > r {
-		return false, nil
-	}
-	b := ph.eng.ObjectBounds(o, r)
-	switch {
-	case b.Upper <= r:
-		return true, nil
-	case b.Lower > r:
-		return false, nil
-	}
-	_, high, err := ph.rf.resolve(o, decided(r))
-	if err != nil {
-		return false, err
-	}
-	return high <= r, nil
-}
-
-// evalKNNCand re-evaluates one object against a kNN subscription's
-// candidate cache: objects outside the footprint radius leave the cache,
-// objects within it carry their fresh exact distance.
-func evalKNNCand(ph *phase, q indoor.Position, r float64, oid object.ID, cand map[object.ID]float64) error {
-	snap := ph.ex.s
-	o := snap.Objects().Get(oid)
-	if o == nil || !ph.touchesFootprint(oid) {
-		delete(cand, oid)
-		return nil
-	}
-	unbounded := math.IsInf(r, 1)
-	if !unbounded {
-		if ph.ex.objectBound(ph.anchor, q, oid) > r {
-			delete(cand, oid)
-			return nil
-		}
-		if b := ph.eng.ObjectBounds(o, r); b.Lower > r {
-			delete(cand, oid)
-			return nil
-		}
-	}
-	_, d, err := ph.rf.resolve(o, closed)
-	if err != nil {
-		return err
-	}
-	if d > r && !unbounded {
-		delete(cand, oid)
-		return nil
-	}
-	cand[oid] = d
-	return nil
-}
-
-// touchesFootprint reports whether any unit of the object's uncertainty
-// region lies in the phase's candidate footprint.
-func (p *phase) touchesFootprint(oid object.ID) bool {
-	for _, u := range p.ex.s.ObjectUnitsView(oid) {
-		if p.unitSet[u] {
-			return true
+// admits is the filtering step for an object that did not come through
+// rangeSearch — one an update routed to a standing query: it must touch
+// the footprint (Lemma 6 puts objects wholly outside it beyond r), which
+// is the phase engine's unit set, and pass the object-level geometric
+// bound.
+func (ph *phase) admits(oid object.ID) bool {
+	for _, u := range ph.ex.s.ObjectUnitsView(oid) {
+		if ph.eng.InUnitSet(u) {
+			return ph.ex.objectBound(oid) <= ph.r
 		}
 	}
 	return false
+}
+
+// decideRange decides one routed object's membership in a standing range
+// query: admits, then the same pruning and refinement steps a one-shot
+// iRQ takes.
+func (ph *phase) decideRange(oid object.ID) (bool, error) {
+	o := ph.ex.s.Objects().Get(oid)
+	if o == nil || !ph.admits(oid) {
+		return false, nil
+	}
+	switch ph.prune(o) {
+	case accepted:
+		return true, nil
+	case rejected:
+		return false, nil
+	}
+	in, _, err := ph.refine(o)
+	return in, err
+}
+
+// cache is the kNN subscription's pruning and refinement rule for one
+// object, given its lower bound at the footprint radius R: an object
+// whose lower bound is within R gets its exact distance resolved, and the
+// cache keeps it when that distance is within R too (always, when R is
+// +Inf). This is the one deliberate difference from the one-shot ikNN,
+// which refines only what Algorithm 2's k-th smallest upper bound leaves
+// open: a subscription answers later moves from this cache.
+func (ph *phase) cache(o *object.Object, lower float64) (float64, bool, error) {
+	if lower > ph.r {
+		return 0, false, nil
+	}
+	_, d, err := ph.resolve(o, closed)
+	return d, d <= ph.r || math.IsInf(ph.r, 1), err
+}
+
+// evalKNNCand re-evaluates one routed object against a kNN
+// subscription's candidate cache: an object the phase does not admit, or
+// the cache rule drops, leaves the cache; the rest carry their fresh
+// exact distance.
+func (ph *phase) evalKNNCand(oid object.ID, cand map[object.ID]float64) error {
+	o := ph.ex.s.Objects().Get(oid)
+	if o == nil || !ph.admits(oid) {
+		delete(cand, oid)
+		return nil
+	}
+	d, ok, err := ph.cache(o, ph.eng.ObjectBounds(o, ph.r).Lower)
+	switch {
+	case err != nil:
+		return err
+	case ok:
+		cand[oid] = d
+	default:
+		delete(cand, oid)
+	}
+	return nil
 }
 
 func membersSorted(s *standingQuery) []object.ID {

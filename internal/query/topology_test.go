@@ -109,7 +109,7 @@ func TestTopologyBeyondFootprint(t *testing.T) {
 	b, zw := xyzw(t)
 	q, r := indoor.Pos(0.5, 5, 0), 30.0
 	e, idx, id := scopedRange(t, b, []*object.Object{twoPoint(0, 23, 5, 0.85, 33, 5, 0.15)}, q, r, true)
-	if e.standing[id].rf.ext == nil {
+	if e.standing[id].ext == nil {
 		t.Fatal("the extended rung must decide the object")
 	}
 	if admitted, _ := topoStep(t, e, index.Mutation{Kind: index.MutSetDoorClosed, DoorID: zw.ID, Closed: true}); admitted != 1 {
@@ -136,7 +136,7 @@ func TestTopologyAttachBeyondRadius(t *testing.T) {
 	mustDoor(t, b, 49, 10, u, v)
 	q, r := indoor.Pos(0.5, 5, 0), 30.0
 	e, idx, id := scopedRange(t, b, []*object.Object{twoPoint(0, 27, 5, 0.81, 33, 5, 0.19)}, q, r, false)
-	if rf := e.standing[id].rf; rf.ext != nil || rf.full != nil {
+	if s := e.standing[id]; s.ext != nil || s.full != nil {
 		t.Fatal("the phase engine must decide the object alone")
 	}
 	attach := index.Mutation{Kind: index.MutAttachDoor, DoorID: -1,
@@ -167,8 +167,8 @@ func TestTopologyBeyondExt(t *testing.T) {
 	mustDoor(t, b, 50, 0, c3, y)
 	q, r := indoor.Pos(5, 10, 0), 100.0
 	e, idx, id := scopedRange(t, b, []*object.Object{twoPoint(0, 38, 10, 0.9, 41, 10, 0.1)}, q, r, true)
-	if rf := e.standing[id].rf; rf.fullReach <= 2*r+100 {
-		t.Fatalf("full-rung reach %g must exceed extR", rf.fullReach)
+	if reach := e.standing[id].fullReach; reach <= 2*r+100 {
+		t.Fatalf("full-rung reach %g must exceed extR", reach)
 	}
 	if admitted, _ := topoStep(t, e, index.Mutation{Kind: index.MutSetDoorClosed, DoorID: far.ID, Closed: true}); admitted != 1 {
 		t.Fatalf("admitted %d subscriptions, want 1", admitted)
@@ -318,7 +318,7 @@ func TestScopedTopologyMatchesFresh(t *testing.T) {
 		for id, s := range e.standing {
 			if engs[id] == s.eng && s.ex != nil && s.ex.s == cur {
 				carried++
-				if s.rf.ext != nil || s.rf.fullReach > 0 {
+				if s.ext != nil || s.fullReach > 0 {
 					carriedWithRungs++
 				}
 			}
