@@ -3,12 +3,14 @@ package indoorq
 // Serial/parallel equivalence tests for the batch serving layer, the
 // correctness contract of BatchRangeQuery/BatchKNNQuery: for any seed, the
 // batch answers must be byte-identical (IDs and distance bits) to looping
-// the serial queries — parallelism must never change an answer. Throughput
-// is measured, not asserted: BenchmarkBatchThroughput reports the workers
-// sweep.
+// the serial queries — parallelism must never change an answer, whatever
+// the worker count (more workers than requests included), and a failing
+// query fails alone. Throughput is measured, not asserted:
+// BenchmarkBatchThroughput reports the workers sweep.
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -65,15 +67,24 @@ func TestBatchRangeEquivalence(t *testing.T) {
 			}
 			serial[i] = res
 		}
-		resps, m := db.BatchRangeQuery(reqs, ServeConfig{Workers: 8})
-		if m.Queries != len(reqs) || m.Errors != 0 {
-			t.Fatalf("seed %d: metrics %d queries %d errors, want %d and 0", seed, m.Queries, m.Errors, len(reqs))
-		}
-		for i := range reqs {
-			if resps[i].Err != nil {
-				t.Fatalf("seed %d: batch query %d: %v", seed, i, resps[i].Err)
+		for _, workers := range []int{1, 3, 8, 64} {
+			resps, m := db.BatchRangeQuery(reqs, ServeConfig{Workers: workers})
+			if len(resps) != len(reqs) || m.Queries != len(reqs) || m.Errors != 0 {
+				t.Fatalf("seed %d workers %d: %d responses, metrics %d queries %d errors, want %d, %d and 0",
+					seed, workers, len(resps), m.Queries, m.Errors, len(reqs), len(reqs))
 			}
-			sameResults(t, "iRQ", serial[i], resps[i].Results)
+			for i := range reqs {
+				if resps[i].Err != nil {
+					t.Fatalf("seed %d workers %d: batch query %d: %v", seed, workers, i, resps[i].Err)
+				}
+				if resps[i].Stats == nil {
+					t.Fatalf("seed %d workers %d: batch query %d: nil stats", seed, workers, i)
+				}
+				sameResults(t, "iRQ", serial[i], resps[i].Results)
+			}
+		}
+		if resps, m := db.BatchRangeQuery(nil, ServeConfig{}); len(resps) != 0 || m.Queries != 0 || m.Errors != 0 || m.Throughput != 0 {
+			t.Fatalf("seed %d: empty batch: %d responses, metrics %+v", seed, len(resps), m)
 		}
 	}
 }
@@ -93,8 +104,21 @@ func TestBatchKNNEquivalence(t *testing.T) {
 			}
 			serial[i] = res
 		}
-		resps, _ := db.BatchKNNQuery(reqs, ServeConfig{Workers: 8})
+		// A query point outside the building fails its own query only.
+		outside := len(reqs) / 2
+		reqs = slices.Insert(reqs, outside, KNNRequest{Q: Pos(-5000, -5000, 0), K: 5})
+		serial = slices.Insert(serial, outside, nil)
+		resps, m := db.BatchKNNQuery(reqs, ServeConfig{Workers: 8})
+		if m.Queries != len(reqs) || m.Errors != 1 {
+			t.Fatalf("seed %d: metrics %d queries %d errors, want %d and 1", seed, m.Queries, m.Errors, len(reqs))
+		}
+		if resps[outside].Err == nil {
+			t.Fatalf("seed %d: the outside-building kNN did not error", seed)
+		}
 		for i := range reqs {
+			if i == outside {
+				continue
+			}
 			if resps[i].Err != nil {
 				t.Fatalf("seed %d: batch kNN %d: %v", seed, i, resps[i].Err)
 			}

@@ -45,10 +45,9 @@ func main() {
 		follow   = flag.String("follow", "", "leader URL; makes this daemon a read replica")
 		floors   = flag.Int("floors", 2, "synthetic mall floors when seeding a fresh store")
 		objects  = flag.Int("objects", 2000, "synthetic objects when seeding a fresh store")
-		window   = flag.Duration("coalesce", 2*time.Millisecond, "query coalescing window (negative disables)")
-		maxBatch = flag.Int("max-batch", 64, "max queries per coalesced serve-pool batch")
+		window   = flag.Duration("coalesce", 2*time.Millisecond, "how long an arriving query waits for others to share its batch (negative disables coalescing)")
+		maxBatch = flag.Int("max-batch", 64, "max queries per coalesced batch; a batch that reaches it executes at once")
 		inflight = flag.Int("max-inflight", 256, "admission bound on concurrent requests")
-		workers  = flag.Int("workers", 0, "serve-pool workers per batch (0 = GOMAXPROCS)")
 		hb       = flag.Duration("heartbeat", 200*time.Millisecond, "replication stream heartbeat")
 		readyLag = flag.Int64("ready-max-lag", 0, "replica /readyz lag bound in records (0 = default 4096, negative disables)")
 		chaos    = flag.Bool("chaos", false, "expose POST /v1/chaos/{poison,compact}: fail-stop or compact the store on demand (drills only)")
@@ -61,7 +60,6 @@ func main() {
 		CoalesceWindow: *window,
 		MaxBatch:       *maxBatch,
 		MaxInFlight:    *inflight,
-		Workers:        *workers,
 		Heartbeat:      *hb,
 		ReadyMaxLag:    *readyLag,
 	}

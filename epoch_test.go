@@ -20,7 +20,6 @@ import (
 	"repro/internal/indoor"
 	"repro/internal/object"
 	"repro/internal/query"
-	"repro/internal/serve"
 )
 
 // epochFixture builds the small mall with a deterministic population.
@@ -243,7 +242,7 @@ func TestObjectMutatorsKeepEpoch(t *testing.T) {
 	}
 }
 
-// TestBatchQueriesUnderTopologyChurn is the -race stress test: worker-pool
+// TestBatchQueriesUnderTopologyChurn is the -race stress test: query
 // batches run continuously while a churner closes/opens doors and mounts/
 // dismounts a sliding wall, forcing lazy recompiles under concurrent
 // readers. Individual answers are time-dependent; the assertions are no
@@ -254,11 +253,11 @@ func TestBatchQueriesUnderTopologyChurn(t *testing.T) {
 		t.Skip("stress test in -short mode")
 	}
 	b, _, idx := epochFixture(t)
-	pool := serve.NewPool(idx, serve.Config{Workers: 4})
+	db := newDB(idx)
 	queries := gen.QueryPoints(b, 16, 11)
-	reqs := make([]serve.RangeRequest, len(queries))
+	reqs := make([]RangeRequest, len(queries))
 	for i, q := range queries {
-		reqs[i] = serve.RangeRequest{Q: q, R: 60}
+		reqs[i] = RangeRequest{Q: q, R: 60}
 	}
 
 	stop := make(chan struct{})
@@ -323,7 +322,7 @@ func TestBatchQueriesUnderTopologyChurn(t *testing.T) {
 	}()
 
 	for round := 0; round < 20; round++ {
-		resps, _ := pool.RangeBatch(reqs)
+		resps, _ := db.BatchRangeQuery(reqs, ServeConfig{Workers: 4})
 		for i, r := range resps {
 			if r.Err == nil {
 				continue

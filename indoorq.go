@@ -63,14 +63,14 @@
 // concurrently, mutate the building only through the DB, never through
 // *Building directly.
 //
-// For throughput, fan query batches across CPUs with the serving layer:
+// For throughput, fan query batches across CPUs:
 //
 //	reqs := make([]indoorq.RangeRequest, len(points))
 //	for i, q := range points {
 //		reqs[i] = indoorq.RangeRequest{Q: q, R: 100}
 //	}
 //	resps, m := db.BatchRangeQuery(reqs, indoorq.ServeConfig{}) // Workers: GOMAXPROCS
-//	fmt.Printf("%.0f queries/sec, p99 %v\n", m.Throughput, m.P99)
+//	fmt.Printf("%.0f queries/sec, %d failed\n", m.Throughput, m.Errors) // per query: resps[i].Latency
 //
 // # Durability
 //
@@ -93,6 +93,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/geom"
@@ -103,7 +104,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/render"
 	"repro/internal/serde"
-	"repro/internal/serve"
 	"repro/internal/store"
 )
 
@@ -247,36 +247,89 @@ func (db *DB) KNNQuery(q Position, k int) ([]Result, *QueryStats, error) {
 	return db.proc.KNNQuery(q, k)
 }
 
-// Batch serving layer (internal/serve): a worker pool fans a slice of
-// queries across CPUs, each query holding the index's read lock for its
-// own evaluation.
+// Batch serving. A batch pins ONE index snapshot and fans its queries
+// across CPUs; every query evaluates lock-free against that snapshot.
 type (
-	// ServeConfig sizes the worker pool; zero Workers means GOMAXPROCS.
-	ServeConfig = serve.Config
-	// RangeRequest is one iRQ of a batch.
-	RangeRequest = serve.RangeRequest
-	// KNNRequest is one ikNNQ of a batch.
-	KNNRequest = serve.KNNRequest
-	// BatchResponse is one query's results, stats, error and latency.
-	BatchResponse = serve.Response
-	// BatchMetrics aggregates a batch: queries/sec, p50/p99 latency.
-	BatchMetrics = serve.Metrics
+	// ServeConfig sizes a batch's fan-out.
+	ServeConfig struct {
+		// Workers is the number of goroutines evaluating the batch; zero
+		// means GOMAXPROCS.
+		Workers int
+	}
+	// RangeRequest is one iRQ of a batch: objects within expected
+	// distance R of Q.
+	RangeRequest struct {
+		Q Position
+		R float64
+	}
+	// KNNRequest is one ikNNQ of a batch: the K objects nearest Q by
+	// expected distance.
+	KNNRequest struct {
+		Q Position
+		K int
+	}
+	// BatchResponse is one query's outcome, at its request's position.
+	BatchResponse struct {
+		Results []Result
+		Stats   *QueryStats
+		Err     error
+		// Latency is the query's own evaluation wall time.
+		Latency time.Duration
+	}
+	// BatchMetrics aggregates one batch: its size, its failures, its wall
+	// time and the queries per second of that wall time. Latency
+	// distributions come from the responses' Latency.
+	BatchMetrics struct {
+		Queries    int
+		Errors     int
+		Wall       time.Duration
+		Throughput float64
+	}
 )
 
-// BatchRangeQuery evaluates the requests concurrently on a worker pool and
-// returns per-query responses in request order plus aggregate throughput
+// BatchRangeQuery evaluates the requests concurrently and returns
+// per-query responses in request order plus aggregate throughput
 // metrics. The batch pins ONE index snapshot: results are identical to
 // calling RangeQuery in a loop with no concurrent writers, and under
 // concurrent updates every query of the batch still observes the same
 // consistent point-in-time state. Writers are never blocked by a running
 // batch; their snapshots take effect from the next batch.
 func (db *DB) BatchRangeQuery(reqs []RangeRequest, cfg ServeConfig) ([]BatchResponse, BatchMetrics) {
-	return serve.NewPool(db.idx, cfg).RangeBatch(reqs)
+	snap := db.idx.Current()
+	return runBatch(len(reqs), cfg, func(i int) ([]Result, *QueryStats, error) {
+		return db.proc.RangeQueryOn(snap, reqs[i].Q, reqs[i].R)
+	})
 }
 
 // BatchKNNQuery is BatchRangeQuery for k-nearest-neighbour queries.
 func (db *DB) BatchKNNQuery(reqs []KNNRequest, cfg ServeConfig) ([]BatchResponse, BatchMetrics) {
-	return serve.NewPool(db.idx, cfg).KNNBatch(reqs)
+	snap := db.idx.Current()
+	return runBatch(len(reqs), cfg, func(i int) ([]Result, *QueryStats, error) {
+		return db.proc.KNNQueryOn(snap, reqs[i].Q, reqs[i].K)
+	})
+}
+
+// runBatch fans n evaluations over cfg.Workers goroutines (query.FanOut,
+// the fan-out the subscription reconciler also shards over). A worker's
+// only shared writes are its own response slots.
+func runBatch(n int, cfg ServeConfig, eval func(int) ([]Result, *QueryStats, error)) ([]BatchResponse, BatchMetrics) {
+	resps := make([]BatchResponse, n)
+	start := time.Now()
+	query.FanOut(cfg.Workers, n, func(i int) {
+		t0 := time.Now()
+		res, st, err := eval(i)
+		resps[i] = BatchResponse{Results: res, Stats: st, Err: err, Latency: time.Since(t0)}
+	})
+	m := BatchMetrics{Queries: n, Wall: time.Since(start)}
+	for i := range resps {
+		if resps[i].Err != nil {
+			m.Errors++
+		}
+	}
+	if s := m.Wall.Seconds(); n > 0 && s > 0 {
+		m.Throughput = float64(n) / s
+	}
+	return resps, m
 }
 
 // Every mutator below is the commit path. Object updates and topology

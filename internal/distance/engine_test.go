@@ -366,7 +366,7 @@ func TestBoundsSandwichExactOnMall(t *testing.T) {
 			// Lemma 6 at instance granularity.
 			for _, in := range o.Instances {
 				pd, _ := e.PointDist(in.Pos)
-				sk := idx.SkeletonDist(q, in.Pos)
+				sk := idx.Current().SkeletonDist(q, in.Pos)
 				if sk > pd+1e-6 {
 					t.Fatalf("skeleton dist %g > indoor dist %g", sk, pd)
 				}
@@ -397,7 +397,7 @@ func TestRestrictedAgreesWithFullOnMall(t *testing.T) {
 	// filtering-phase output).
 	var units []index.UnitID
 	idx.Current().SearchTree(
-		func(box geom.Rect3) bool { return idx.MinSkelDistBox(q, box) <= 250 },
+		func(box geom.Rect3) bool { return idx.Current().MinSkelDistBox(q, box) <= 250 },
 		func(u *index.Unit) { units = append(units, u.ID) },
 	)
 	e, err := New(idx.Current(), q, idx.Current().NewSkelAnchor(q), units)

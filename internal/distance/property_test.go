@@ -162,7 +162,7 @@ func TestCrossFloorPointDist(t *testing.T) {
 	if !ok || math.IsInf(d, 1) {
 		t.Fatalf("cross-floor dist = %g ok=%v", d, ok)
 	}
-	sk := idx.SkeletonDist(q, p)
+	sk := idx.Current().SkeletonDist(q, p)
 	if d < sk-1e-9 {
 		t.Fatalf("indoor dist %g below skeleton lower bound %g", d, sk)
 	}

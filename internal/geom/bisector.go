@@ -63,18 +63,6 @@ func (b Bisector) Shape() BisectorShape {
 	}
 }
 
-// Dominant returns which door weakly dominates the whole plane when the
-// bisector is null: -1 for Di, +1 for Dj, 0 when the bisector exists.
-func (b Bisector) Dominant() int {
-	if b.Shape() != BisectorNull {
-		return 0
-	}
-	if b.Wi < b.Wj {
-		return -1
-	}
-	return 1
-}
-
 // Side reports which weighted cell p belongs to: -1 when entering through
 // Di is strictly cheaper, +1 when Dj is strictly cheaper, and 0 when p lies
 // on the bisector (within Eps).

@@ -30,19 +30,6 @@ func TestBisectorShapeTableII(t *testing.T) {
 	}
 }
 
-func TestBisectorDominant(t *testing.T) {
-	di, dj := Pt(0, 0), Pt(10, 0)
-	if d := (Bisector{di, dj, 0, 25}).Dominant(); d != -1 {
-		t.Errorf("cheap Di should dominate, got %d", d)
-	}
-	if d := (Bisector{di, dj, 25, 0}).Dominant(); d != 1 {
-		t.Errorf("cheap Dj should dominate, got %d", d)
-	}
-	if d := (Bisector{di, dj, 3, 7}).Dominant(); d != 0 {
-		t.Errorf("hyperbola case has no dominant door, got %d", d)
-	}
-}
-
 // Side must agree with direct evaluation of the weighted distances.
 func TestBisectorSideMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

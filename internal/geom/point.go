@@ -67,9 +67,6 @@ type Point3 struct {
 // Pt3 is shorthand for Point3{x, y, z}.
 func Pt3(x, y, z float64) Point3 { return Point3{X: x, Y: y, Z: z} }
 
-// XY projects the point onto the horizontal plane.
-func (p Point3) XY() Point { return Point{p.X, p.Y} }
-
 // DistTo returns the three-dimensional Euclidean distance.
 func (p Point3) DistTo(q Point3) float64 {
 	dx, dy, dz := p.X-q.X, p.Y-q.Y, p.Z-q.Z

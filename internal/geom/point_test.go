@@ -67,9 +67,6 @@ func TestPoint3Dist(t *testing.T) {
 	if d := Pt3(0, 0, 0).DistTo(Pt3(2, 3, 6)); math.Abs(d-7) > Eps {
 		t.Errorf("3D dist = %g, want 7", d)
 	}
-	if got := Pt3(1, 2, 3).XY(); !got.Eq(Pt(1, 2)) {
-		t.Errorf("XY() = %v, want (1,2)", got)
-	}
 }
 
 // clamp maps arbitrary quick-generated floats into a building-scale range

@@ -43,14 +43,6 @@ func (r Rect) Area() float64 {
 	return r.Width() * r.Height()
 }
 
-// Margin returns the half-perimeter, the R*-tree margin measure.
-func (r Rect) Margin() float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	return r.Width() + r.Height()
-}
-
 // Center returns the centre point of the rectangle.
 func (r Rect) Center() Point { return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2} }
 
@@ -163,14 +155,6 @@ func (r Rect) Corners() [4]Point {
 	return [4]Point{
 		{r.MinX, r.MinY}, {r.MaxX, r.MinY},
 		{r.MaxX, r.MaxY}, {r.MinX, r.MaxY},
-	}
-}
-
-// ClosestPoint returns the point of r nearest to p (p itself if inside).
-func (r Rect) ClosestPoint(p Point) Point {
-	return Point{
-		X: math.Min(math.Max(p.X, r.MinX), r.MaxX),
-		Y: math.Min(math.Max(p.Y, r.MinY), r.MaxY),
 	}
 }
 

@@ -67,14 +67,6 @@ func (b Rect3) Intersects3(c Rect3) bool {
 	return b.Rect.Intersects(c.Rect) && b.MinZ <= c.MaxZ+Eps && c.MinZ <= b.MaxZ+Eps
 }
 
-// ContainsRect3 reports whether c is entirely inside b.
-func (b Rect3) ContainsRect3(c Rect3) bool {
-	if c.IsEmpty() {
-		return true
-	}
-	return b.Rect.ContainsRect(c.Rect) && c.MinZ >= b.MinZ-Eps && c.MaxZ <= b.MaxZ+Eps
-}
-
 // IntersectionVolume returns the volume of the common region of b and c.
 func (b Rect3) IntersectionVolume(c Rect3) float64 {
 	dx := math.Min(b.MaxX, c.MaxX) - math.Max(b.MinX, c.MinX)

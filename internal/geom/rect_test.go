@@ -23,9 +23,6 @@ func TestRectBasics(t *testing.T) {
 	if r.Area() != 800 {
 		t.Errorf("area = %g, want 800", r.Area())
 	}
-	if r.Margin() != 60 {
-		t.Errorf("margin = %g, want 60", r.Margin())
-	}
 	if !r.Center().Eq(Pt(20, 40)) {
 		t.Errorf("center = %v, want (20,40)", r.Center())
 	}
@@ -45,8 +42,8 @@ func TestEmptyRect(t *testing.T) {
 	if !EmptyRect.IsEmpty() {
 		t.Fatal("EmptyRect must be empty")
 	}
-	if EmptyRect.Area() != 0 || EmptyRect.Margin() != 0 {
-		t.Error("empty rect must have zero area and margin")
+	if EmptyRect.Area() != 0 {
+		t.Error("empty rect must have zero area")
 	}
 	r := R(1, 2, 3, 4)
 	if EmptyRect.Union(r) != r || r.Union(EmptyRect) != r {
@@ -169,16 +166,6 @@ func TestRectSplit(t *testing.T) {
 	}
 }
 
-func TestRectClosestPoint(t *testing.T) {
-	r := R(0, 0, 10, 10)
-	if got := r.ClosestPoint(Pt(5, 5)); !got.Eq(Pt(5, 5)) {
-		t.Errorf("inside point should map to itself, got %v", got)
-	}
-	if got := r.ClosestPoint(Pt(-3, 20)); !got.Eq(Pt(0, 10)) {
-		t.Errorf("closest = %v, want (0,10)", got)
-	}
-}
-
 func TestSharedEdge(t *testing.T) {
 	a := R(0, 0, 10, 10)
 	b := R(10, 2, 20, 8) // touches a's right edge on y in [2,8]
@@ -221,7 +208,7 @@ func TestRect3UnionContains(t *testing.T) {
 	a := R3(R(0, 0, 10, 10), 0, 0.01)
 	b := R3(R(5, 5, 20, 20), 4, 4.01)
 	u := a.Union3(b)
-	if !u.ContainsRect3(a) || !u.ContainsRect3(b) {
+	if u.Union3(a) != u || u.Union3(b) != u {
 		t.Error("union must contain both boxes")
 	}
 	if u.MinZ != 0 || u.MaxZ != 4.01 {

@@ -53,9 +53,6 @@ func (u *Unit) Contains(pos indoor.Position) bool {
 	return u.OnFloor(pos.Floor) && u.Rect.Contains(pos.Pt)
 }
 
-// IsStair reports whether the unit is a staircase.
-func (u *Unit) IsStair() bool { return u.FloorHi > u.FloorLo }
-
 // WalkDist returns the intra-unit walking distance between two positions of
 // the unit. Within a convex planar unit this is the Euclidean distance; in
 // a staircase unit a cross-floor leg adds the stair run length.

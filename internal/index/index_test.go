@@ -194,7 +194,7 @@ func TestStaircaseUnits(t *testing.T) {
 	idx := buildIdx(t, b, nil)
 	stairs := 0
 	for _, u := range idx.Current().topo.units {
-		if !u.IsStair() {
+		if u.FloorHi <= u.FloorLo {
 			continue
 		}
 		stairs++

@@ -112,9 +112,6 @@ func staircaseSide(b *indoor.Building, d *indoor.Door) indoor.PartitionID {
 	return stair
 }
 
-// NumEntrances returns the number of staircase entrances M.
-func (sk *Skeleton) NumEntrances() int { return len(sk.entrances) }
-
 // Ms2s returns the matrix entry between entrances i and j.
 func (sk *Skeleton) Ms2s(i, j int) float64 { return sk.m[i][j] }
 
@@ -261,25 +258,4 @@ func (s *Snapshot) MinSkelDistUnit(q indoor.Position, u *Unit) float64 {
 // SkeletonDist is Definition 2 for two indoor positions.
 func (s *Snapshot) SkeletonDist(q, p indoor.Position) float64 {
 	return s.topo.skeleton.Dist(q, p)
-}
-
-// Index-level skeleton conveniences over the current snapshot. Anchors
-// deliberately have no Index-level counterparts: a SkelAnchor is bound to
-// the snapshot that created it, and evaluating it against a *different*
-// (current) snapshot would mix index versions — pin a Snapshot and anchor
-// through it instead.
-
-// MinSkelDistBox evaluates Equation 10 against a tree-tier box.
-func (idx *Index) MinSkelDistBox(q indoor.Position, b geom.Rect3) float64 {
-	return idx.Current().MinSkelDistBox(q, b)
-}
-
-// MinSkelDistUnit evaluates Equation 10 against an index unit.
-func (idx *Index) MinSkelDistUnit(q indoor.Position, u *Unit) float64 {
-	return idx.Current().MinSkelDistUnit(q, u)
-}
-
-// SkeletonDist is Definition 2 for two indoor positions.
-func (idx *Index) SkeletonDist(q, p indoor.Position) float64 {
-	return idx.Current().SkeletonDist(q, p)
 }

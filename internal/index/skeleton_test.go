@@ -13,7 +13,7 @@ func TestSkeletonEntranceCount(t *testing.T) {
 	b := mall(t, 3)
 	idx := buildIdx(t, b, nil)
 	// 4 staircases per floor gap × 2 entrances × 2 gaps.
-	if got := idx.Current().Skeleton().NumEntrances(); got != 16 {
+	if got := len(idx.Current().Skeleton().entrances); got != 16 {
 		t.Errorf("entrances = %d, want 16", got)
 	}
 }
@@ -22,7 +22,7 @@ func TestSkeletonMatrixProperties(t *testing.T) {
 	b := mall(t, 3)
 	idx := buildIdx(t, b, nil)
 	sk := idx.Current().Skeleton()
-	n := sk.NumEntrances()
+	n := len(sk.entrances)
 	for i := 0; i < n; i++ {
 		if sk.Ms2s(i, i) != 0 {
 			t.Errorf("Ms2s[%d][%d] = %g, want 0 (property 1)", i, i, sk.Ms2s(i, i))
@@ -61,7 +61,7 @@ func TestSkeletonDistSameFloor(t *testing.T) {
 	idx := buildIdx(t, b, nil)
 	q := indoor.Pos(100, 60, 0)
 	p := indoor.Pos(500, 60, 0)
-	if d := idx.SkeletonDist(q, p); math.Abs(d-400) > geom.Eps {
+	if d := idx.Current().SkeletonDist(q, p); math.Abs(d-400) > geom.Eps {
 		t.Errorf("same-floor skeleton dist = %g, want Euclidean 400", d)
 	}
 }
@@ -71,7 +71,7 @@ func TestSkeletonDistCrossFloor(t *testing.T) {
 	idx := buildIdx(t, b, nil)
 	q := indoor.Pos(300, 60, 0)
 	p := indoor.Pos(300, 60, 1)
-	d := idx.SkeletonDist(q, p)
+	d := idx.Current().SkeletonDist(q, p)
 	if math.IsInf(d, 1) {
 		t.Fatal("cross-floor skeleton distance must be finite with staircases")
 	}
@@ -132,8 +132,8 @@ func TestMinSkelDistBoxLowerBoundsPoints(t *testing.T) {
 			if u == nil {
 				continue
 			}
-			bound := idx.MinSkelDistUnit(q, u)
-			point := idx.SkeletonDist(q, p)
+			bound := idx.Current().MinSkelDistUnit(q, u)
+			point := idx.Current().SkeletonDist(q, p)
 			if bound > point+1e-6 {
 				t.Fatalf("unit bound %g > point skeleton dist %g (q=%v p=%v)",
 					bound, point, q, p)
@@ -158,7 +158,7 @@ func TestFloorsOfBox(t *testing.T) {
 func TestRebuildSkeletonAfterStairRemoval(t *testing.T) {
 	b := mall(t, 2)
 	idx := buildIdx(t, b, nil)
-	before := idx.Current().Skeleton().NumEntrances()
+	before := len(idx.Current().Skeleton().entrances)
 	var stair *indoor.Partition
 	for _, p := range b.Partitions() {
 		if p.Kind == indoor.Staircase {
@@ -169,12 +169,12 @@ func TestRebuildSkeletonAfterStairRemoval(t *testing.T) {
 	if _, err := idx.Apply(Mutation{Kind: MutRemovePartition, PartID: stair.ID}); err != nil {
 		t.Fatal(err)
 	}
-	after := idx.Current().Skeleton().NumEntrances()
+	after := len(idx.Current().Skeleton().entrances)
 	if after != before-2 {
 		t.Errorf("entrances %d -> %d, want -2", before, after)
 	}
 	// Cross-floor routing still works through the remaining staircases.
-	d := idx.SkeletonDist(indoor.Pos(300, 60, 0), indoor.Pos(300, 60, 1))
+	d := idx.Current().SkeletonDist(indoor.Pos(300, 60, 0), indoor.Pos(300, 60, 1))
 	if math.IsInf(d, 1) {
 		t.Error("skeleton must still route after one staircase removal")
 	}
@@ -186,7 +186,7 @@ func TestRebuildSkeletonAfterStairRemoval(t *testing.T) {
 func TestSkeletonMatchesReference(t *testing.T) {
 	b := mall(t, 3)
 	sk := buildIdx(t, b, nil).Current().Skeleton()
-	n := sk.NumEntrances()
+	n := len(sk.entrances)
 	w := make([][]float64, n) // edge weight, +Inf where there is no edge
 	for i := range w {
 		w[i] = make([]float64, n)

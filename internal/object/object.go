@@ -80,30 +80,6 @@ func (o *Object) Bounds() geom.Rect {
 	return b
 }
 
-// MinDistFrom returns |q, O|minE: the smallest Euclidean distance from q to
-// any instance (q on the object's floor; cross-floor callers go through the
-// skeleton distance instead).
-func (o *Object) MinDistFrom(q geom.Point) float64 {
-	min := math.Inf(1)
-	for _, in := range o.Instances {
-		if d := q.SqDistTo(in.Pos.Pt); d < min {
-			min = d
-		}
-	}
-	return math.Sqrt(min)
-}
-
-// MaxDistFrom returns |q, O|maxE over the instances.
-func (o *Object) MaxDistFrom(q geom.Point) float64 {
-	max := 0.0
-	for _, in := range o.Instances {
-		if d := q.SqDistTo(in.Pos.Pt); d > max {
-			max = d
-		}
-	}
-	return math.Sqrt(max)
-}
-
 // Subregion is an uncertainty subregion S[j]: the instances of an object
 // falling into one partition, with their aggregate probability mass and
 // planar MBR (§II-B).

@@ -80,26 +80,6 @@ func TestPointObject(t *testing.T) {
 	if err := o.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if o.MinDistFrom(geom.Pt(0, 0)) != 5 || o.MaxDistFrom(geom.Pt(0, 0)) != 5 {
-		t.Error("point object min and max distances must coincide")
-	}
-}
-
-func TestMinMaxDist(t *testing.T) {
-	o := &Object{ID: 1, Instances: []Instance{
-		{Pos: indoor.Pos(0, 0, 0), P: 0.5},
-		{Pos: indoor.Pos(10, 0, 0), P: 0.5},
-	}}
-	q := geom.Pt(-5, 0)
-	if d := o.MinDistFrom(q); math.Abs(d-5) > geom.Eps {
-		t.Errorf("min = %g, want 5", d)
-	}
-	if d := o.MaxDistFrom(q); math.Abs(d-15) > geom.Eps {
-		t.Errorf("max = %g, want 15", d)
-	}
-	if o.MinDistFrom(q) > o.MaxDistFrom(q) {
-		t.Error("min must not exceed max")
-	}
 }
 
 func TestBounds(t *testing.T) {

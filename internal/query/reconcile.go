@@ -395,29 +395,14 @@ func (e *Subscriptions) reconcileKNNInto(sh *reconShard, s *standingQuery, seq, 
 }
 
 // rediffTopKInto recomputes a kNN subscription's top-k from its candidate
-// cache and appends the delta against the previous result: enter/leave for
-// membership changes, update for routed members whose exact distance
-// changed in place.
+// cache and appends the delta against the previous result. Distances only
+// change for re-evaluated objects, so only the routed ones can update:
+// after a failed routed evaluation the cache can run ahead of memberDist,
+// and a wider set would report that as updates.
 func (e *Subscriptions) rediffTopKInto(sh *reconShard, s *standingQuery, seq, lsn uint64, routedObjs []object.ID) {
-	newMembers, newDist := topkOf(s)
-	for oid := range s.members {
-		if !newMembers[oid] {
-			sh.evs = append(sh.evs, SubEvent{Sub: s.id, Object: oid, Kind: EventLeave, Distance: math.NaN(), Seq: seq, LSN: lsn})
-		}
-	}
-	for oid := range newMembers {
-		if !s.members[oid] {
-			sh.evs = append(sh.evs, SubEvent{Sub: s.id, Object: oid, Kind: EventEnter, Distance: newDist[oid], Seq: seq, LSN: lsn})
-		}
-	}
-	// Distances only change for re-evaluated objects; surviving members
-	// outside the routed set kept theirs.
-	for _, oid := range routedObjs {
-		if s.members[oid] && newMembers[oid] && s.memberDist[oid] != newDist[oid] {
-			sh.evs = append(sh.evs, SubEvent{Sub: s.id, Object: oid, Kind: EventUpdate, Distance: newDist[oid], Seq: seq, LSN: lsn})
-		}
-	}
-	s.members, s.memberDist = newMembers, newDist
+	was, wasDist := s.members, s.memberDist
+	s.members, s.memberDist = topkOf(s)
+	sh.diffInto(s, was, wasDist, routedObjs, seq, lsn)
 }
 
 // refreshInto refreshes a subscription wholesale and appends the result
@@ -429,17 +414,35 @@ func (e *Subscriptions) rediffTopKInto(sh *reconShard, s *standingQuery, seq, ls
 // parallel fan-out.
 func (e *Subscriptions) refreshInto(sh *reconShard, s *standingQuery) bool {
 	old := s.units
-	before := make(map[object.ID]bool, len(s.members))
-	for oid := range s.members {
-		before[oid] = true
-	}
-	beforeDist := s.memberDist
+	// A refresh installs fresh member maps, so the old ones stay intact.
+	was, wasDist := s.members, s.memberDist
 	if err := e.refresh(s); err != nil {
 		return false
 	}
-	seq, lsn := s.ex.s.Seq(), s.ex.s.LSN()
+	var reeval []object.ID // a kNN refresh re-evaluated every member's distance
+	if s.kind == SubKNN {
+		reeval = make([]object.ID, 0, len(s.members))
+		for oid := range s.members {
+			reeval = append(reeval, oid)
+		}
+	}
+	sh.diffInto(s, was, wasDist, reeval, s.ex.s.Seq(), s.ex.s.LSN())
+	sh.refreshed = append(sh.refreshed, reconRefresh{sub: s.id, oldUnits: old})
+	return true
+}
+
+// diffInto appends the delta from a subscription's previous result (was,
+// wasDist) to its current one (s.members, s.memberDist): enter and leave
+// for membership changes and, for kNN, update for each re-evaluated
+// object that stayed a member while its exact distance moved.
+func (sh *reconShard) diffInto(s *standingQuery, was map[object.ID]bool, wasDist map[object.ID]float64, reeval []object.ID, seq, lsn uint64) {
+	for oid := range was {
+		if !s.members[oid] {
+			sh.evs = append(sh.evs, SubEvent{Sub: s.id, Object: oid, Kind: EventLeave, Distance: math.NaN(), Seq: seq, LSN: lsn})
+		}
+	}
 	for oid := range s.members {
-		if !before[oid] {
+		if !was[oid] {
 			d := math.NaN()
 			if s.kind == SubKNN {
 				d = s.memberDist[oid]
@@ -447,20 +450,14 @@ func (e *Subscriptions) refreshInto(sh *reconShard, s *standingQuery) bool {
 			sh.evs = append(sh.evs, SubEvent{Sub: s.id, Object: oid, Kind: EventEnter, Distance: d, Seq: seq, LSN: lsn})
 		}
 	}
-	for oid := range before {
-		if !s.members[oid] {
-			sh.evs = append(sh.evs, SubEvent{Sub: s.id, Object: oid, Kind: EventLeave, Distance: math.NaN(), Seq: seq, LSN: lsn})
+	if s.kind != SubKNN {
+		return
+	}
+	for _, oid := range reeval {
+		if was[oid] && s.members[oid] && wasDist[oid] != s.memberDist[oid] {
+			sh.evs = append(sh.evs, SubEvent{Sub: s.id, Object: oid, Kind: EventUpdate, Distance: s.memberDist[oid], Seq: seq, LSN: lsn})
 		}
 	}
-	if s.kind == SubKNN {
-		for oid := range s.members {
-			if before[oid] && beforeDist != nil && beforeDist[oid] != s.memberDist[oid] {
-				sh.evs = append(sh.evs, SubEvent{Sub: s.id, Object: oid, Kind: EventUpdate, Distance: s.memberDist[oid], Seq: seq, LSN: lsn})
-			}
-		}
-	}
-	sh.refreshed = append(sh.refreshed, reconRefresh{sub: s.id, oldUnits: old})
-	return true
 }
 
 // Topology commits one topology mutation through the engine: Index.Apply

@@ -1,23 +1,25 @@
 package server
 
 // Query coalescing: concurrently arriving HTTP query batches merge into
-// one serve-pool execution against ONE pinned snapshot. A submitted
-// batch waits up to the coalescing window for co-travellers; crossing
-// MaxBatch queries executes immediately, in the goroutine of the request
-// that crossed it, so a hot endpoint needs no dedicated executor and
-// backpressure lands on callers naturally.
+// one execution against ONE pinned snapshot. A submitted batch waits up
+// to the coalescing window for co-travellers; crossing MaxBatch queries
+// executes immediately, in the goroutine of the request that crossed it,
+// so a hot endpoint needs no dedicated executor and backpressure lands on
+// callers naturally.
 
 import (
 	"sync"
 	"time"
 
-	"repro/internal/serve"
+	"repro/internal/index"
+	"repro/internal/query"
 	"repro/internal/wire"
 )
 
 // call is one HTTP request's share of a coalesced batch.
 type call[Q any] struct {
 	qs   []Q
+	out  []wire.QueryResponse
 	done chan wire.BatchResponse
 }
 
@@ -74,45 +76,55 @@ func (c *coalescer[Q]) flush() {
 	}
 }
 
-// dispatch slices one executed batch's responses back to the calls that
-// contributed, in contribution order. Each call receives the whole
-// batch's aggregate metrics — they describe the execution its queries
-// rode in.
-func dispatch[Q any](batch []*call[Q], resps []serve.Response, m serve.Metrics) {
-	wm := wire.MetricsOf(m)
-	off := 0
+// execute is the one query executor. It pins the index's current
+// snapshot once, fans the batch's queries over the cores and writes each
+// call's responses in place, then hands every call its share. Each call
+// also receives the batch's size and error count: they describe the
+// execution its queries rode in.
+func execute[Q any](idx *index.Index, batch []*call[Q], eval func(*query.Processor, *index.Snapshot, Q) ([]query.Result, error)) {
+	p := query.New(idx, query.Options{})
+	snap := p.Pin()
+	type slot struct {
+		q   Q
+		out *wire.QueryResponse
+	}
+	var slots []slot
 	for _, cl := range batch {
-		out := wire.BatchResponse{Metrics: wm, Responses: make([]wire.QueryResponse, len(cl.qs))}
-		for i, r := range resps[off : off+len(cl.qs)] {
-			qr := wire.QueryResponse{Results: wire.ResultsOf(r.Results), LatencyMicros: r.Latency.Microseconds()}
-			if r.Err != nil {
-				qr.Err = r.Err.Error()
-			}
-			out.Responses[i] = qr
+		cl.out = make([]wire.QueryResponse, len(cl.qs))
+		for i, q := range cl.qs {
+			slots = append(slots, slot{q: q, out: &cl.out[i]})
 		}
-		off += len(cl.qs)
-		cl.done <- out
+	}
+	query.FanOut(0, len(slots), func(i int) {
+		t0 := time.Now()
+		res, err := eval(p, snap, slots[i].q)
+		lat := time.Since(t0)
+		*slots[i].out = wire.QueryResponse{Results: wire.ResultsOf(res), LatencyMicros: lat.Microseconds()}
+		if err != nil {
+			slots[i].out.Err = err.Error()
+		}
+	})
+	m := wire.BatchMetrics{Queries: len(slots)}
+	for _, sl := range slots {
+		if sl.out.Err != "" {
+			m.Errors++
+		}
+	}
+	for _, cl := range batch {
+		cl.done <- wire.BatchResponse{Responses: cl.out, Metrics: m}
 	}
 }
 
 func (s *Server) execRange(batch []*call[wire.RangeQuery]) {
-	var reqs []serve.RangeRequest
-	for _, cl := range batch {
-		for _, q := range cl.qs {
-			reqs = append(reqs, serve.RangeRequest{Q: q.Q.Domain(), R: q.R})
-		}
-	}
-	resps, m := serve.NewPool(s.rd.Index(), serve.Config{Workers: s.cfg.Workers}).RangeBatch(reqs)
-	dispatch(batch, resps, m)
+	execute(s.rd.Index(), batch, func(p *query.Processor, snap *index.Snapshot, q wire.RangeQuery) ([]query.Result, error) {
+		res, _, err := p.RangeQueryOn(snap, q.Q.Domain(), q.R)
+		return res, err
+	})
 }
 
 func (s *Server) execKNN(batch []*call[wire.KNNQuery]) {
-	var reqs []serve.KNNRequest
-	for _, cl := range batch {
-		for _, q := range cl.qs {
-			reqs = append(reqs, serve.KNNRequest{Q: q.Q.Domain(), K: q.K})
-		}
-	}
-	resps, m := serve.NewPool(s.rd.Index(), serve.Config{Workers: s.cfg.Workers}).KNNBatch(reqs)
-	dispatch(batch, resps, m)
+	execute(s.rd.Index(), batch, func(p *query.Processor, snap *index.Snapshot, q wire.KNNQuery) ([]query.Result, error) {
+		res, _, err := p.KNNQueryOn(snap, q.Q.Domain(), q.K)
+		return res, err
+	})
 }

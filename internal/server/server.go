@@ -2,11 +2,10 @@
 // leader DB or a read replica. The serving model:
 //
 //   - Query endpoints admit requests under a global in-flight bound and
-//     coalesce concurrently arriving point queries into shared
-//     serve-pool batches — each coalesced batch pins ONE MVCC snapshot,
-//     so every query that rode in it observes the same point-in-time
-//     state and the per-snapshot costs (pool spin-up, snapshot pin)
-//     amortise across callers.
+//     coalesce concurrently arriving point queries into shared batches.
+//     A batch is one execution: it pins ONE MVCC snapshot, so every
+//     query that rode in it observes the same point-in-time state, and
+//     fans its queries over the cores.
 //   - Mutation endpoints (updates, topology, subscribe/unsubscribe)
 //     route through the DB's mutators and are rejected on a
 //     replica — replicas are read-only by construction.
@@ -47,15 +46,13 @@ type Config struct {
 	// co-travellers before executing; 2ms when zero. Negative disables
 	// coalescing (every request executes alone, still on one snapshot).
 	CoalesceWindow time.Duration
-	// MaxBatch caps the queries coalesced into one serve-pool execution;
-	// 64 when zero.
+	// MaxBatch caps the queries coalesced into one execution; 64 when
+	// zero.
 	MaxBatch int
 	// MaxInFlight is the admission bound on concurrently served
 	// non-streaming requests; excess requests are refused with 429
 	// rather than queued without bound. 256 when zero.
 	MaxInFlight int
-	// Workers sizes the serve pool per batch; 0 means GOMAXPROCS.
-	Workers int
 	// Heartbeat is the replication stream's idle heartbeat interval;
 	// 200ms when zero.
 	Heartbeat time.Duration

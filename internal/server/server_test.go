@@ -139,7 +139,7 @@ func TestQueriesMatchFacadeOverWire(t *testing.T) {
 }
 
 // TestConcurrentRequestsCoalesce proves concurrently arriving point
-// queries share serve-pool batches: with a generous window, single-query
+// queries share batches: with a generous window, single-query
 // requests fired together must come back with batch metrics covering
 // more than their own query.
 func TestConcurrentRequestsCoalesce(t *testing.T) {
@@ -169,6 +169,97 @@ func TestConcurrentRequestsCoalesce(t *testing.T) {
 	if max < 2 {
 		t.Fatalf("no request rode a coalesced batch (batch sizes %v)", sizes)
 	}
+}
+
+// TestCoalescedBatchAnswersEachCaller pins the executor's hand-back:
+// concurrent callers' queries ride one coalesced batch per kind, and each
+// caller must get exactly its own answers, in its own order, equal to the
+// facade's. Every caller also sends a point outside the building, whose
+// error must stay in that caller's slot. MaxBatch equals each kind's total,
+// so the batch executes the moment the last caller arrives, and the long
+// window never runs out.
+func TestCoalescedBatchAnswersEachCaller(t *testing.T) {
+	const callers = 6
+	own := func(c int) int { return 3 + c/2%2 } // 2 or 3 in-building queries, plus the outside one
+	perKind := [2]int{}
+	for c := 0; c < callers; c++ {
+		perKind[c%2] += own(c)
+	}
+	if perKind[0] != perKind[1] {
+		t.Fatalf("range and kNN callers send %v queries; MaxBatch needs them equal", perKind)
+	}
+	db, cl, _, queries := newLeader(t, server.Config{CoalesceWindow: 10 * time.Second, MaxBatch: perKind[0]})
+	outside := wire.PositionOf(indoorq.Pos(-5000, -5000, 0))
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			n, bad := own(c), c%own(c) // the outside query's slot
+			want := make([][]wire.Result, n)
+			var out wire.BatchResponse
+			var err error
+			if c%2 == 0 {
+				qs := make([]wire.RangeQuery, n)
+				for i := range qs {
+					q, r := queries[(c+i)%len(queries)], 20+float64(5*c+i)
+					qs[i] = wire.RangeQuery{Q: wire.PositionOf(q), R: r}
+					if i == bad {
+						qs[i].Q = outside
+						continue
+					}
+					res, _, err := db.RangeQuery(q, r)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					want[i] = wantWire(res)
+				}
+				<-start
+				out, err = cl.RangeBatch(qs)
+			} else {
+				qs := make([]wire.KNNQuery, n)
+				for i := range qs {
+					q, k := queries[(c+i)%len(queries)], 2+c+i
+					qs[i] = wire.KNNQuery{Q: wire.PositionOf(q), K: k}
+					if i == bad {
+						qs[i].Q = outside
+						continue
+					}
+					res, _, err := db.KNNQuery(q, k)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					want[i] = wantWire(res)
+				}
+				<-start
+				out, err = cl.KNNBatch(qs)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if len(out.Responses) != n {
+				t.Errorf("caller %d: %d responses to %d queries", c, len(out.Responses), n)
+				return
+			}
+			if out.Metrics.Queries != perKind[c%2] || out.Metrics.Errors != callers/2 {
+				t.Errorf("caller %d: batch metrics %+v, want %d queries and %d errors", c, out.Metrics, perKind[c%2], callers/2)
+			}
+			for i, r := range out.Responses {
+				if (r.Err != "") != (i == bad) {
+					t.Errorf("caller %d query %d: err %q (outside-building slot %d)", c, i, r.Err, bad)
+				}
+				if i != bad && !sameResults(want[i], r.Results) {
+					t.Errorf("caller %d query %d: answer diverges from the facade", c, i)
+				}
+			}
+		}(c)
+	}
+	close(start)
+	wg.Wait()
 }
 
 // TestUnencodableAnswerIs500 pins the transport half of the infinite

@@ -28,8 +28,8 @@
 //	GET  /readyz             -> HealthResponse (readiness: 503 + reason when degraded)
 //
 // Queries accept single-element batches, so there is no separate
-// point-query shape; the server coalesces whatever arrives into its
-// serve-pool batches.
+// point-query shape; the server coalesces whatever arrives into shared
+// batches, each evaluated against one pinned snapshot.
 package wire
 
 import (
@@ -42,7 +42,6 @@ import (
 	"repro/internal/object"
 	"repro/internal/query"
 	"repro/internal/serde"
-	"repro/internal/serve"
 )
 
 // Endpoint paths. The client and the server both refer to these.
@@ -188,28 +187,17 @@ func ResultsOf(rs []query.Result) []Result {
 type QueryResponse struct {
 	Results []Result `json:"results"`
 	Err     string   `json:"err,omitempty"`
-	// LatencyMicros is the query's wall time inside the serve pool.
+	// LatencyMicros is the query's own evaluation wall time: the round
+	// trip minus it is what the server and the wire added.
 	LatencyMicros int64 `json:"latencyMicros"`
 }
 
-// BatchMetrics aggregates one coalesced batch execution.
+// BatchMetrics describes the coalesced batch a request's queries rode
+// in: how many queries it held, the request's own included, and how many
+// of them failed.
 type BatchMetrics struct {
-	Queries       int     `json:"queries"`
-	Errors        int     `json:"errors"`
-	ThroughputQPS float64 `json:"throughputQps"`
-	P50Micros     int64   `json:"p50Micros"`
-	P99Micros     int64   `json:"p99Micros"`
-}
-
-// MetricsOf converts serve-pool metrics to wire form.
-func MetricsOf(m serve.Metrics) BatchMetrics {
-	return BatchMetrics{
-		Queries:       m.Queries,
-		Errors:        m.Errors,
-		ThroughputQPS: m.Throughput,
-		P50Micros:     m.P50.Microseconds(),
-		P99Micros:     m.P99.Microseconds(),
-	}
+	Queries int `json:"queries"`
+	Errors  int `json:"errors"`
 }
 
 // BatchResponse answers a query batch in request order.
