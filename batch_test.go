@@ -10,7 +10,6 @@ package indoorq
 
 import (
 	"math"
-	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -67,25 +66,63 @@ func TestBatchRangeEquivalence(t *testing.T) {
 			}
 			serial[i] = res
 		}
-		for _, workers := range []int{1, 3, 8, 64} {
-			resps, m := db.BatchRangeQuery(reqs, ServeConfig{Workers: workers})
-			if len(resps) != len(reqs) || m.Queries != len(reqs) || m.Errors != 0 {
-				t.Fatalf("seed %d workers %d: %d responses, metrics %d queries %d errors, want %d, %d and 0",
-					seed, workers, len(resps), m.Queries, m.Errors, len(reqs), len(reqs))
-			}
-			for i := range reqs {
-				if resps[i].Err != nil {
-					t.Fatalf("seed %d workers %d: batch query %d: %v", seed, workers, i, resps[i].Err)
-				}
-				if resps[i].Stats == nil {
-					t.Fatalf("seed %d workers %d: batch query %d: nil stats", seed, workers, i)
-				}
-				sameResults(t, "iRQ", serial[i], resps[i].Results)
-			}
+		resps, m := db.BatchRangeQuery(reqs, ServeConfig{Workers: 8})
+		if m.Queries != len(reqs) || m.Errors != 0 {
+			t.Fatalf("seed %d: metrics %d queries %d errors, want %d and 0", seed, m.Queries, m.Errors, len(reqs))
 		}
-		if resps, m := db.BatchRangeQuery(nil, ServeConfig{}); len(resps) != 0 || m.Queries != 0 || m.Errors != 0 || m.Throughput != 0 {
-			t.Fatalf("seed %d: empty batch: %d responses, metrics %+v", seed, len(resps), m)
+		for i := range reqs {
+			if resps[i].Err != nil {
+				t.Fatalf("seed %d: batch query %d: %v", seed, i, resps[i].Err)
+			}
+			sameResults(t, "iRQ", serial[i], resps[i].Results)
 		}
+	}
+}
+
+// TestRangeBatchOrderAndEquivalence: every request has its own radius, so
+// a response written to the wrong slot shows; responses come back in
+// request order, each with its stats, and match the serial query exactly
+// for several worker counts, more workers than requests included.
+func TestRangeBatchOrderAndEquivalence(t *testing.T) {
+	db, queries := batchFixture(t, 7)
+	reqs := make([]RangeRequest, len(queries))
+	for i, q := range queries {
+		reqs[i] = RangeRequest{Q: q, R: 50 + float64(i)*10}
+	}
+	serial := make([][]Result, len(reqs))
+	for i, r := range reqs {
+		res, _, err := db.RangeQuery(r.Q, r.R)
+		if err != nil {
+			t.Fatalf("serial query %d: %v", i, err)
+		}
+		serial[i] = res
+	}
+	for _, workers := range []int{1, 3, 64} {
+		resps, m := db.BatchRangeQuery(reqs, ServeConfig{Workers: workers})
+		if len(resps) != len(reqs) || m.Queries != len(reqs) || m.Errors != 0 {
+			t.Fatalf("workers %d: %d responses, metrics %d queries %d errors, want %d, %d and 0",
+				workers, len(resps), m.Queries, m.Errors, len(reqs), len(reqs))
+		}
+		for i := range reqs {
+			if resps[i].Err != nil {
+				t.Fatalf("workers %d: batch query %d: %v", workers, i, resps[i].Err)
+			}
+			if resps[i].Stats == nil {
+				t.Fatalf("workers %d: batch query %d: nil stats", workers, i)
+			}
+			sameResults(t, "iRQ", serial[i], resps[i].Results)
+		}
+	}
+}
+
+// TestEmptyBatch: no requests, no panic, zeroed metrics.
+func TestEmptyBatch(t *testing.T) {
+	db, _ := batchFixture(t, 1)
+	if resps, m := db.BatchRangeQuery(nil, ServeConfig{}); len(resps) != 0 || m.Queries != 0 || m.Errors != 0 || m.Throughput != 0 {
+		t.Fatalf("empty range batch: %d responses, metrics %+v", len(resps), m)
+	}
+	if resps, m := db.BatchKNNQuery(nil, ServeConfig{}); len(resps) != 0 || m.Queries != 0 || m.Errors != 0 || m.Throughput != 0 {
+		t.Fatalf("empty kNN batch: %d responses, metrics %+v", len(resps), m)
 	}
 }
 
@@ -104,26 +141,42 @@ func TestBatchKNNEquivalence(t *testing.T) {
 			}
 			serial[i] = res
 		}
-		// A query point outside the building fails its own query only.
-		outside := len(reqs) / 2
-		reqs = slices.Insert(reqs, outside, KNNRequest{Q: Pos(-5000, -5000, 0), K: 5})
-		serial = slices.Insert(serial, outside, nil)
-		resps, m := db.BatchKNNQuery(reqs, ServeConfig{Workers: 8})
-		if m.Queries != len(reqs) || m.Errors != 1 {
-			t.Fatalf("seed %d: metrics %d queries %d errors, want %d and 1", seed, m.Queries, m.Errors, len(reqs))
-		}
-		if resps[outside].Err == nil {
-			t.Fatalf("seed %d: the outside-building kNN did not error", seed)
-		}
+		resps, _ := db.BatchKNNQuery(reqs, ServeConfig{Workers: 8})
 		for i := range reqs {
-			if i == outside {
-				continue
-			}
 			if resps[i].Err != nil {
 				t.Fatalf("seed %d: batch kNN %d: %v", seed, i, resps[i].Err)
 			}
 			sameResults(t, "ikNN", serial[i], resps[i].Results)
 		}
+	}
+}
+
+// TestKNNBatchErrorPropagation: a query point outside every partition
+// errors for that request only, the requests around it still match their
+// serial answers, and the metrics count the one failure.
+func TestKNNBatchErrorPropagation(t *testing.T) {
+	db, queries := batchFixture(t, 7)
+	reqs := []KNNRequest{
+		{Q: queries[0], K: 5},
+		{Q: Pos(-5000, -5000, 0), K: 5},
+		{Q: queries[1], K: 5},
+	}
+	resps, m := db.BatchKNNQuery(reqs, ServeConfig{Workers: 2})
+	if m.Queries != len(reqs) || m.Errors != 1 {
+		t.Fatalf("metrics %d queries %d errors, want %d and 1", m.Queries, m.Errors, len(reqs))
+	}
+	if resps[1].Err == nil {
+		t.Fatal("the outside-building kNN did not error")
+	}
+	for _, i := range []int{0, 2} {
+		if resps[i].Err != nil {
+			t.Fatalf("in-building kNN %d errored: %v", i, resps[i].Err)
+		}
+		serial, _, err := db.KNNQuery(reqs[i].Q, reqs[i].K)
+		if err != nil {
+			t.Fatalf("serial kNN %d: %v", i, err)
+		}
+		sameResults(t, "ikNN", serial, resps[i].Results)
 	}
 }
 
