@@ -22,7 +22,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/fsfault"
 	"repro/internal/object"
@@ -89,7 +88,6 @@ func runDiskChaos(t *testing.T, seed int64) {
 	ffs := fsfault.New(nil, diskFaultPlan(rng)...)
 	dir := t.TempDir()
 	if err := db.Persist(dir, DurabilityOptions{
-		GroupWindow:  time.Millisecond,
 		CompactBytes: -1, // keep every record in gen 0: Replayed counts all batches
 		FS:           ffs,
 	}); err != nil {

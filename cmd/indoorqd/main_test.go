@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	indoorq "repro"
 )
@@ -23,7 +22,7 @@ func chaosDB(t *testing.T, durable bool) *indoorq.DB {
 		t.Fatal(err)
 	}
 	if durable {
-		if err := db.Persist(t.TempDir(), indoorq.DurabilityOptions{GroupWindow: time.Millisecond, CompactBytes: -1}); err != nil {
+		if err := db.Persist(t.TempDir(), indoorq.DurabilityOptions{CompactBytes: -1}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -32,21 +32,20 @@ type SyncPolicy = store.SyncPolicy
 
 // WAL fsync policies.
 const (
-	// SyncGrouped (the default) batches appends and fsyncs once per
-	// group-commit window: a crash loses at most the window, order is
-	// always preserved, and paced-churn throughput stays within a few
-	// percent of the WAL-off baseline.
+	// SyncGrouped (the default) acknowledges a mutation once its record
+	// is buffered; each append wakes a flusher that writes and fsyncs
+	// everything buffered, and records arriving during that fsync form
+	// the next group. A crash loses at most the records queued behind
+	// the write+fsync in flight, order is always preserved, and
+	// paced-churn throughput stays within a few percent of the WAL-off
+	// baseline.
 	SyncGrouped = store.SyncGrouped
 	// SyncAlways fsyncs inside every mutation before it is acknowledged.
 	SyncAlways = store.SyncAlways
-	// SyncNever leaves syncing to the OS (still flushed on checkpoint
-	// and Close).
-	SyncNever = store.SyncNever
 )
 
-// DurabilityOptions configures the attached store: fsync policy,
-// group-commit window and the WAL size that triggers automatic
-// compaction.
+// DurabilityOptions configures the attached store: fsync policy and the
+// WAL size that triggers automatic compaction.
 type DurabilityOptions = store.Options
 
 // RecoveryStats reports what OpenDir found and did: the checkpoint it
@@ -180,7 +179,8 @@ func (db *DB) Compact() error {
 }
 
 // Sync flushes the group-commit buffer and fsyncs the WAL — an explicit
-// durability barrier for SyncGrouped/SyncNever callers.
+// durability barrier for SyncGrouped callers, who are otherwise
+// acknowledged before their fsync.
 func (db *DB) Sync() error {
 	if db.st == nil {
 		return nil

@@ -9,10 +9,10 @@
 //
 // Every tick is one ApplyObjectUpdates batch — one WAL record, one
 // snapshot swap — so recovery can only land on a whole number of ticks:
-// the kill may lose the group-commit window's tail, but never tears a
-// batch in half. The tick counter is carried by the inserted marker
-// objects, so the parent can rebuild an oracle DB at the same tick and
-// compare the two serde documents byte for byte.
+// the kill may lose the records still queued behind the fsync in
+// flight, but never tears a batch in half. The tick counter is carried
+// by the inserted marker objects, so the parent can rebuild an oracle DB
+// at the same tick and compare the two serde documents byte for byte.
 package main
 
 import (

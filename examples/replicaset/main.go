@@ -58,7 +58,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := db.Persist(dir, indoorq.DurabilityOptions{GroupWindow: time.Millisecond}); err != nil {
+	if err := db.Persist(dir, indoorq.DurabilityOptions{}); err != nil {
 		return err
 	}
 	srv := server.NewLeader(db, server.Config{Heartbeat: 20 * time.Millisecond})

@@ -23,9 +23,8 @@ import (
 	"repro/internal/wire"
 )
 
-// leaderDB builds a durable leader over a synthetic mall with a fast
-// group-commit window and automatic compaction disabled (tests trigger
-// compaction explicitly).
+// leaderDB builds a durable leader over a synthetic mall with automatic
+// compaction disabled (tests trigger compaction explicitly).
 func leaderDB(t *testing.T) (*indoorq.DB, *indoorq.Building, []indoorq.Position) {
 	t.Helper()
 	b, err := indoorq.GenerateMall(indoorq.MallSpec{Floors: 1})
@@ -37,7 +36,7 @@ func leaderDB(t *testing.T) (*indoorq.DB, *indoorq.Building, []indoorq.Position)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Persist(t.TempDir(), indoorq.DurabilityOptions{GroupWindow: time.Millisecond, CompactBytes: -1}); err != nil {
+	if err := db.Persist(t.TempDir(), indoorq.DurabilityOptions{CompactBytes: -1}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })

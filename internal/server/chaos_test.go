@@ -92,7 +92,7 @@ func runNetChaos(t *testing.T, seed int64) {
 			t.Fatalf("seed %d: replica applied lsn %d ahead of leader written %d", seed, applied, written)
 		}
 		// Pace the churn so the storm actually rages while records flow:
-		// group-commit windows elapse, streams carry frames and get cut.
+		// group commits land, streams carry frames and get cut.
 		time.Sleep(200 * time.Microsecond)
 	}
 

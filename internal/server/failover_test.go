@@ -86,7 +86,7 @@ func TestMain(m *testing.M) {
 // crashChild recovers the store, serves the daemon on an ephemeral port
 // (published through portFile), and applies ticks until killed.
 func crashChild(dir, portFile string) error {
-	db, err := indoorq.OpenDir(dir, indoorq.DurabilityOptions{GroupWindow: time.Millisecond, CompactBytes: -1})
+	db, err := indoorq.OpenDir(dir, indoorq.DurabilityOptions{CompactBytes: -1})
 	if err != nil {
 		return err
 	}

@@ -46,7 +46,7 @@ func newLeaderAt(t *testing.T, dir string, cfg server.Config) (*indoorq.DB, *wir
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Persist(dir, indoorq.DurabilityOptions{GroupWindow: time.Millisecond, CompactBytes: -1}); err != nil {
+	if err := db.Persist(dir, indoorq.DurabilityOptions{CompactBytes: -1}); err != nil {
 		t.Fatal(err)
 	}
 	srv := server.NewLeader(db, cfg)

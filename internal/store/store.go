@@ -21,12 +21,12 @@
 //
 // Durability levels: SyncAlways fsyncs inside each commit (every
 // acknowledged mutation survives power loss); SyncGrouped (the default)
-// buffers appends and fsyncs on a short group-commit window, bounding
-// loss to that window while keeping paced-churn throughput within a few
-// percent of the WAL-off baseline; SyncNever leaves syncing to the OS.
-// In every mode the log write is ordered before the snapshot publish,
-// and a log I/O failure is sticky: the engine fails stop, refusing
-// further mutations until reopened.
+// acknowledges once the record is buffered and wakes a flusher that
+// writes and fsyncs everything buffered, so a crash loses at most the
+// records queued behind the write+fsync in flight. In both modes the log
+// write is ordered before the snapshot publish, and a log I/O failure is
+// sticky: the engine fails stop, refusing further mutations until
+// reopened.
 package store
 
 import (
@@ -37,7 +37,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/fsfault"
 	"repro/internal/geom"
@@ -51,24 +50,19 @@ import (
 type SyncPolicy uint8
 
 const (
-	// SyncGrouped batches appends and fsyncs once per group-commit
-	// window (Options.GroupWindow). An acknowledged mutation may be lost
-	// to a crash inside the window; order is always preserved.
+	// SyncGrouped acknowledges a mutation once its record is buffered;
+	// the flusher it wakes writes and fsyncs everything buffered. A crash
+	// loses at most the records queued behind the write+fsync in flight;
+	// order is always preserved.
 	SyncGrouped SyncPolicy = iota
 	// SyncAlways fsyncs before a mutation is acknowledged.
 	SyncAlways
-	// SyncNever writes without explicit fsync (still flushed on
-	// rotation, checkpoint and Close).
-	SyncNever
 )
 
 // Options configures a store.
 type Options struct {
 	// Sync is the fsync policy; SyncGrouped by default.
 	Sync SyncPolicy
-	// GroupWindow is the group-commit flush interval for SyncGrouped and
-	// SyncNever; 5ms when zero or negative.
-	GroupWindow time.Duration
 	// CompactBytes is the WAL size past which the store signals for
 	// compaction (CompactC); 64 MiB when zero, disabled when negative.
 	CompactBytes int64
@@ -78,15 +72,9 @@ type Options struct {
 	FS fsfault.FS
 }
 
-const (
-	defaultGroupWindow  = 5 * time.Millisecond
-	defaultCompactBytes = 64 << 20
-)
+const defaultCompactBytes = 64 << 20
 
 func (o Options) withDefaults() Options {
-	if o.GroupWindow <= 0 {
-		o.GroupWindow = defaultGroupWindow // a ticker cannot run on a non-positive window
-	}
 	if o.CompactBytes == 0 {
 		o.CompactBytes = defaultCompactBytes
 	}
@@ -278,7 +266,7 @@ func newStore(dir string, opts Options, w *wal) *Store {
 		done:     make(chan struct{}),
 	}
 	s.wg.Add(1)
-	go flusher(w, opts.GroupWindow, s.done, &s.wg)
+	go flusher(w, s.done, &s.wg)
 	return s
 }
 
@@ -341,15 +329,7 @@ func (s *Store) WALSize() int64 { return s.w.Size() }
 
 // Sync flushes the group-commit buffer and fsyncs the log — an explicit
 // durability barrier under any policy.
-func (s *Store) Sync() error {
-	s.w.mu.Lock()
-	closed := s.w.closed
-	s.w.mu.Unlock()
-	if closed {
-		return errClosed
-	}
-	return s.w.flush(true)
-}
+func (s *Store) Sync() error { return s.w.Flush() }
 
 // BeginCheckpoint rotates the log onto a fresh generation and returns
 // the cut LSN the new checkpoint must cover. The caller MUST have

@@ -125,7 +125,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 // TestCreateLogReopen drives every mutation kind through the hook and
 // checks that Open reproduces the final state exactly.
 func TestCreateLogReopen(t *testing.T) {
-	for _, policy := range []SyncPolicy{SyncGrouped, SyncAlways, SyncNever} {
+	for _, policy := range []SyncPolicy{SyncGrouped, SyncAlways} {
 		idx, b := testIndex(t)
 		dir := t.TempDir()
 		st, err := Create(dir, idx, nil, Options{Sync: policy})

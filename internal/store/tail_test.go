@@ -17,13 +17,13 @@ import (
 	"repro/internal/object"
 )
 
-// tailStore creates a fresh durable store over the standard test index
-// with an aggressive flush window so tails observe appends quickly.
+// tailStore creates a fresh durable store over the standard test index;
+// the flusher wakes on each append, so tails observe appends quickly.
 func tailStore(t *testing.T) (*Store, *index.Index, *indoor.Building, string) {
 	t.Helper()
 	dir := t.TempDir()
 	idx, b := testIndex(t)
-	s, err := Create(dir, idx, nil, Options{GroupWindow: time.Millisecond, CompactBytes: -1})
+	s, err := Create(dir, idx, nil, Options{CompactBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,6 +234,73 @@ func TestAppendNotifyWakes(t *testing.T) {
 		t.Fatal("AppendNotify did not wake after an append+flush")
 	}
 	<-done
+}
+
+// TestAppendDurableWithoutSync pins the group-commit rule: an append
+// wakes the flusher, so a lone mutation becomes written and durable with
+// no Sync, no Flush and no later append to push it out. Close right after
+// appends returns, and the flusher is gone when it does.
+func TestAppendDurableWithoutSync(t *testing.T) {
+	s, idx, _, dir := tailStore(t)
+	notify := s.AppendNotify()
+	deadline := time.Now().Add(5 * time.Second)
+	for i := uint64(1); i <= 3; i++ {
+		o := object.PointObject(0, indoor.Position{Pt: geom.Pt(float64(2+i), 5), Floor: 0})
+		if err := idx.MoveObject(o); err != nil {
+			t.Fatal(err)
+		}
+		for s.WrittenLSN() < i || s.DurableLSN() < i {
+			if time.Now().After(deadline) {
+				t.Fatalf("lone mutation %d: WrittenLSN %d, DurableLSN %d", i, s.WrittenLSN(), s.DurableLSN())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if got, want := [2]uint64{s.WrittenLSN(), s.DurableLSN()}, [2]uint64{3, 3}; got != want {
+		t.Fatalf("written, durable = %v, want %v", got, want)
+	}
+	select {
+	case <-notify:
+	default:
+		t.Fatal("AppendNotify taken before the appends did not close")
+	}
+
+	// Three more appends, then Close at once: a kick may still be pending
+	// when done closes, and Close must neither hang nor leave the flusher.
+	for i := 0; i < 3; i++ {
+		o := object.PointObject(1, indoor.Position{Pt: geom.Pt(float64(3+i), 6), Floor: 0})
+		if err := idx.MoveObject(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return")
+	}
+	select {
+	case <-s.w.kick: // drop a kick the flusher left pending
+	default:
+	}
+	s.w.kick <- struct{}{}
+	time.Sleep(20 * time.Millisecond)
+	if len(s.w.kick) != 1 {
+		t.Fatal("a kick sent after Close was consumed: the flusher outlived Close")
+	}
+
+	s2, _, info, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if info.Stats.Replayed != 6 {
+		t.Fatalf("reopen replayed %d records, want 6", info.Stats.Replayed)
+	}
 }
 
 // TestTailReplayMatchesState is the contract replication rests on: a
