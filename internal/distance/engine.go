@@ -74,7 +74,10 @@ func New(idx *index.Snapshot, q indoor.Position, a *index.SkelAnchor, unitIDs []
 
 // NewFull builds an engine over every unit of the index: the reference
 // evaluator used for refinement fallback and as the test oracle's
-// counterpart.
+// counterpart. It only seeds the search: each DoorDist resumes the
+// unrestricted Dijkstra until the asked door is settled, so an engine that
+// reads the doors near q never walks the rest of the building. The
+// distances are bit-identical to a search run to completion.
 func NewFull(idx *index.Snapshot, q indoor.Position) (*Engine, error) {
 	return build(idx, q, idx.NewSkelAnchor(q), nil, true)
 }
@@ -82,7 +85,8 @@ func NewFull(idx *index.Snapshot, q indoor.Position) (*Engine, error) {
 // build performs the subgraph phase against the precompiled door-graph
 // tier: mark the unit set's slots, seed the doors of the query point's
 // unit, and run the membership-restricted Dijkstra in pooled scratch
-// storage. A full engine skips the marking and runs unrestricted.
+// storage. A full engine skips the marking and leaves the unrestricted
+// search to DoorDist.
 func build(idx *index.Snapshot, q indoor.Position, a *index.SkelAnchor, unitIDs []index.UnitID, full bool) (*Engine, error) {
 	qUnit := idx.LocateUnit(q)
 	if qUnit == nil {
@@ -112,7 +116,9 @@ func build(idx *index.Snapshot, q indoor.Position, a *index.SkelAnchor, unitIDs 
 			e.sc.Push(gid, w)
 		}
 	}
-	e.dg.Graph().Dijkstra(e.sc, math.Inf(1), !e.full)
+	if !e.full {
+		e.dg.Graph().Dijkstra(e.sc, math.Inf(1), true)
+	}
 	return e, nil
 }
 
@@ -152,9 +158,10 @@ func (e *Engine) Carry(s *index.Snapshot) { e.idx = s }
 // reachable). A topology change farther than Reach from the query point,
 // by the Equation 10 bound, cannot change any of those answers: a door
 // distance d is a shortest path that never leaves the units within d, and
-// a new path through a changed unit is longer than d. Zero for an engine
-// that handed out nothing, and for restricted engines, whose radius is
-// their cap.
+// a new path through a changed unit is longer than d. Only distances
+// handed out count, not the doors the lazy search settled on the way to
+// them. Zero for an engine that handed out nothing, and for restricted
+// engines, whose radius is their cap.
 func (e *Engine) Reach() float64 { return e.reach }
 
 // Close releases the engine's pooled scratch storage and evaluation
@@ -173,14 +180,21 @@ func (e *Engine) Close() {
 }
 
 // DoorDist returns the indoor distance from the query point to a door
-// (+Inf when the door is outside the engine's unit set or unreachable).
+// (+Inf when the door is outside the engine's unit set or unreachable). On
+// a full engine it first resumes the paused search until the door is
+// settled — an unreachable door drains it — so a read writes the engine's
+// scratch; like the rest of the engine it must not be called concurrently.
 func (e *Engine) DoorDist(d *index.DoorRef) float64 {
 	n := e.dg.DoorID(d)
 	if n < 0 {
 		return math.Inf(1)
 	}
+	if !e.full {
+		return e.sc.Dist(n)
+	}
+	e.dg.Graph().DijkstraTo(e.sc, math.Inf(1), false, n)
 	v := e.sc.Dist(n)
-	if e.full && v > e.reach && !math.IsInf(v, 1) {
+	if v > e.reach && !math.IsInf(v, 1) {
 		e.reach = v
 	}
 	return v

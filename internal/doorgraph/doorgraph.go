@@ -12,7 +12,9 @@
 // the query unit's doors and restricting edge relaxation to the doors of
 // their candidate unit set through a generation-stamped mark set. The
 // per-query state (distances, heap, marks) lives in a pooled graph.Scratch,
-// so steady-state queries allocate nothing on this path.
+// so steady-state queries allocate nothing on this path. The unrestricted
+// full-building search runs the same loop lazily (DijkstraTo): it pauses
+// once the door asked for is settled and resumes on the next ask.
 //
 // The package is deliberately index-agnostic: the index enumerates doors
 // and units into dense ids and feeds edges to a Builder; this package owns
@@ -47,14 +49,27 @@ func (g *Graph) NumUnits() int { return g.nUnits }
 // NumEdges returns the total directed edge count.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
-// Dijkstra runs the seeded shortest-path search over the compiled graph.
-// Seeds must already be pushed into sc (Improve + Push) and sc must have
-// been Reset to (NumDoors, NumUnits). Nodes farther than bound stay at
-// +Inf. When restricted, an edge is relaxed only if its through-unit is
-// marked in sc — the "slice by unit-set membership" of the subgraph phase.
-// Final distances are read back through sc.Dist.
+// Dijkstra runs the seeded shortest-path search over the compiled graph to
+// completion. Seeds must already be pushed into sc (Improve + Push) and sc
+// must have been Reset to (NumDoors, NumUnits). Nodes farther than bound
+// stay at +Inf. When restricted, an edge is relaxed only if its
+// through-unit is marked in sc — the "slice by unit-set membership" of the
+// subgraph phase. Final distances are read back through sc.Dist.
 func (g *Graph) Dijkstra(sc *graph.Scratch, bound float64, restricted bool) {
+	g.DijkstraTo(sc, bound, restricted, -1)
+}
+
+// DijkstraTo is Dijkstra paused as soon as node stop is settled: the heap
+// is empty or its smallest key is no less than stop's tentative distance,
+// so no later relaxation can lower it. A negative stop runs to completion.
+// Calling it again on the same scratch resumes the search where it paused;
+// pausing never reorders pops or relaxations, so every settled node holds
+// exactly the distance an uninterrupted run gives it.
+func (g *Graph) DijkstraTo(sc *graph.Scratch, bound float64, restricted bool, stop int32) {
 	for {
+		if stop >= 0 && sc.Top() >= sc.Dist(stop) {
+			return
+		}
 		node, d, ok := sc.Pop()
 		if !ok {
 			return

@@ -134,7 +134,8 @@ func refDijkstra(n int, edges []refEdge, src int, bound float64) []float64 {
 }
 
 // TestAgainstReferenceGraph cross-checks the CSR Dijkstra against the
-// array reference on random graphs, restricted and not.
+// array reference on random graphs, restricted and not, both run to
+// completion and paused by DijkstraTo at each node in a random order.
 func TestAgainstReferenceGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -181,6 +182,20 @@ func TestAgainstReferenceGraph(t *testing.T) {
 		for i := 0; i < nDoors; i++ {
 			if got := sc.Dist(int32(i)); got != want[i] {
 				t.Fatalf("trial %d: dist[%d] = %g, reference %g", trial, i, got, want[i])
+			}
+		}
+		// The same search paused at each node in turn: a node read right
+		// after DijkstraTo stops at it is final.
+		sc.Reset(g.NumDoors(), g.NumUnits())
+		for _, u := range marked {
+			sc.Mark(u)
+		}
+		sc.Improve(src, 0)
+		sc.Push(src, 0)
+		for _, i := range rand.New(rand.NewSource(int64(trial))).Perm(nDoors) {
+			g.DijkstraTo(sc, bound, true, int32(i))
+			if got := sc.Dist(int32(i)); got != want[i] {
+				t.Fatalf("trial %d: paused dist[%d] = %g, reference %g", trial, i, got, want[i])
 			}
 		}
 		sc.Release()

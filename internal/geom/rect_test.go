@@ -102,6 +102,61 @@ func TestRectMinMaxDist(t *testing.T) {
 	}
 }
 
+// TestRectMinDistMatchesHypot pins MinDist bit for bit to its plain
+// math.Max/math.Hypot form, on random inputs and on the edge inputs where
+// the shortcuts apply: inside, on an edge, on an axis line, ±0 and ±Inf.
+func TestRectMinDistMatchesHypot(t *testing.T) {
+	ref := func(r Rect, p Point) float64 {
+		dx := math.Max(0, math.Max(r.MinX-p.X, p.X-r.MaxX))
+		dy := math.Max(0, math.Max(r.MinY-p.Y, p.Y-r.MaxY))
+		return math.Hypot(dx, dy)
+	}
+	negZero := math.Copysign(0, -1)
+	inf := math.Inf(1)
+	type tc struct {
+		r Rect
+		p Point
+	}
+	cases := []tc{
+		{R(0, 0, 10, 10), Pt(5, 5)},                    // inside
+		{R(0, 0, 10, 10), Pt(10, 5)},                   // on an edge
+		{R(0, 0, 10, 10), Pt(0, 0)},                    // on a corner
+		{R(0, 0, 10, 10), Pt(5, 17)},                   // on the x axis line
+		{R(0, 0, 10, 10), Pt(-3, 5)},                   // on the y axis line
+		{R(0, 0, 10, 10), Pt(13, 14)},                  // diagonal
+		{R(negZero, negZero, 0, 0), Pt(0, negZero)},    // ±0
+		{R(0, 0, negZero, negZero), Pt(negZero, 0)},    // ±0, inverted
+		{R(negZero, 0, 5, 5), Pt(negZero, negZero)},    // -0 point on a -0 edge
+		{Rect{0, negZero, negZero, 0}, Pt(negZero, 0)}, // ±0 degenerate box
+		{R(0, 0, 10, 10), Pt(inf, 5)},                  // +Inf on one leg
+		{R(0, 0, 10, 10), Pt(5, -inf)},                 // -Inf on the other
+		{R(0, 0, 10, 10), Pt(inf, -inf)},               // both infinite
+		{R(-inf, -inf, inf, inf), Pt(3, 4)},            // unbounded box
+		{R(-inf, 0, 10, 10), Pt(-inf, 20)},             // Inf - Inf is NaN
+		{R(0, 0, 10, 10), Pt(math.NaN(), 5)},           // NaN
+		{R(0, 0, 10, 10), Pt(math.NaN(), math.NaN())},  // NaN on both legs
+		{R(0, 0, 10, 10), Pt(math.MaxFloat64, 1e-300)}, // extremes
+	}
+	rng := rand.New(rand.NewSource(47))
+	for i := 0; i < 20000; i++ {
+		c := tc{randRect(rng), randPoint(rng)}
+		switch i % 4 { // snap to the rect's lines so the zero-leg paths run
+		case 1:
+			c.p.X = c.r.MinX
+		case 2:
+			c.p.Y = c.r.MaxY
+		}
+		cases = append(cases, c)
+	}
+	for _, c := range cases {
+		got, want := c.r.MinDist(c.p), ref(c.r, c.p)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("MinDist(%v, %v) = %g (%016x), reference %g (%016x)",
+				c.r, c.p, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 // Property: MinDist lower-bounds and MaxDist upper-bounds the distance to
 // any point inside the rectangle.
 func TestRectDistBoundsProperty(t *testing.T) {

@@ -117,6 +117,15 @@ func (s *Scratch) Push(node int32, d float64) {
 	}
 }
 
+// Top returns the smallest queued key, +Inf when the heap is empty. Queued
+// keys include stale entries, so Top never exceeds the smallest live key.
+func (s *Scratch) Top() float64 {
+	if len(s.heap) == 0 {
+		return math.Inf(1)
+	}
+	return s.heap[0].dist
+}
+
 // Pop removes the smallest entry; ok is false when the heap is empty.
 func (s *Scratch) Pop() (node int32, d float64, ok bool) {
 	n := len(s.heap)

@@ -1,7 +1,9 @@
 package index
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/indoor"
@@ -15,8 +17,13 @@ import (
 // traversal.
 type Skeleton struct {
 	entrances []entrance
-	byFloor   map[int][]int // entrance indices per floor
-	m         [][]float64   // Ms2s
+	// byFloor lists entrance indices grouped by floor, ascending within a
+	// floor: floor f's entrances are byFloor[floorOff[k]:floorOff[k+1]]
+	// with k = f - floorBase.
+	byFloor   []int32
+	floorOff  []int32
+	floorBase int
+	m         [][]float64 // Ms2s
 }
 
 // entrance is one staircase entrance: the door joining a staircase to a
@@ -36,7 +43,7 @@ type entrance struct {
 //	(3) entrances of one staircase: the stair run length;
 //	(4) otherwise: shortest path in the skeleton graph.
 func buildSkeleton(b *indoor.Building) *Skeleton {
-	sk := &Skeleton{byFloor: make(map[int][]int)}
+	sk := &Skeleton{}
 	for _, d := range b.Doors() {
 		stair := staircaseSide(b, d)
 		if stair == indoor.NoPartition {
@@ -46,9 +53,7 @@ func buildSkeleton(b *indoor.Building) *Skeleton {
 			pos: d.Pos, floor: d.Floor, door: d.ID, stair: stair,
 		})
 	}
-	for i, e := range sk.entrances {
-		sk.byFloor[e.floor] = append(sk.byFloor[e.floor], i)
-	}
+	sk.groupByFloor()
 
 	n := len(sk.entrances)
 	m := make([][]float64, n)
@@ -92,6 +97,48 @@ func buildSkeleton(b *indoor.Building) *Skeleton {
 	return sk
 }
 
+// groupByFloor counting-sorts the entrance indices by floor into byFloor,
+// floorOff and floorBase.
+func (sk *Skeleton) groupByFloor() {
+	lo, hi := 0, -1
+	for i, e := range sk.entrances {
+		if i == 0 || e.floor < lo {
+			lo = e.floor
+		}
+		hi = max(hi, e.floor)
+	}
+	sk.floorBase = lo
+	sk.floorOff = make([]int32, hi-lo+2)
+	for _, e := range sk.entrances {
+		sk.floorOff[e.floor-lo+1]++
+	}
+	for k := 1; k < len(sk.floorOff); k++ {
+		sk.floorOff[k] += sk.floorOff[k-1]
+	}
+	sk.byFloor = make([]int32, len(sk.entrances))
+	next := slices.Clone(sk.floorOff)
+	for i, e := range sk.entrances {
+		sk.byFloor[next[e.floor-lo]] = int32(i)
+		next[e.floor-lo]++
+	}
+}
+
+// floorRange returns the [start, end) range of byFloor holding floor f's
+// entrances, empty for a floor without any.
+func (sk *Skeleton) floorRange(f int) (start, end int32) {
+	k := f - sk.floorBase
+	if k < 0 || k+1 >= len(sk.floorOff) {
+		return 0, 0
+	}
+	return sk.floorOff[k], sk.floorOff[k+1]
+}
+
+// onFloor returns the indices of floor f's entrances.
+func (sk *Skeleton) onFloor(f int) []int32 {
+	lo, hi := sk.floorRange(f)
+	return sk.byFloor[lo:hi]
+}
+
 // staircaseSide returns the staircase partition of a staircase-entrance
 // door (a door with exactly one staircase side), or NoPartition.
 func staircaseSide(b *indoor.Building, d *indoor.Door) indoor.PartitionID {
@@ -124,8 +171,8 @@ func (sk *Skeleton) Dist(q, p indoor.Position) float64 {
 		return q.Pt.DistTo(p.Pt)
 	}
 	best := math.Inf(1)
-	for _, i := range sk.byFloor[q.Floor] {
-		for _, j := range sk.byFloor[p.Floor] {
+	for _, i := range sk.onFloor(q.Floor) {
+		for _, j := range sk.onFloor(p.Floor) {
 			d := q.Pt.DistTo(sk.entrances[i].pos) + sk.m[i][j] + sk.entrances[j].pos.DistTo(p.Pt)
 			if d < best {
 				best = d
@@ -145,8 +192,8 @@ func (sk *Skeleton) MinDistRect(q indoor.Position, r geom.Rect, lo, hi int) floa
 	}
 	best := math.Inf(1)
 	for _, f := range []int{lo, hi} {
-		for _, i := range sk.byFloor[q.Floor] {
-			for _, j := range sk.byFloor[f] {
+		for _, i := range sk.onFloor(q.Floor) {
+			for _, j := range sk.onFloor(f) {
 				d := q.Pt.DistTo(sk.entrances[i].pos) + sk.m[i][j] + r.MinDist(sk.entrances[j].pos)
 				if d < best {
 					best = d
@@ -166,46 +213,65 @@ func (sk *Skeleton) MinDistRect(q indoor.Position, r geom.Rect, lo, hi int) floa
 // turns every subsequent Equation 10 evaluation from a double loop over
 // entrance pairs into a single loop over the target floor's entrances —
 // the filtering phase evaluates the bound against thousands of tree boxes
-// per query, so the factor matters. The anchor is bound to the skeleton of
-// the snapshot that created it; like the snapshot itself it stays valid
-// indefinitely.
+// per query, so the factor matters. Each floor's entrances are held in
+// ascending order of that cost, so the loop stops at the first entrance
+// whose cost alone already reaches the best bound found: on a city-wide
+// floor most entrances belong to other buildings and are never looked at.
+// The anchor is bound to the skeleton of the snapshot that created it;
+// like the snapshot itself it stays valid indefinitely.
 type SkelAnchor struct {
-	sk *Skeleton
-	q  indoor.Position
-	to []float64 // per entrance: cheapest q→entrance route, +Inf if none
+	sk   *Skeleton
+	q    indoor.Position
+	ents []anchorEntrance // the skeleton's byFloor layout, each floor sorted by to
 }
 
-// NewSkelAnchor anchors q against the snapshot's skeleton tier.
+// anchorEntrance is one entrance as the anchor sees it.
+type anchorEntrance struct {
+	to  float64 // cheapest q→entrance route, +Inf if none
+	pos geom.Point
+}
+
+// NewSkelAnchor anchors q against the snapshot's skeleton tier: one flat
+// slice of entrances in the skeleton's floor grouping, each floor's range
+// sorted by route cost from q.
 func (s *Snapshot) NewSkelAnchor(q indoor.Position) *SkelAnchor {
 	sk := s.topo.skeleton
-	a := &SkelAnchor{sk: sk, q: q, to: make([]float64, len(sk.entrances))}
-	for j := range a.to {
-		a.to[j] = math.Inf(1)
+	a := &SkelAnchor{sk: sk, q: q, ents: make([]anchorEntrance, len(sk.byFloor))}
+	for k, j := range sk.byFloor {
+		a.ents[k] = anchorEntrance{to: math.Inf(1), pos: sk.entrances[j].pos}
 	}
-	for _, i := range sk.byFloor[q.Floor] {
+	for _, i := range sk.onFloor(q.Floor) {
 		base := q.Pt.DistTo(sk.entrances[i].pos)
-		for j := range a.to {
-			if d := base + sk.m[i][j]; d < a.to[j] {
-				a.to[j] = d
+		row := sk.m[i]
+		for k, j := range sk.byFloor {
+			if d := base + row[j]; d < a.ents[k].to {
+				a.ents[k].to = d
 			}
 		}
+	}
+	for k := 0; k+1 < len(sk.floorOff); k++ {
+		slices.SortFunc(a.ents[sk.floorOff[k]:sk.floorOff[k+1]], func(x, y anchorEntrance) int {
+			return cmp.Compare(x.to, y.to)
+		})
 	}
 	return a
 }
 
 // MinDistRect is Skeleton.MinDistRect evaluated through the anchor; the
-// two agree exactly.
+// two agree exactly. Each floor's scan breaks at the first entrance with
+// to >= best: MinDist is never negative, so no later entrance can win.
 func (a *SkelAnchor) MinDistRect(r geom.Rect, lo, hi int) float64 {
 	if a.q.Floor >= lo && a.q.Floor <= hi {
 		return r.MinDist(a.q.Pt)
 	}
 	best := math.Inf(1)
-	for _, f := range []int{lo, hi} {
-		for _, j := range a.sk.byFloor[f] {
-			if a.to[j] >= best {
-				continue
+	for _, f := range [2]int{lo, hi} {
+		start, end := a.sk.floorRange(f)
+		for _, e := range a.ents[start:end] {
+			if e.to >= best {
+				break
 			}
-			if d := a.to[j] + r.MinDist(a.sk.entrances[j].pos); d < best {
+			if d := e.to + r.MinDist(e.pos); d < best {
 				best = d
 			}
 		}

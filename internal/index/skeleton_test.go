@@ -2,6 +2,8 @@ package index
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -242,4 +244,110 @@ func TestSkeletonMatchesReference(t *testing.T) {
 	if !multiHop {
 		t.Fatal("no finite route spans two floors: property (4) went unexercised")
 	}
+}
+
+// TestAnchorMatchesSkeleton pins the anchored Equation 10 bound, which
+// scans each floor's entrances in route-cost order and stops early, bit
+// for bit to the reference double loop of Skeleton.MinDistRect: on the
+// 3-floor mall, on a 2×3 city, whose floors join the entrances of several
+// buildings, and on a building with a basement (floor -1), for query
+// points on every floor, random rects, every (lo, hi) floor pair and a
+// floor past the last one.
+func TestAnchorMatchesSkeleton(t *testing.T) {
+	city, err := gen.City(gen.CitySpec{Rows: 2, Cols: 3, FloorsMin: 3, FloorsMax: 6, Seed: 47})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fx := range []struct {
+		name string
+		b    *indoor.Building
+	}{{"mall", mall(t, 3)}, {"city", city.B}, {"basement", basement(t)}} {
+		s := buildIdx(t, fx.b, nil).Current()
+		sk := s.Skeleton()
+		var bounds geom.Rect
+		bottom, top := 0, 0
+		for i, p := range fx.b.Partitions() {
+			lo, hi := p.FloorSpan()
+			if i == 0 {
+				bounds, bottom, top = p.Bounds(), lo, hi
+			}
+			bounds = bounds.Union(p.Bounds())
+			bottom, top = min(bottom, lo), max(top, hi)
+		}
+		// The floor grouping both evaluations share lists each floor's
+		// entrances, ascending, and nothing for a floor without any.
+		for f := bottom - 1; f <= top+1; f++ {
+			var want []int32
+			for i, e := range sk.entrances {
+				if e.floor == f {
+					want = append(want, int32(i))
+				}
+			}
+			if got := sk.onFloor(f); !slices.Equal(got, want) {
+				t.Fatalf("%s: floor %d entrances %v, want %v", fx.name, f, got, want)
+			}
+		}
+		// Query points on every floor: sample until each floor has three.
+		perFloor := map[int][]indoor.Position{}
+		for _, q := range gen.QueryPoints(fx.b, 600, 48) {
+			if len(perFloor[q.Floor]) < 3 {
+				perFloor[q.Floor] = append(perFloor[q.Floor], q)
+			}
+		}
+		rng := rand.New(rand.NewSource(49))
+		rects := make([]geom.Rect, 40)
+		for i := range rects {
+			x, y := bounds.MinX+rng.Float64()*bounds.Width(), bounds.MinY+rng.Float64()*bounds.Height()
+			rects[i] = geom.R(x, y, x+rng.Float64()*80, y+rng.Float64()*80)
+		}
+		checked := 0
+		for f := bottom; f <= top; f++ {
+			if len(perFloor[f]) == 0 {
+				t.Fatalf("%s: no query point on floor %d", fx.name, f)
+			}
+			for _, q := range perFloor[f] {
+				a := s.NewSkelAnchor(q)
+				for _, r := range rects {
+					for lo := bottom; lo <= top+1; lo++ {
+						for hi := lo; hi <= top+1; hi++ {
+							got, want := a.MinDistRect(r, lo, hi), sk.MinDistRect(q, r, lo, hi)
+							if math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("%s q=%v r=%v floors [%d, %d]: anchor %g, skeleton %g",
+									fx.name, q, r, lo, hi, got, want)
+							}
+							if !math.IsInf(want, 1) && want > r.MinDist(q.Pt) {
+								checked++
+							}
+						}
+					}
+				}
+			}
+		}
+		if checked == 0 {
+			t.Fatalf("%s: no finite cross-floor bound was compared", fx.name)
+		}
+	}
+}
+
+// basement is a three-floor building numbered from -1: a hallway per
+// floor and two staircases, each with an entrance on both floors it joins.
+func basement(t *testing.T) *indoor.Building {
+	t.Helper()
+	b := indoor.NewBuilding(4)
+	halls := map[int]*indoor.Partition{}
+	for f := -1; f <= 1; f++ {
+		halls[f] = b.AddRoom(f, geom.R(0, 0, 100, 20))
+	}
+	for _, c := range []struct {
+		floor int
+		x     float64
+	}{{-1, 70}, {0, 20}} {
+		st := b.AddStaircase(c.floor, geom.R(c.x, 20, c.x+10, 30), 8)
+		for _, g := range []int{c.floor, c.floor + 1} {
+			if _, err := b.AddDoor(geom.Pt(c.x+5, 20), g, st.ID, halls[g].ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return b
 }
