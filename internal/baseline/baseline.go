@@ -117,6 +117,13 @@ func (o *Oracle) AllDistances(q indoor.Position) ([]ObjectDist, error) {
 		return nil, err
 	}
 	defer eng.Close()
+	// The full engine settles doors as they are read. Settling every door
+	// first makes each object read see the state of a search run to
+	// completion, whatever order ExactDist asks for doors in.
+	dg := s.DoorGraph()
+	for i := range dg.NumDoors() {
+		eng.DoorDist(dg.Door(int32(i)))
+	}
 	ids := s.Objects().IDs()
 	out := make([]ObjectDist, 0, len(ids))
 	for _, id := range ids {

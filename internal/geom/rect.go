@@ -99,18 +99,11 @@ func (r Rect) Expand(d float64) Rect {
 
 // MinDist returns the smallest Euclidean distance from p to any point of r
 // (0 when p is inside). This is |p, R|minE in the paper's notation. It is
-// on the Equation 10 hot path, so it avoids the calls where the result is
-// known: the builtin max treats ±0 and NaN exactly as math.Max does, and
-// math.Hypot(x, 0) is exactly x, +Inf and NaN included.
+// on the Equation 10 hot path, so it uses the builtin max, which treats ±0
+// and NaN exactly as math.Max does, without the calls.
 func (r Rect) MinDist(p Point) float64 {
 	dx := max(0, r.MinX-p.X, p.X-r.MaxX)
 	dy := max(0, r.MinY-p.Y, p.Y-r.MaxY)
-	if dx == 0 {
-		return dy
-	}
-	if dy == 0 {
-		return dx
-	}
 	return math.Hypot(dx, dy)
 }
 

@@ -103,8 +103,8 @@ func TestRectMinMaxDist(t *testing.T) {
 }
 
 // TestRectMinDistMatchesHypot pins MinDist bit for bit to its plain
-// math.Max/math.Hypot form, on random inputs and on the edge inputs where
-// the shortcuts apply: inside, on an edge, on an axis line, ±0 and ±Inf.
+// math.Max/math.Hypot form, on random inputs and on edge inputs: inside,
+// on an edge, on an axis line, ±0, ±Inf and NaN.
 func TestRectMinDistMatchesHypot(t *testing.T) {
 	ref := func(r Rect, p Point) float64 {
 		dx := math.Max(0, math.Max(r.MinX-p.X, p.X-r.MaxX))
@@ -140,7 +140,7 @@ func TestRectMinDistMatchesHypot(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for i := 0; i < 20000; i++ {
 		c := tc{randRect(rng), randPoint(rng)}
-		switch i % 4 { // snap to the rect's lines so the zero-leg paths run
+		switch i % 4 { // snap to the rect's lines so one leg is zero
 		case 1:
 			c.p.X = c.r.MinX
 		case 2:

@@ -18,12 +18,14 @@ import (
 type Skeleton struct {
 	entrances []entrance
 	// byFloor lists entrance indices grouped by floor, ascending within a
-	// floor: floor f's entrances are byFloor[floorOff[k]:floorOff[k+1]]
-	// with k = f - floorBase.
-	byFloor   []int32
-	floorOff  []int32
-	floorBase int
-	m         [][]float64 // Ms2s
+	// floor. floors holds the distinct entrance floors in ascending order,
+	// and floors[k]'s entrances are byFloor[floorOff[k]:floorOff[k+1]]:
+	// the layout grows with the entrances, not with the span of floor
+	// numbers, which come from outside the program.
+	byFloor  []int32
+	floors   []int
+	floorOff []int32
+	m        [][]float64 // Ms2s
 }
 
 // entrance is one staircase entrance: the door joining a staircase to a
@@ -97,37 +99,30 @@ func buildSkeleton(b *indoor.Building) *Skeleton {
 	return sk
 }
 
-// groupByFloor counting-sorts the entrance indices by floor into byFloor,
-// floorOff and floorBase.
+// groupByFloor sorts the entrance indices by floor into byFloor, floors
+// and floorOff.
 func (sk *Skeleton) groupByFloor() {
-	lo, hi := 0, -1
-	for i, e := range sk.entrances {
-		if i == 0 || e.floor < lo {
-			lo = e.floor
-		}
-		hi = max(hi, e.floor)
-	}
-	sk.floorBase = lo
-	sk.floorOff = make([]int32, hi-lo+2)
-	for _, e := range sk.entrances {
-		sk.floorOff[e.floor-lo+1]++
-	}
-	for k := 1; k < len(sk.floorOff); k++ {
-		sk.floorOff[k] += sk.floorOff[k-1]
-	}
 	sk.byFloor = make([]int32, len(sk.entrances))
-	next := slices.Clone(sk.floorOff)
-	for i, e := range sk.entrances {
-		sk.byFloor[next[e.floor-lo]] = int32(i)
-		next[e.floor-lo]++
+	for i := range sk.byFloor {
+		sk.byFloor[i] = int32(i)
 	}
+	slices.SortStableFunc(sk.byFloor, func(i, j int32) int {
+		return cmp.Compare(sk.entrances[i].floor, sk.entrances[j].floor)
+	})
+	for k, i := range sk.byFloor {
+		if f := sk.entrances[i].floor; k == 0 || f != sk.floors[len(sk.floors)-1] {
+			sk.floors = append(sk.floors, f)
+			sk.floorOff = append(sk.floorOff, int32(k))
+		}
+	}
+	sk.floorOff = append(sk.floorOff, int32(len(sk.byFloor)))
 }
 
 // floorRange returns the [start, end) range of byFloor holding floor f's
 // entrances, empty for a floor without any.
 func (sk *Skeleton) floorRange(f int) (start, end int32) {
-	k := f - sk.floorBase
-	if k < 0 || k+1 >= len(sk.floorOff) {
+	k, ok := slices.BinarySearch(sk.floors, f)
+	if !ok {
 		return 0, 0
 	}
 	return sk.floorOff[k], sk.floorOff[k+1]

@@ -351,3 +351,62 @@ func basement(t *testing.T) *indoor.Building {
 	}
 	return b
 }
+
+// TestSkeletonSparseFloors attaches staircase entrances at floor numbers
+// far outside the building, as a logged door mutation may: the skeleton's
+// floor grouping must follow the entrances, not the span of floor
+// numbers, both after the mutation and in a fresh build of the edited
+// building, and the anchored Equation 10 bound must still equal the
+// reference at those floors.
+func TestSkeletonSparseFloors(t *testing.T) {
+	b := basement(t)
+	idx := buildIdx(t, b, nil)
+	var stair, hall *indoor.Partition
+	for _, p := range b.Partitions() {
+		if p.Kind == indoor.Staircase && p.Floor == 0 {
+			stair = p
+		}
+	}
+	for _, p := range b.Partitions() {
+		if p.Kind != indoor.Staircase && p.Floor == stair.Floor {
+			hall = p
+		}
+	}
+	far := []int{1 << 40, math.MaxInt, math.MinInt}
+	for i, f := range far {
+		pos := geom.Pt(stair.Bounds().MinX+float64(1+2*i), stair.Bounds().MinY)
+		d := &indoor.Door{Pos: pos, Floor: f, P1: stair.ID, P2: hall.ID}
+		if _, err := idx.Apply(Mutation{Kind: MutAttachDoor, DoorID: -1, Door: d}); err != nil {
+			t.Fatalf("attach door at floor %d: %v", f, err)
+		}
+	}
+	if _, err := idx.Apply(Mutation{Kind: MutRebuildSkeleton}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Snapshot{idx.Current(), buildIdx(t, b, nil).Current()} {
+		sk := s.Skeleton()
+		if len(sk.floors) > len(sk.entrances) || len(sk.floorOff) != len(sk.floors)+1 {
+			t.Fatalf("%d floors, %d offsets for %d entrances", len(sk.floors), len(sk.floorOff), len(sk.entrances))
+		}
+		floors := []int{-1, 0, 1, 2}
+		for _, f := range far {
+			if got := sk.onFloor(f); len(got) != 1 || sk.entrances[got[0]].floor != f {
+				t.Fatalf("floor %d entrances %v, want the one attached there", f, got)
+			}
+			floors = append(floors, f)
+		}
+		slices.Sort(floors)
+		r := geom.R(10, 5, 30, 15)
+		for _, q := range []indoor.Position{indoor.Pos(50, 10, 0), indoor.Pos(90, 10, -1), indoor.Pos(5, 5, math.MaxInt)} {
+			a := s.NewSkelAnchor(q)
+			for i, lo := range floors {
+				for _, hi := range floors[i:] {
+					got, want := a.MinDistRect(r, lo, hi), sk.MinDistRect(q, r, lo, hi)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("q=%v floors [%d, %d]: anchor %g, skeleton %g", q, lo, hi, got, want)
+					}
+				}
+			}
+		}
+	}
+}
