@@ -18,9 +18,10 @@ import (
 // engines themselves draw their evaluation buffers from a package pool so
 // the grown storage survives engine churn. The ikNN pruning phase, the
 // Lemma 3 kbound and the kNN-subscription refresh route through
-// ObjectBoundsBatch and TLUBatch. The refinement ladder resolves one object
-// at a time through ExactDistBracket; ExactDistBracketBatch serves the
-// benchmark's per-layer replay of the bracket kernel.
+// ObjectBoundsBatch and TLUBatch. Refinement resolves one object at a
+// time through ExactDistBracket, then the full engine when the bracket
+// stays open; ExactDistBracketBatch serves the benchmark's per-layer
+// replay of the bracket kernel.
 
 // evalBufs bundles an engine's evaluation scratch: the per-subregion
 // Lemma 1/2 evaluations, the per-unit door weights, and the Equation 8

@@ -26,8 +26,8 @@ import (
 // every door of a restricted set of index units. Distances to doors outside
 // the set are +Inf; evaluation against such doors produces sound brackets
 // via the cap discipline (see ExactDistBracket and the package note in
-// expected.go), which query refinement resolves through an escalation
-// ladder of wider engines.
+// expected.go); query refinement resolves a bracket that stays open on a
+// full engine (NewFull).
 //
 // An Engine never assembles a graph: it slices the index's precompiled
 // door-graph tier by unit-set membership, seeding a Dijkstra whose working

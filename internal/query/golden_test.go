@@ -116,7 +116,7 @@ func TestQueryAnswersGolden(t *testing.T) {
 	if len(want) != len(got) {
 		t.Fatalf("golden file has %d queries, evaluated %d", len(want), len(got))
 	}
-	// The set must exercise the whole refinement ladder, full rung
+	// The set must exercise both refinement rungs, the full one
 	// included, for both query kinds.
 	for _, kind := range []string{"irq", "iknn"} {
 		if full[kind] == 0 {

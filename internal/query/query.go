@@ -111,8 +111,8 @@ func (p *Processor) Pin() *index.Snapshot { return p.idx.Current() }
 
 // exec is one query evaluation bound to a pinned snapshot and a query
 // point. Its skeleton anchor is the evaluation's only one: the filtering
-// bounds, the seed flood and every engine of the refinement ladder but
-// the full one evaluate Equation 10 through it.
+// bounds, the seed flood and every restricted engine evaluate Equation 10
+// through it; only the full rung anchors its own.
 type exec struct {
 	s    *index.Snapshot
 	opts Options
@@ -172,27 +172,16 @@ func (ex *exec) rangeSearch(r float64) (units []index.UnitID, objs []object.ID) 
 	return units, objs
 }
 
-// rangeUnits is the unit-only tree walk of Algorithm 4, used to build
-// extended refinement engines without paying the object-side work.
-func (ex *exec) rangeUnits(r float64) []index.UnitID {
-	var units []index.UnitID
-	ex.s.SearchTree(
-		func(box geom.Rect3) bool { return ex.geomBound(box) <= r },
-		func(u *index.Unit) { units = append(units, u.ID) },
-	)
-	return units
-}
-
 // phase is the output of one evaluation's filtering and subgraph phases —
 // the radius, the candidate-unit footprint and the door-distance engine —
-// plus the refinement ladder over it. Pruning and refinement decide
-// objects against it and record into its Stats. A one-shot query releases
-// it after deciding its candidates; a standing query keeps it (see
-// standingQuery). The ladder climbs from the phase engine's bracket to an
-// engine over the wider radius 2r+100 and only then to the full building,
-// keeping the expensive full Dijkstra off the common path (it would
-// otherwise dominate query time on tall buildings); the wider engines are
-// built on first need and kept for the phase's lifetime.
+// plus the full-building engine refinement falls back to. Pruning and
+// refinement decide objects against it and record into its Stats. A
+// one-shot query releases it after deciding its candidates; a standing
+// query keeps it (see standingQuery). Refinement has two rungs: the phase
+// engine's bracket, then the full engine, built on first need and kept
+// for the phase's lifetime. The full engine is lazy (distance.NewFull):
+// it settles only the doors the objects it resolves read, so an object
+// near the query point costs the doors around it, not the building.
 type phase struct {
 	ex    *exec
 	r     float64 // the filtering radius: r, or the kNN kbound R
@@ -200,8 +189,6 @@ type phase struct {
 	st    *Stats
 
 	eng  *distance.Engine
-	ext  *distance.Engine
-	extR float64
 	full *distance.Engine
 
 	// fullReach accumulates the full rung's Reach over the phase's
@@ -235,9 +222,8 @@ func (ex *exec) buildPhase(start time.Time, r float64, st *Stats) (*phase, []obj
 // Idempotent.
 func (ph *phase) release() {
 	ph.eng.Close()
-	ph.ext.Close()
 	ph.full.Close()
-	ph.eng, ph.ext, ph.full = nil, nil, nil
+	ph.eng, ph.full = nil, nil
 }
 
 // verdict is the iRQ pruning decision for one object.
@@ -263,37 +249,28 @@ func (ph *phase) prune(o *object.Object) verdict {
 	return undecided
 }
 
-// refine is the iRQ refinement step for one object: the ladder climbs
-// until the bracket lies wholly on one side of the phase radius. The
-// object qualifies iff the bracket's high end, returned as its distance,
-// is within it.
+// refine is the iRQ refinement step for one object: resolve until the
+// bracket lies wholly on one side of the phase radius. The object
+// qualifies iff the bracket's high end, returned as its distance, is
+// within it.
 func (ph *phase) refine(o *object.Object) (bool, float64, error) {
 	ph.st.Refined++
 	_, high, err := ph.resolve(o, decided(ph.r))
 	return high <= ph.r, high, err
 }
 
-// resolve climbs the ladder for one object until settled accepts a rung's
-// [low, high] bracket of its expected distance. The full rung is exact: it
-// returns (d, d) and counts a FullFallback. An iRQ decision settles on
-// decided(r) and the object qualifies iff high <= r; an exact distance
-// settles on closed and is high.
+// resolve brackets one object's expected distance with the phase engine
+// and returns that [low, high] if settled accepts it. Otherwise the full
+// engine resolves the object exactly: it returns (d, d) and counts a
+// FullFallback. An iRQ decision settles on decided(r) and the object
+// qualifies iff high <= r; an exact distance settles on closed and is
+// high.
 func (ph *phase) resolve(o *object.Object, settled func(low, high float64) bool) (low, high float64, err error) {
 	if low, high = ph.eng.ExactDistBracket(o, ph.r); settled(low, high) {
 		return low, high, nil
 	}
-	ex := ph.ex
-	if ph.ext == nil {
-		ph.extR = 2*ph.r + 100
-		if ph.ext, err = distance.New(ex.s, ex.q, ex.a, ex.rangeUnits(ph.extR)); err != nil {
-			return 0, 0, err
-		}
-	}
-	if low, high = ph.ext.ExactDistBracket(o, ph.extR); settled(low, high) {
-		return low, high, nil
-	}
 	if ph.full == nil {
-		if ph.full, err = distance.NewFull(ex.s, ex.q); err != nil {
+		if ph.full, err = distance.NewFull(ph.ex.s, ph.ex.q); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -381,9 +358,9 @@ func (ex *exec) rangeQuery(r float64, st *Stats) (*phase, []Result, error) {
 	}
 	st.Pruning = time.Since(start)
 
-	// Refinement — bracketed exact distances with the escalation ladder;
-	// brackets only stay open for objects mixing near mass with far
-	// subregions.
+	// Refinement — bracketed exact distances, resolved on the full engine
+	// when the bracket straddles r; brackets only stay open for objects
+	// mixing near mass with far subregions.
 	start = time.Now()
 	for _, oid := range undetermined {
 		in, d, err := ph.refine(ex.s.Objects().Get(oid))
@@ -642,8 +619,8 @@ func (p *Processor) KNNQueryOn(s *index.Snapshot, q indoor.Position, k int) ([]R
 	st.Pruning = time.Since(start)
 
 	// Refinement — candidates whose bracket stays open (far subregions
-	// beyond kbound) climb the escalation ladder, so the final ordering
-	// uses true expected distances.
+	// beyond kbound) are resolved on the full engine, so the final
+	// ordering uses true expected distances.
 	start = time.Now()
 	exact := scr.exact[:0]
 	st.Refined += len(undetermined)

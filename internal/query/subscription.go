@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -86,11 +87,15 @@ type Subscriptions struct {
 	// of scanning the whole registry for topology changes.
 	lastTopoEpoch uint64
 
-	// specsPub is a lock-free copy-on-write view of the registered
-	// specs, republished under mu at every registration change. The
-	// durable store's checkpoint capture reads it while holding the
-	// index's writer-mutex read side — taking mu there instead would
-	// deadlock against an engine writer waiting for the index.
+	// specs holds the registered specs in ascending handle order, owned
+	// under mu. specsPub is its lock-free copy-on-write view, republished
+	// at every registration change as specs capped at its length, so an
+	// append that fits specs' capacity writes where no published view
+	// reaches; an insert or a delete anywhere else copies. The durable
+	// store's checkpoint capture reads the view while holding the index's
+	// writer-mutex read side — taking mu there instead would deadlock
+	// against an engine writer waiting for the index.
+	specs    []SubSpec
 	specsPub atomic.Pointer[[]SubSpec]
 
 	stats SubStats
@@ -234,9 +239,6 @@ func (ph *phase) rebind(cur *index.Snapshot) bool {
 	if !ph.eng.Rebind(cur) {
 		return false
 	}
-	if ph.ext != nil && !ph.ext.Rebind(cur) {
-		return false
-	}
 	if ph.full != nil && !ph.full.Rebind(cur) {
 		return false
 	}
@@ -246,18 +248,14 @@ func (ph *phase) rebind(cur *index.Snapshot) bool {
 
 // dependRadius is how far, by the Equation 10 bound around the query
 // point, the topology the phase's answers depend on extends. Every answer
-// is an expected distance (§II-C) or a bracket of one, computed by a rung
-// of the refinement ladder from door distances over the units within that
-// rung's radius: the phase radius (r, or the kNN kbound R) for the phase
-// engine, extR for the extended engine once built, and the accumulated
-// Reach of the full engine once it was used. A topology change farther
-// out than the maximum cannot move any of them.
+// is an expected distance (§II-C) or a bracket of one, computed from door
+// distances by one of refinement's two rungs: the phase engine, whose door
+// distances lie within the phase radius (r, or the kNN kbound R), or the
+// full engine, whose accumulated Reach bounds the door distances it handed
+// out. A topology change farther out than the larger cannot move any of
+// them.
 func (ph *phase) dependRadius() float64 {
-	d := ph.r
-	if ph.ext != nil {
-		d = max(d, ph.extR)
-	}
-	return max(d, ph.fullReach)
+	return max(ph.r, ph.fullReach)
 }
 
 // reaches reports whether any of the boxes — the tree boxes of the units
@@ -273,16 +271,13 @@ func (ph *phase) reaches(boxes []geom.Rect3) bool {
 }
 
 // carry moves the phase to cur across a topology commit that changed no
-// unit within its dependency radius: the phase engine and the extended
-// engine keep their door distances (distance.Engine.Carry), while the
-// full engine is released — it is unrestricted, so its distances beyond
-// its reach may be stale — and rebuilt on first need. The footprint,
-// anchor and result state stay as they are.
+// unit within its dependency radius: the phase engine keeps its door
+// distances (distance.Engine.Carry), while the full engine is released —
+// it is unrestricted, so its distances beyond its reach may be stale —
+// and rebuilt on first need. The footprint, anchor and result state stay
+// as they are.
 func (ph *phase) carry(cur *index.Snapshot) {
 	ph.eng.Carry(cur)
-	if ph.ext != nil {
-		ph.ext.Carry(cur)
-	}
 	ph.full.Close()
 	ph.full = nil
 	ph.ex.s = cur
@@ -417,7 +412,7 @@ func (e *Subscriptions) subscribe(s *standingQuery) (int, []object.ID, error) {
 	e.nextID++
 	e.standing[s.id] = s
 	e.routeAdd(s)
-	e.publishSpecs()
+	e.addSpec(s)
 	return s.id, membersSorted(s), nil
 }
 
@@ -447,19 +442,42 @@ func (e *Subscriptions) Specs() []SubSpec {
 	return nil
 }
 
-// publishSpecs republishes the copy-on-write spec view. Callers hold
-// the writer mutex and call it after every registration change.
-func (e *Subscriptions) publishSpecs() {
-	out := make([]SubSpec, 0, len(e.standing))
-	for _, id := range e.queryIDs() {
-		s := e.standing[id]
-		sp := SubSpec{ID: s.id, Kind: s.kind, Q: s.q, K: s.k}
-		if s.kind == SubRange {
-			sp.R = s.r
-		}
-		out = append(out, sp)
+// addSpec registers s's spec at its place in handle order and
+// republishes the view. A Subscribe's handle exceeds every registered
+// one, as does a Restore's in the ascending order recovery replays, so
+// the common case appends. Callers hold the writer mutex.
+func (e *Subscriptions) addSpec(s *standingQuery) {
+	sp := SubSpec{ID: s.id, Kind: s.kind, Q: s.q, K: s.k}
+	if s.kind == SubRange {
+		sp.R = s.r
 	}
-	e.specsPub.Store(&out)
+	if i := e.specIndex(s.id); i < len(e.specs) {
+		e.specs = slices.Concat(e.specs[:i], []SubSpec{sp}, e.specs[i:])
+	} else {
+		e.specs = append(e.specs, sp)
+	}
+	e.publishSpecs()
+}
+
+// removeSpec drops a registered handle's spec and republishes the view.
+// It always copies: shrinking in place would let a later append
+// overwrite an element a published view still holds. Callers hold the
+// writer mutex.
+func (e *Subscriptions) removeSpec(id int) {
+	i := e.specIndex(id)
+	e.specs = slices.Concat(e.specs[:i], e.specs[i+1:])
+	e.publishSpecs()
+}
+
+// specIndex is the position of handle id in specs, or where it would go.
+func (e *Subscriptions) specIndex(id int) int {
+	return sort.Search(len(e.specs), func(i int) bool { return e.specs[i].ID >= id })
+}
+
+// publishSpecs publishes specs, capped at its length, as the view.
+func (e *Subscriptions) publishSpecs() {
+	view := e.specs[:len(e.specs):len(e.specs)]
+	e.specsPub.Store(&view)
 }
 
 // Restore re-registers a subscription under its original handle (crash
@@ -502,7 +520,7 @@ func (e *Subscriptions) Restore(sp SubSpec) error {
 	s.members = make(map[object.ID]bool)
 	err := e.refresh(s)
 	e.standing[sp.ID] = s
-	e.publishSpecs()
+	e.addSpec(s)
 	if err != nil {
 		return fmt.Errorf("query: subscription %d restored without initial results: %w", sp.ID, err)
 	}
@@ -521,7 +539,7 @@ func (e *Subscriptions) Unsubscribe(id int) bool {
 	e.routeRemove(s)
 	s.release()
 	delete(e.standing, id)
-	e.publishSpecs()
+	e.removeSpec(id)
 	return true
 }
 
@@ -745,17 +763,6 @@ func membersSorted(s *standingQuery) []object.ID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// queryIDs returns registered handles in ascending order for deterministic
-// event emission.
-func (e *Subscriptions) queryIDs() []int {
-	ids := make([]int, 0, len(e.standing))
-	for id := range e.standing {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // String implements fmt.Stringer for diagnostics.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"testing"
 
@@ -287,6 +288,101 @@ func TestSubscriptionUnsubscribe(t *testing.T) {
 	}
 	if e.NumSubscriptions() != 0 {
 		t.Error("subscription count wrong")
+	}
+}
+
+// Specs is a copy-on-write view. After every Subscribe, Restore (in or
+// out of handle order) and Unsubscribe it lists exactly the registered
+// specs in ascending handle order, and every view taken before a change
+// still reads what it read then, even one a caller appended to. A reader
+// on another goroutine, as the checkpoint capture is, reads and appends
+// to views throughout.
+func TestSpecsCopyOnWrite(t *testing.T) {
+	f := newFixture(t, 1, 50, 5)
+	e := NewSubscriptions(f.idx)
+	q := gen.QueryPoints(f.b, 1, 611)[0]
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			v := append(e.Specs(), SubSpec{ID: -1})
+			for i := 1; i < len(v)-1; i++ {
+				if v[i-1].ID >= v[i].ID {
+					t.Errorf("concurrent view not ascending: %+v", v)
+					return
+				}
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	want := map[int]SubSpec{}
+	var views, frozen [][]SubSpec
+	step := func(name string, change func()) {
+		t.Helper()
+		before := append(e.Specs(), SubSpec{ID: -1})
+		views, frozen = append(views, before), append(frozen, slices.Clone(before))
+		change()
+		got := e.Specs()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d specs, %d registered", name, len(got), len(want))
+		}
+		for i, sp := range got {
+			if i > 0 && got[i-1].ID >= sp.ID {
+				t.Fatalf("%s: handles not ascending: %+v", name, got)
+			}
+			if sp != want[sp.ID] {
+				t.Fatalf("%s: spec %+v, registered %+v", name, sp, want[sp.ID])
+			}
+		}
+		for i := range views {
+			if !slices.Equal(views[i], frozen[i]) {
+				t.Fatalf("%s: view %d changed to %+v, was %+v", name, i, views[i], frozen[i])
+			}
+		}
+	}
+	subscribe := func(r float64) func() {
+		return func() {
+			id, _, err := e.SubscribeRange(q, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[id] = SubSpec{ID: id, Kind: SubRange, Q: q, R: r}
+		}
+	}
+	restore := func(sp SubSpec) func() {
+		return func() {
+			if err := e.Restore(sp); err != nil {
+				t.Fatal(err)
+			}
+			want[sp.ID] = sp
+		}
+	}
+	unsubscribe := func(id int) func() {
+		return func() {
+			if !e.Unsubscribe(id) {
+				t.Fatalf("handle %d not registered", id)
+			}
+			delete(want, id)
+		}
+	}
+	step("subscribe 0", subscribe(30))
+	step("subscribe 1", subscribe(40))
+	step("subscribe 2", subscribe(50))
+	step("restore 9", restore(SubSpec{ID: 9, Kind: SubKNN, Q: q, K: 3}))
+	step("restore 4 out of order", restore(SubSpec{ID: 4, Kind: SubRange, Q: q, R: 20}))
+	step("restore 4 again", restore(SubSpec{ID: 4, Kind: SubRange, Q: q, R: 20}))
+	step("subscribe 10", subscribe(60))
+	step("unsubscribe 1", unsubscribe(1))
+	step("unsubscribe 10", unsubscribe(10))
+	step("subscribe 11 after a delete at the end", subscribe(70))
+	step("restore 3 out of order", restore(SubSpec{ID: 3, Kind: SubKNN, Q: q, K: 2}))
+	for _, id := range []int{0, 2, 3, 4, 9, 11} {
+		step(fmt.Sprintf("unsubscribe %d", id), unsubscribe(id))
 	}
 }
 

@@ -18,9 +18,9 @@ import (
 // whose dependency radius reaches a changed unit, carries the rest, and
 // routes the objects of changed units to them. The hand-built buildings
 // below each pin one part of that rule: a subscription whose answer
-// depends on topology beyond its footprint (the extended rung), beyond
-// the extended rung (the full rung's reach), and an object that sits in a
-// changed unit of a carried subscription (the routing).
+// depends on topology beyond its footprint (the full rung's reach), one
+// whose full-rung reach runs hundreds of metres out, and an object that
+// sits in a changed unit of a carried subscription (the routing).
 
 // mustDoor adds a two-way door between two partitions on floor 0.
 func mustDoor(t *testing.T, b *indoor.Building, x, y float64, p1, p2 *indoor.Partition) *indoor.Door {
@@ -102,15 +102,15 @@ func xyzw(t *testing.T) (*indoor.Building, *indoor.Door) {
 }
 
 // The object's far instance sits in Y, 68 m round through Z and W. Its
-// expected distance, 29.3 m, is decided by the extended rung, so closing
-// the Z–W door 31 m out — beyond the 30 m footprint but inside extR —
-// must refresh the subscription.
+// expected distance, 29.3 m, is decided by the full rung, so closing the
+// Z–W door 31 m out — beyond the 30 m footprint but inside the full
+// rung's reach — must refresh the subscription.
 func TestTopologyBeyondFootprint(t *testing.T) {
 	b, zw := xyzw(t)
 	q, r := indoor.Pos(0.5, 5, 0), 30.0
 	e, idx, id := scopedRange(t, b, []*object.Object{twoPoint(0, 23, 5, 0.85, 33, 5, 0.15)}, q, r, true)
-	if e.standing[id].ext == nil {
-		t.Fatal("the extended rung must decide the object")
+	if reach := e.standing[id].fullReach; reach <= r {
+		t.Fatalf("full-rung reach %g: the full rung must decide the object", reach)
 	}
 	if admitted, _ := topoStep(t, e, index.Mutation{Kind: index.MutSetDoorClosed, DoorID: zw.ID, Closed: true}); admitted != 1 {
 		t.Fatalf("admitted %d subscriptions, want 1", admitted)
@@ -136,7 +136,7 @@ func TestTopologyAttachBeyondRadius(t *testing.T) {
 	mustDoor(t, b, 49, 10, u, v)
 	q, r := indoor.Pos(0.5, 5, 0), 30.0
 	e, idx, id := scopedRange(t, b, []*object.Object{twoPoint(0, 27, 5, 0.81, 33, 5, 0.19)}, q, r, false)
-	if s := e.standing[id]; s.ext != nil || s.full != nil {
+	if e.standing[id].full != nil {
 		t.Fatal("the phase engine must decide the object alone")
 	}
 	attach := index.Mutation{Kind: index.MutAttachDoor, DoorID: -1,
@@ -150,9 +150,9 @@ func TestTopologyAttachBeyondRadius(t *testing.T) {
 // Y is across a wall from X but reachable only round a corridor that runs
 // 340 m out and back (about 670 m). The object's expected distance,
 // 96.9 m, needs the full rung, so closing the door between C1b and T —
-// two rooms more than 300 m out, beyond extR — must refresh the
+// two rooms more than 300 m out, beyond 2r+100 — must refresh the
 // subscription: its full-rung reach covers them.
-func TestTopologyBeyondExt(t *testing.T) {
+func TestTopologyFullReachCoversFarDoor(t *testing.T) {
 	b := indoor.NewBuilding(4)
 	x := b.AddRoom(0, geom.R(0, 0, 40, 20))
 	y := b.AddRoom(0, geom.R(40, 0, 60, 20))
@@ -168,7 +168,7 @@ func TestTopologyBeyondExt(t *testing.T) {
 	q, r := indoor.Pos(5, 10, 0), 100.0
 	e, idx, id := scopedRange(t, b, []*object.Object{twoPoint(0, 38, 10, 0.9, 41, 10, 0.1)}, q, r, true)
 	if reach := e.standing[id].fullReach; reach <= 2*r+100 {
-		t.Fatalf("full-rung reach %g must exceed extR", reach)
+		t.Fatalf("full-rung reach %g must exceed 2r+100", reach)
 	}
 	if admitted, _ := topoStep(t, e, index.Mutation{Kind: index.MutSetDoorClosed, DoorID: far.ID, Closed: true}); admitted != 1 {
 		t.Fatalf("admitted %d subscriptions, want 1", admitted)
@@ -177,7 +177,7 @@ func TestTopologyBeyondExt(t *testing.T) {
 }
 
 // The admission counters on a fixed workload: a door toggle admits the
-// subscription whose extended rung reaches the door and carries the one
+// subscription whose full rung reaches the door and carries the one
 // whose 5 m radius does not, and neither topology commit counts towards
 // the object-batch counters.
 func TestTopologyCounters(t *testing.T) {
@@ -302,7 +302,7 @@ func TestScopedTopologyMatchesFresh(t *testing.T) {
 	}
 
 	// carriedWithRungs counts subscriptions a commit carried whose answers
-	// rest on the extended or full rung.
+	// rest on the full rung.
 	var carried, carriedWithRungs int
 	topo := func(step string, m index.Mutation) index.Mutation {
 		t.Helper()
@@ -318,7 +318,7 @@ func TestScopedTopologyMatchesFresh(t *testing.T) {
 		for id, s := range e.standing {
 			if engs[id] == s.eng && s.ex != nil && s.ex.s == cur {
 				carried++
-				if s.ext != nil || s.fullReach > 0 {
+				if s.fullReach > 0 {
 					carriedWithRungs++
 				}
 			}
@@ -371,7 +371,7 @@ func TestScopedTopologyMatchesFresh(t *testing.T) {
 		}
 	}
 	if carried == 0 || carriedWithRungs == 0 {
-		t.Fatalf("carried %d subscriptions, %d of them with the extended or full rung built", carried, carriedWithRungs)
+		t.Fatalf("carried %d subscriptions, %d of them with the full rung used", carried, carriedWithRungs)
 	}
-	t.Logf("carried %d subscriptions (%d with wider rungs); %+v", carried, carriedWithRungs, e.Stats())
+	t.Logf("carried %d subscriptions (%d with the full rung used); %+v", carried, carriedWithRungs, e.Stats())
 }
