@@ -1,7 +1,7 @@
 package indoorq
 
 // Kernel benchmarks: single-query hot paths, batch serving, queries under
-// paced churn, time-travel reconstruction, sharded reconciliation and
+// paced churn, time-travel reconstruction, reconciliation and
 // scoped topology commits. The
 // paper's Figure 12–15 series live in cmd/benchfig (`benchfig -fig all`),
 // and end-to-end numbers through the daemons live in benchmark/; README
@@ -317,43 +317,38 @@ func historyStore(b *testing.B, moves int) *store.Store {
 	return db.Store()
 }
 
-// BenchmarkReconcileSharded sweeps reconciliation shard width against
-// subscription count on the city-scale churn workload: one iteration is
-// one coalesced 32-move batch (snapshot swap + sharded reconciliation).
-// The workload is stationary jitter, so the engine is shared across the
-// sweep and each width measures the same steady state; the merged event
-// stream is byte-identical at every width (the equivalence tests prove
-// it), making the widths directly comparable. On a single-core host the
-// width-1 and width-n paths should be near-identical — the sweep is the
-// scaling instrument for multi-core hosts.
-func BenchmarkReconcileSharded(b *testing.B) {
+// BenchmarkReconcile measures reconciliation against subscription count on
+// the city-scale churn workload: one iteration is one coalesced 32-move
+// batch (snapshot swap + reconciliation fanned out GOMAXPROCS wide). The
+// workload is stationary jitter, so each engine measures a steady state.
+// The event stream is byte-identical at every width (the equivalence tests
+// prove it), so `-cpu 1,2,4,8` is the width sweep; on a single-core host
+// the widths should be near-identical.
+func BenchmarkReconcile(b *testing.B) {
 	for _, subs := range []int{1000, 10000} {
 		e, _, batches := cityChurn(b, subs)
-		for _, shards := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("subs=%d/shards=%d", subs, shards), func(b *testing.B) {
-				e.SetShards(shards)
-				before := e.Stats()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := e.ApplyObjectUpdates(batches[i%len(batches)]); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
+			before := e.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.ApplyObjectUpdates(batches[i%len(batches)]); err != nil {
+					b.Fatal(err)
 				}
-				b.StopTimer()
-				st := e.Stats()
-				n := float64(b.N)
-				b.ReportMetric(float64(st.RoutedPairs-before.RoutedPairs)/n, "routed/op")
-				b.ReportMetric(float64(st.AffectedSubs-before.AffectedSubs)/n, "affected-subs/op")
-			})
-		}
+			}
+			b.StopTimer()
+			st := e.Stats()
+			n := float64(b.N)
+			b.ReportMetric(float64(st.RoutedPairs-before.RoutedPairs)/n, "routed/op")
+			b.ReportMetric(float64(st.AffectedSubs-before.AffectedSubs)/n, "affected-subs/op")
+		})
 	}
 }
 
 // BenchmarkTopologyCommit is the topology write path on the city churn
 // workload: one iteration closes a door and reopens it, both through the
 // subscription engine under 1,000 standing queries — index commit,
-// topology diff, admission, and the sharded pass that refreshes the
+// topology diff, admission, and the pass that refreshes the
 // admitted subscriptions and routes the changed units' objects to the
 // carried ones. admitted/op and carried/op count subscriptions per
 // iteration (two commits).

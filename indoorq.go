@@ -54,7 +54,7 @@
 // an object update reaches the affected standing queries through an
 // inverted unit→query index (so the pass scales with update locality, not
 // with the number of subscriptions), and a topology mutation refreshes
-// every standing query in the same sharded pass. The resulting
+// every standing query it reaches in the same pass. The resulting
 // enter/leave/update events accumulate in a drainable log (Events).
 // Subscription update operations serialise internally, so event streams
 // match a serial replay of the same updates and replaying a
@@ -310,8 +310,8 @@ func (db *DB) BatchKNNQuery(reqs []KNNRequest, cfg ServeConfig) ([]BatchResponse
 }
 
 // runBatch fans n evaluations over cfg.Workers goroutines (query.FanOut,
-// the fan-out the subscription reconciler also shards over). A worker's
-// only shared writes are its own response slots.
+// the fan-out the subscription reconciler runs one item per affected
+// subscription). A worker's only shared writes are its own response slots.
 func runBatch(n int, cfg ServeConfig, eval func(int) ([]Result, *QueryStats, error)) ([]BatchResponse, BatchMetrics) {
 	resps := make([]BatchResponse, n)
 	start := time.Now()
@@ -625,7 +625,7 @@ func (db *DB) Events() []SubscriptionEvent {
 // When it did, the returned events are NOT a complete replay stream —
 // re-fetch the affected subscriptions' current state with
 // SubscriptionResults or SubscriptionTopK instead of replaying.
-func (db *DB) DrainEvents() ([]SubscriptionEvent, bool) { return db.subs.DrainEventsOverflow() }
+func (db *DB) DrainEvents() ([]SubscriptionEvent, bool) { return db.subs.DrainEvents() }
 
 // DefaultEventLogCap is the subscription event log's default bound.
 const DefaultEventLogCap = query.DefaultEventLogCap

@@ -17,74 +17,43 @@ import (
 // Batch reconciliation. ApplyObjectUpdates and Topology are the write
 // paths of the subscription engine: one index mutation (one snapshot swap)
 // followed by one reconciliation pass over the subscriptions the router
-// and the topology-epoch gate admit, sharded by subscription footprint
-// across core-local workers. A topology commit first scopes itself: only
-// the subscriptions whose dependency radius reaches a changed unit are
-// left stale for the pass to refresh, and the objects bucketed in changed
-// units are routed to the rest as if they had moved.
+// and the topology-epoch gate admit. A topology commit first scopes
+// itself: only the subscriptions whose dependency radius reaches a changed
+// unit are left stale for the pass to refresh, and the objects bucketed in
+// changed units are routed to the rest as if they had moved.
 //
-// Sharding model. The affected subscriptions (ascending by id) are
-// partitioned across shardWidth() shards keyed by each subscription's
-// primary footprint unit (its first candidate UnitID, hashed), so
-// subscriptions anchored in the same region — whose cached engines walk
-// the same graph neighbourhood — tend to share a worker. Each shard owns a
-// core-local arena (reconShard): an event buffer segmented per
-// subscription, reused batch over batch. Workers never touch shared state;
-// every subscription reconciles against private cached engines, and the
-// router, stats and event log are only touched serially under the engine
-// mutex after the fan-out returns.
+// Fan-out model. Each affected subscription is one FanOut work item,
+// GOMAXPROCS wide, and item i writes only its own slot (reconSlot): its
+// events, its first error, and its old footprint when it refreshed
+// wholesale. Workers never touch shared state; every subscription
+// reconciles against private cached engines, and the router, stats and
+// event log are only touched serially under the engine mutex after the
+// fan-out returns.
 //
-// Ordering contract. The serial reconciler sorted the whole pass's events
-// by (subscription, object, kind). The sharded pass reproduces that order
-// bit-for-bit on merge-on-drain: a pass emits at most one event per
-// (subscription, object) pair, each shard sorts every subscription's
-// segment by (object, kind) as it is produced, shard id-lists are
-// ascending, and the final merge walks the shards' segment queues picking
-// the smallest subscription id next. The merged stream is therefore
-// identical for every shard width, including width 1 (the serial oracle
-// the equivalence tests compare against).
+// Ordering contract. A pass's events are ordered by (subscription, object,
+// kind). A pass emits at most one event per (subscription, object) pair,
+// each item sorts its slot by (object, kind), and the serial epilogue
+// concatenates the slots in ascending subscription id. The stream is
+// therefore identical for every fan-out width, including width 1 (the
+// serial oracle the equivalence tests compare against).
 
 // reconLatWindow is the ring size of the per-batch reconciliation latency
 // window Stats aggregates over.
 const reconLatWindow = 512
 
-// reconShard is one reconciliation worker's core-local arena. The slices
-// are reset (not freed) between batches so the steady state recycles them.
-type reconShard struct {
-	// ids are the shard's affected subscriptions, ascending.
-	ids []int
-	// evs holds the shard's events, contiguous per subscription; segs
-	// delimits the per-subscription segments in ids order.
-	evs  []SubEvent
-	segs []reconSeg
-	// refreshed records wholesale refreshes whose footprint change must
-	// be re-advertised in the router (done serially after the fan-out).
-	refreshed []reconRefresh
-	// err is the shard's first error by subscription order (errSub is
-	// that subscription's id).
-	err    error
-	errSub int
+// reconSlot is one affected subscription's output of a pass.
+type reconSlot struct {
+	// evs are the subscription's events, sorted by (object, kind).
+	evs []SubEvent
+	// err is the subscription's first evaluation error.
+	err error
+	// refreshed marks a wholesale refresh; its footprint change from
+	// oldUnits must be re-advertised in the router (done serially after
+	// the fan-out).
+	refreshed bool
+	oldUnits  []index.UnitID
 	// topo marks a topology pass (see evalFailed).
 	topo bool
-}
-
-type reconSeg struct {
-	sub        int
-	start, end int
-}
-
-type reconRefresh struct {
-	sub      int
-	oldUnits []index.UnitID
-}
-
-func (sh *reconShard) reset() {
-	sh.ids = sh.ids[:0]
-	sh.evs = sh.evs[:0]
-	sh.segs = sh.segs[:0]
-	sh.refreshed = sh.refreshed[:0]
-	sh.err = nil
-	sh.errSub = 0
 }
 
 // ApplyObjectUpdates applies a batch of object-layer mutations as ONE
@@ -130,32 +99,6 @@ func (e *Subscriptions) ApplyObjectUpdates(ups []index.ObjectUpdate) ([]SubEvent
 	return evs, err
 }
 
-// shardOf assigns a subscription to one of nsh shards by its primary
-// footprint unit (the first UnitID of its candidate footprint), Fibonacci-
-// hashed so the dense, spatially clustered unit ids spread evenly instead
-// of striping. Subscriptions without a footprint (a refresh-pending one)
-// key on their handle.
-func shardOf(s *standingQuery, nsh int) int {
-	u := uint64(s.id)
-	if len(s.units) > 0 {
-		u = uint64(s.units[0])
-	}
-	return int((u * 0x9E3779B97F4A7C15) % uint64(nsh))
-}
-
-// shardState sizes the engine's reusable shard arenas to nsh and resets
-// them for a fresh pass.
-func (e *Subscriptions) shardState(nsh int) []reconShard {
-	for len(e.shardBufs) < nsh {
-		e.shardBufs = append(e.shardBufs, reconShard{})
-	}
-	shards := e.shardBufs[:nsh]
-	for i := range shards {
-		shards[i].reset()
-	}
-	return shards
-}
-
 // reconcile runs one pass over the subscriptions an operation can
 // affect: the routed ones (routed[id] lists the objects to re-evaluate
 // against subscription id) plus — only when the current snapshot's
@@ -172,10 +115,10 @@ func (e *Subscriptions) shardState(nsh int) []reconShard {
 // repairs a failed routed evaluation instead of reporting it (see
 // evalFailed).
 //
-// The pass shards the affected subscriptions across core-local workers
-// (see the package note on the sharding model and ordering contract); the
-// first error by subscription order is reported alongside the events
-// gathered so far, exactly as the serial reconciler did.
+// The pass fans the affected subscriptions out one work item each (see
+// the package note on the fan-out model and ordering contract); the first
+// error by subscription order is reported alongside the events gathered
+// so far, exactly as the serial reconciler did.
 func (e *Subscriptions) reconcile(cur *index.Snapshot, routed map[int][]object.ID, topo bool) ([]SubEvent, error) {
 	start := time.Now()
 	ids := make([]int, 0, len(routed))
@@ -200,48 +143,36 @@ func (e *Subscriptions) reconcile(cur *index.Snapshot, routed map[int][]object.I
 		return nil, nil
 	}
 
-	nsh := e.shardWidth()
-	if nsh > len(ids) {
-		nsh = len(ids)
-	}
-	shards := e.shardState(nsh)
-	for i := range shards {
-		shards[i].topo = topo
-	}
-	for _, id := range ids {
-		sh := &shards[shardOf(e.standing[id], nsh)]
-		sh.ids = append(sh.ids, id)
-	}
-
-	FanOut(nsh, nsh, func(si int) {
-		e.reconcileShard(&shards[si], cur, routed)
+	slots := make([]reconSlot, len(ids))
+	FanOut(0, len(ids), func(i int) {
+		sl := &slots[i]
+		sl.topo = topo
+		e.reconcileSubInto(sl, e.standing[ids[i]], cur, routed[ids[i]])
+		// All slot events share the subscription, so this orders by
+		// (object, kind) — the within-subscription order of the contract.
+		sortEvents(sl.evs)
 	})
 
-	// Merge on drain, then the serial epilogue: router re-advertisement
-	// for refreshed footprints (ascending by subscription, like the serial
-	// pass) and the first error by subscription order.
-	evs := mergeShardEvents(shards)
+	// The serial epilogue, in ascending subscription id: concatenate the
+	// slots, re-advertise refreshed footprints, keep the first error.
+	total := 0
+	for i := range slots {
+		total += len(slots[i].evs)
+	}
+	var evs []SubEvent
+	if total > 0 {
+		evs = make([]SubEvent, 0, total)
+	}
 	var firstErr error
-	errSub := -1
-	for si := range shards {
-		sh := &shards[si]
-		if sh.err != nil && (errSub < 0 || sh.errSub < errSub) {
-			firstErr, errSub = sh.err, sh.errSub
-		}
-	}
-	nref := 0
-	for si := range shards {
-		nref += len(shards[si].refreshed)
-	}
-	if nref > 0 {
-		refreshed := make([]reconRefresh, 0, nref)
-		for si := range shards {
-			refreshed = append(refreshed, shards[si].refreshed...)
-		}
-		sort.Slice(refreshed, func(i, j int) bool { return refreshed[i].sub < refreshed[j].sub })
-		for _, r := range refreshed {
+	for i := range slots {
+		sl := &slots[i]
+		evs = append(evs, sl.evs...)
+		if sl.refreshed {
 			e.stats.Refreshes++
-			e.routeUpdate(e.standing[r.sub], r.oldUnits)
+			e.routeUpdate(e.standing[ids[i]], sl.oldUnits)
+		}
+		if firstErr == nil {
+			firstErr = sl.err
 		}
 	}
 	e.noteBatchLatency(time.Since(start))
@@ -255,88 +186,23 @@ func (e *Subscriptions) noteBatchLatency(d time.Duration) {
 	e.latCount++
 }
 
-// reconcileShard processes one shard's subscriptions in ascending id
-// order, appending each subscription's events as a sorted segment of the
-// shard's core-local buffer. An error stops only the failing
-// subscription's evaluation; the rest of the shard still reconciles (the
-// serial pass behaved the same way, one independent run per subscription).
-func (e *Subscriptions) reconcileShard(sh *reconShard, cur *index.Snapshot, routed map[int][]object.ID) {
-	for _, id := range sh.ids {
-		s := e.standing[id]
-		start := len(sh.evs)
-		e.reconcileSubInto(sh, s, cur, routed[id])
-		seg := sh.evs[start:]
-		// All segment events share the subscription, so this orders by
-		// (object, kind) — the within-subscription order of the contract.
-		sortEvents(seg)
-		sh.segs = append(sh.segs, reconSeg{sub: id, start: start, end: len(sh.evs)})
-	}
-}
-
-// mergeShardEvents drains the shards' segment queues into one stream
-// ordered by (subscription, object, kind). Segments are per-subscription
-// sorted and each shard's queue is ascending by subscription id, so
-// repeatedly taking the queue head with the smallest id reproduces the
-// serial reconciler's global sort exactly.
-func mergeShardEvents(shards []reconShard) []SubEvent {
-	total := 0
-	for i := range shards {
-		total += len(shards[i].evs)
-	}
-	if total == 0 {
-		return nil
-	}
-	if len(shards) == 1 {
-		// Still copy out: the shard arena is reused next batch, while the
-		// merged stream escapes to the caller and the event log.
-		return append(make([]SubEvent, 0, total), shards[0].evs...)
-	}
-	evs := make([]SubEvent, 0, total)
-	pos := make([]int, len(shards))
-	for {
-		best, bestSub := -1, 0
-		for si := range shards {
-			if pos[si] >= len(shards[si].segs) {
-				continue
-			}
-			if sub := shards[si].segs[pos[si]].sub; best < 0 || sub < bestSub {
-				best, bestSub = si, sub
-			}
-		}
-		if best < 0 {
-			return evs
-		}
-		seg := shards[best].segs[pos[best]]
-		evs = append(evs, shards[best].evs[seg.start:seg.end]...)
-		pos[best]++
-	}
-}
-
 // reconcileSubInto re-evaluates the routed objects against one
-// subscription, appending events to the shard buffer. A subscription whose
+// subscription, appending events to its slot. A subscription whose
 // cached engines cannot rebind (the topology changed) refreshes
 // wholesale; when even the refresh fails (e.g. the query point's partition
 // was removed) it keeps answering from its last good snapshot —
 // reconciliation must not crash the stream.
-func (e *Subscriptions) reconcileSubInto(sh *reconShard, s *standingQuery, cur *index.Snapshot, objs []object.ID) {
+func (e *Subscriptions) reconcileSubInto(sl *reconSlot, s *standingQuery, cur *index.Snapshot, objs []object.ID) {
 	if !s.rebind(cur) {
-		e.refreshInto(sh, s)
+		e.refreshInto(sl, s)
 		return
 	}
 	seq, lsn := cur.Seq(), cur.LSN()
 	switch s.kind {
 	case SubKNN:
-		e.reconcileKNNInto(sh, s, seq, lsn, objs)
+		e.reconcileKNNInto(sl, s, seq, lsn, objs)
 	default:
-		e.reconcileRangeInto(sh, s, seq, lsn, objs)
-	}
-}
-
-// noteErr records a shard's first error by subscription order; shard ids
-// are processed ascending, so first-come wins.
-func (sh *reconShard) noteErr(sub int, err error) {
-	if sh.err == nil {
-		sh.err, sh.errSub = err, sub
+		e.reconcileRangeInto(sl, s, seq, lsn, objs)
 	}
 }
 
@@ -347,39 +213,39 @@ func (sh *reconShard) noteErr(sub int, err error) {
 // it refreshes the subscription wholesale and, when even that fails,
 // marks it stale so the next routed update or topology operation repairs
 // it.
-func (e *Subscriptions) evalFailed(sh *reconShard, s *standingQuery, err error) {
-	if !sh.topo {
-		sh.noteErr(s.id, err)
+func (e *Subscriptions) evalFailed(sl *reconSlot, s *standingQuery, err error) {
+	if !sl.topo {
+		sl.err = err
 		return
 	}
-	if !e.refreshInto(sh, s) {
+	if !e.refreshInto(sl, s) {
 		s.ex = nil
 	}
 }
 
-func (e *Subscriptions) reconcileRangeInto(sh *reconShard, s *standingQuery, seq, lsn uint64, objs []object.ID) {
+func (e *Subscriptions) reconcileRangeInto(sl *reconSlot, s *standingQuery, seq, lsn uint64, objs []object.ID) {
 	for _, oid := range objs {
 		in, err := s.decideRange(oid)
 		if err != nil {
-			e.evalFailed(sh, s, err)
+			e.evalFailed(sl, s, err)
 			return
 		}
 		was := s.members[oid]
 		switch {
 		case in && !was:
 			s.members[oid] = true
-			sh.evs = append(sh.evs, SubEvent{Sub: s.id, Object: oid, Kind: EventEnter, Distance: math.NaN(), Seq: seq, LSN: lsn})
+			sl.evs = append(sl.evs, SubEvent{Sub: s.id, Object: oid, Kind: EventEnter, Distance: math.NaN(), Seq: seq, LSN: lsn})
 		case !in && was:
 			delete(s.members, oid)
-			sh.evs = append(sh.evs, SubEvent{Sub: s.id, Object: oid, Kind: EventLeave, Distance: math.NaN(), Seq: seq, LSN: lsn})
+			sl.evs = append(sl.evs, SubEvent{Sub: s.id, Object: oid, Kind: EventLeave, Distance: math.NaN(), Seq: seq, LSN: lsn})
 		}
 	}
 }
 
-func (e *Subscriptions) reconcileKNNInto(sh *reconShard, s *standingQuery, seq, lsn uint64, objs []object.ID) {
+func (e *Subscriptions) reconcileKNNInto(sl *reconSlot, s *standingQuery, seq, lsn uint64, objs []object.ID) {
 	for _, oid := range objs {
 		if err := s.evalKNNCand(oid, s.cand); err != nil {
-			e.evalFailed(sh, s, err)
+			e.evalFailed(sl, s, err)
 			return
 		}
 	}
@@ -388,10 +254,10 @@ func (e *Subscriptions) reconcileKNNInto(sh *reconShard, s *standingQuery, seq, 
 	// means the true top-k may reach beyond the footprint — refresh at a
 	// fresh radius. An infinite radius already covers everything.
 	if len(s.cand) < s.k && !math.IsInf(s.phase.r, 1) {
-		e.refreshInto(sh, s)
+		e.refreshInto(sl, s)
 		return
 	}
-	e.rediffTopKInto(sh, s, seq, lsn, objs)
+	e.rediffTopKInto(sl, s, seq, lsn, objs)
 }
 
 // rediffTopKInto recomputes a kNN subscription's top-k from its candidate
@@ -399,20 +265,20 @@ func (e *Subscriptions) reconcileKNNInto(sh *reconShard, s *standingQuery, seq, 
 // change for re-evaluated objects, so only the routed ones can update:
 // after a failed routed evaluation the cache can run ahead of memberDist,
 // and a wider set would report that as updates.
-func (e *Subscriptions) rediffTopKInto(sh *reconShard, s *standingQuery, seq, lsn uint64, routedObjs []object.ID) {
+func (e *Subscriptions) rediffTopKInto(sl *reconSlot, s *standingQuery, seq, lsn uint64, routedObjs []object.ID) {
 	was, wasDist := s.members, s.memberDist
 	s.members, s.memberDist = topkOf(s)
-	sh.diffInto(s, was, wasDist, routedObjs, seq, lsn)
+	sl.diffInto(s, was, wasDist, routedObjs, seq, lsn)
 }
 
 // refreshInto refreshes a subscription wholesale and appends the result
-// delta to the shard buffer (reconcileShard sorts the segment), reporting
+// delta to its slot (reconcile sorts the slot), reporting
 // whether the refresh succeeded. A failed refresh is swallowed: the
 // subscription stays on its last good state and a later operation repairs
 // it. A successful one queues the footprint re-advertisement for the
 // serial epilogue, since the shared router must stay untouched inside the
 // parallel fan-out.
-func (e *Subscriptions) refreshInto(sh *reconShard, s *standingQuery) bool {
+func (e *Subscriptions) refreshInto(sl *reconSlot, s *standingQuery) bool {
 	old := s.units
 	// A refresh installs fresh member maps, so the old ones stay intact.
 	was, wasDist := s.members, s.memberDist
@@ -426,8 +292,8 @@ func (e *Subscriptions) refreshInto(sh *reconShard, s *standingQuery) bool {
 			reeval = append(reeval, oid)
 		}
 	}
-	sh.diffInto(s, was, wasDist, reeval, s.ex.s.Seq(), s.ex.s.LSN())
-	sh.refreshed = append(sh.refreshed, reconRefresh{sub: s.id, oldUnits: old})
+	sl.diffInto(s, was, wasDist, reeval, s.ex.s.Seq(), s.ex.s.LSN())
+	sl.refreshed, sl.oldUnits = true, old
 	return true
 }
 
@@ -435,10 +301,10 @@ func (e *Subscriptions) refreshInto(sh *reconShard, s *standingQuery) bool {
 // wasDist) to its current one (s.members, s.memberDist): enter and leave
 // for membership changes and, for kNN, update for each re-evaluated
 // object that stayed a member while its exact distance moved.
-func (sh *reconShard) diffInto(s *standingQuery, was map[object.ID]bool, wasDist map[object.ID]float64, reeval []object.ID, seq, lsn uint64) {
+func (sl *reconSlot) diffInto(s *standingQuery, was map[object.ID]bool, wasDist map[object.ID]float64, reeval []object.ID, seq, lsn uint64) {
 	for oid := range was {
 		if !s.members[oid] {
-			sh.evs = append(sh.evs, SubEvent{Sub: s.id, Object: oid, Kind: EventLeave, Distance: math.NaN(), Seq: seq, LSN: lsn})
+			sl.evs = append(sl.evs, SubEvent{Sub: s.id, Object: oid, Kind: EventLeave, Distance: math.NaN(), Seq: seq, LSN: lsn})
 		}
 	}
 	for oid := range s.members {
@@ -447,7 +313,7 @@ func (sh *reconShard) diffInto(s *standingQuery, was map[object.ID]bool, wasDist
 			if s.kind == SubKNN {
 				d = s.memberDist[oid]
 			}
-			sh.evs = append(sh.evs, SubEvent{Sub: s.id, Object: oid, Kind: EventEnter, Distance: d, Seq: seq, LSN: lsn})
+			sl.evs = append(sl.evs, SubEvent{Sub: s.id, Object: oid, Kind: EventEnter, Distance: d, Seq: seq, LSN: lsn})
 		}
 	}
 	if s.kind != SubKNN {
@@ -455,7 +321,7 @@ func (sh *reconShard) diffInto(s *standingQuery, was map[object.ID]bool, wasDist
 	}
 	for _, oid := range reeval {
 		if was[oid] && s.members[oid] && wasDist[oid] != s.memberDist[oid] {
-			sh.evs = append(sh.evs, SubEvent{Sub: s.id, Object: oid, Kind: EventUpdate, Distance: s.memberDist[oid], Seq: seq, LSN: lsn})
+			sl.evs = append(sl.evs, SubEvent{Sub: s.id, Object: oid, Kind: EventUpdate, Distance: s.memberDist[oid], Seq: seq, LSN: lsn})
 		}
 	}
 }
@@ -464,7 +330,7 @@ func (sh *reconShard) diffInto(s *standingQuery, was map[object.ID]bool, wasDist
 // runs under the engine mutex, then scope splits the standing queries.
 // The ones whose dependency radius reaches a changed unit (or all of
 // them, when the skeleton changed) stay stale and refresh wholesale in
-// the same sharded pass an object batch uses; the rest are carried to the
+// the same pass an object batch uses; the rest are carried to the
 // new epoch with their door distances intact, and the objects bucketed in
 // the changed units are routed to them exactly as if they had moved. The
 // events come in the pass's (subscription, object, kind) order. It
@@ -542,8 +408,9 @@ func (e *Subscriptions) scope(prev, cur *index.Snapshot) map[object.ID][]index.U
 // load even when per-item costs vary wildly. It returns after every call
 // completed; one worker runs the calls serially on the caller's goroutine.
 // fn must be safe to call from multiple goroutines on distinct indices;
-// FanOut itself adds no locking around fn. Both the reconciler's shards
-// and the serving layer's query batches run through it.
+// FanOut itself adds no locking around fn. Both the reconciler's
+// per-subscription items and the serving layer's query batches run
+// through it.
 func FanOut(workers, n int, fn func(int)) {
 	if n <= 0 {
 		return

@@ -14,12 +14,14 @@ import (
 	"repro/internal/object"
 )
 
-// shardWorkloadLog runs the deterministic churn workload (moves, inserts,
+// workloadLog runs the deterministic churn workload (moves, inserts,
 // deletes, door toggles, and on every third topology step a room split
-// and merge) against a fresh engine pinned to the given shard width and
-// returns the full drained event log, one slice per operation.
-func shardWorkloadLog(t *testing.T, seed int64, shards, subsN int) [][]SubEvent {
+// and merge) against a fresh engine whose reconciliation fans out width
+// wide (GOMAXPROCS, restored on return) and returns the full drained
+// event log, one slice per operation.
+func workloadLog(t *testing.T, seed int64, width, subsN int) [][]SubEvent {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(width))
 	b, err := gen.Mall(gen.MallSpec{Floors: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +32,6 @@ func shardWorkloadLog(t *testing.T, seed int64, shards, subsN int) [][]SubEvent 
 		t.Fatal(err)
 	}
 	e := NewSubscriptions(idx)
-	e.SetShards(shards)
 
 	qs := gen.QueryPoints(b, subsN, 800+seed)
 	for i, q := range qs {
@@ -93,7 +94,7 @@ func shardWorkloadLog(t *testing.T, seed int64, shards, subsN int) [][]SubEvent 
 		}
 		evs, err := e.ApplyObjectUpdates(ups)
 		if err != nil {
-			t.Fatalf("shards=%d step %d: %v", shards, step, err)
+			t.Fatalf("width=%d step %d: %v", width, step, err)
 		}
 		log = append(log, evs)
 
@@ -106,7 +107,7 @@ func shardWorkloadLog(t *testing.T, seed int64, shards, subsN int) [][]SubEvent 
 				_, evs, err = e.Topology(index.Mutation{Kind: index.MutSetDoorClosed, DoorID: closedDoor, Closed: true})
 			}
 			if err != nil {
-				t.Fatalf("shards=%d step %d toggle: %v", shards, step, err)
+				t.Fatalf("width=%d step %d toggle: %v", width, step, err)
 			}
 			log = append(log, evs)
 			if topoSteps++; topoSteps%3 == 0 {
@@ -115,10 +116,7 @@ func shardWorkloadLog(t *testing.T, seed int64, shards, subsN int) [][]SubEvent 
 		}
 	}
 
-	if st := e.Stats(); shards > 1 {
-		if st.ReconcileShards != shards {
-			t.Fatalf("Stats().ReconcileShards = %d, want %d", st.ReconcileShards, shards)
-		}
+	if st := e.Stats(); width > 1 {
 		if st.ReconcileBatchP99 <= 0 || st.ReconcileBatchP50 > st.ReconcileBatchP99 {
 			t.Fatalf("implausible latency window: %+v", st)
 		}
@@ -165,25 +163,24 @@ func sameEvents(a, b []SubEvent) bool {
 	return true
 }
 
-// The sharded reconciler's ordering contract: for ANY shard width the
-// merged event stream of every operation is byte-identical to the serial
-// (width 1) reconciler's, across moves, inserts, deletes, door toggles and
-// room splits and merges. Run with -cpu 1,4 to exercise both degenerate
-// and parallel merge paths under the race detector.
-func TestShardedReconcileByteIdentical(t *testing.T) {
+// The reconciler's ordering contract: for ANY fan-out width the event
+// stream of every operation is byte-identical to the serial (width 1)
+// reconciler's, across moves, inserts, deletes, door toggles and room
+// splits and merges. Run with -cpu 1,4 under the race detector.
+func TestReconcileByteIdentical(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			serial := shardWorkloadLog(t, seed, 1, 8)
-			for _, shards := range []int{2, 4, 7} {
-				sharded := shardWorkloadLog(t, seed, shards, 8)
-				if len(serial) != len(sharded) {
-					t.Fatalf("shards=%d: %d ops vs %d serial", shards, len(sharded), len(serial))
+			serial := workloadLog(t, seed, 1, 8)
+			for _, width := range []int{2, 4, 7} {
+				wide := workloadLog(t, seed, width, 8)
+				if len(serial) != len(wide) {
+					t.Fatalf("width=%d: %d ops vs %d serial", width, len(wide), len(serial))
 				}
 				for i := range serial {
-					if !sameEvents(serial[i], sharded[i]) {
-						t.Fatalf("shards=%d op %d diverged:\n  serial  %v\n  sharded %v",
-							shards, i, serial[i], sharded[i])
+					if !sameEvents(serial[i], wide[i]) {
+						t.Fatalf("width=%d op %d diverged:\n  serial %v\n  wide   %v",
+							width, i, serial[i], wide[i])
 					}
 				}
 			}
@@ -194,9 +191,9 @@ func TestShardedReconcileByteIdentical(t *testing.T) {
 // Churn hammer for the race detector: subscribe/unsubscribe churn racing
 // update batches and door toggles while readers poll results and stats.
 // The engine serializes mutators on its own mutex; what this guards is the
-// sharded fan-out — workers must never touch the router, stats, or each
-// other's arenas. Run with -cpu 1,4.
-func TestShardedChurnRace(t *testing.T) {
+// fan-out — workers must never touch the router, stats, or each other's
+// slots. Run with -cpu 1,4.
+func TestReconcileChurnRace(t *testing.T) {
 	b, err := gen.Mall(gen.MallSpec{Floors: 1})
 	if err != nil {
 		t.Fatal(err)

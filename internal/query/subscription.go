@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -56,12 +55,6 @@ type Subscriptions struct {
 	// hashing.
 	inv [][]int
 
-	// shards is the reconciliation shard width; 0 (the default) resolves
-	// to runtime.GOMAXPROCS(0) at each pass. shardBufs holds the
-	// core-local per-shard arenas, reused across batches.
-	shards    int
-	shardBufs []reconShard
-
 	// latWin is a ring of recent per-batch reconciliation wall times;
 	// latCount is the total batches recorded. Stats derives the
 	// mean/p50/p99 latency over the window from it.
@@ -74,10 +67,10 @@ type Subscriptions struct {
 	// overridden): a consumer that stops draining — a dead streaming
 	// client, say — must cost bounded memory, not an OOM. When the bound is
 	// hit the oldest events are dropped and the overflow flag raised;
-	// DrainEventsOverflow reports it so the consumer knows replay is broken
-	// and re-fetches full result sets.
+	// DrainEvents reports it so the consumer knows replay is broken and
+	// re-fetches full result sets.
 	logging     bool
-	log         []SubEvent
+	log         eventRing
 	logCap      int
 	logOverflow bool
 
@@ -186,9 +179,6 @@ type SubStats struct {
 	// EventsDropped counts events discarded by event-log overflow (the
 	// log's cap was hit before the consumer drained).
 	EventsDropped uint64
-	// ReconcileShards is the shard width reconciliation passes currently
-	// fan out over (GOMAXPROCS unless pinned with SetShards).
-	ReconcileShards int
 	// ReconcileBatchMean/P50/P99 are per-batch reconciliation wall-time
 	// aggregates over the most recent reconLatWindow batches; zero until
 	// the first batch.
@@ -292,27 +282,6 @@ func NewSubscriptions(idx *index.Index) *Subscriptions {
 	}
 }
 
-// SetShards pins the reconciliation shard width. n <= 0 restores the
-// default (runtime.GOMAXPROCS(0) at each pass). The merged event stream is
-// identical for every width — sharding changes wall time, never output.
-func (e *Subscriptions) SetShards(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	e.shards = n
-}
-
-// shardWidth resolves the effective shard count of a pass. Callers hold
-// the engine mutex (any side).
-func (e *Subscriptions) shardWidth() int {
-	if e.shards > 0 {
-		return e.shards
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // DefaultEventLogCap is the event-log bound EnableEventLog installs: past
 // it the oldest events are dropped and the overflow flag raised. Generous
 // enough that any consumer draining at all never sees it; small enough
@@ -322,8 +291,8 @@ const DefaultEventLogCap = 1 << 20
 // EnableEventLog turns on event accumulation for DrainEvents, bounded at
 // DefaultEventLogCap events (SetEventLogCap adjusts). Drain regularly: a
 // log that overflows drops its oldest events, and replay-based consumers
-// must then re-fetch full result sets (DrainEventsOverflow reports the
-// overflow explicitly).
+// must then re-fetch full result sets (DrainEvents reports the overflow
+// explicitly).
 func (e *Subscriptions) EnableEventLog() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -348,24 +317,16 @@ func (e *Subscriptions) SetEventLogCap(n int) {
 }
 
 // DrainEvents returns and clears the accumulated event log, in
-// serialisation order. It returns nil unless EnableEventLog was called.
-// Consumers that rely on event replay must use DrainEventsOverflow — this
-// variant silently discards the overflow signal.
-func (e *Subscriptions) DrainEvents() []SubEvent {
-	evs, _ := e.DrainEventsOverflow()
-	return evs
-}
-
-// DrainEventsOverflow returns and clears the accumulated event log and
-// reports whether it overflowed since the previous drain. On overflow the
-// oldest events were dropped: the returned slice is NOT a complete replay
-// stream, and the consumer must re-fetch the current result sets
-// (Results/TopK) instead of replaying.
-func (e *Subscriptions) DrainEventsOverflow() ([]SubEvent, bool) {
+// serialisation order, and reports whether it overflowed since the
+// previous drain. It returns nil unless EnableEventLog was called. On
+// overflow the oldest events were dropped: the returned slice is NOT a
+// complete replay stream, and the consumer must re-fetch the current
+// result sets (Results/TopK) instead of replaying.
+func (e *Subscriptions) DrainEvents() ([]SubEvent, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out, over := e.log, e.logOverflow
-	e.log, e.logOverflow = nil, false
+	out, over := e.log.drain(), e.logOverflow
+	e.logOverflow = false
 	return out, over
 }
 
@@ -376,13 +337,65 @@ func (e *Subscriptions) record(evs []SubEvent) {
 	if !e.logging || len(evs) == 0 {
 		return
 	}
-	e.log = append(e.log, evs...)
-	if e.logCap > 0 && len(e.log) > e.logCap {
-		dropped := len(e.log) - e.logCap
-		e.log = append(e.log[:0], e.log[dropped:]...)
+	if dropped := e.log.push(evs, e.logCap); dropped > 0 {
 		e.logOverflow = true
 		e.stats.EventsDropped += uint64(dropped)
 	}
+}
+
+// eventRing is the bounded event log: a ring of at most limit events (the
+// bound push is given), which grows by append until it is full and then
+// overwrites its oldest events, so recording costs O(1) per event however
+// long the consumer stays away. Once full, head is the oldest event's
+// index; before that it is 0.
+type eventRing struct {
+	buf  []SubEvent
+	head int
+}
+
+// push records evs, keeping the newest limit events (limit <= 0: all of
+// them), and returns how many older events it dropped. A limit that
+// shrank below the backlog takes effect here, not when it is set.
+func (r *eventRing) push(evs []SubEvent, limit int) int {
+	if limit <= 0 || len(r.buf)+len(evs) <= limit {
+		r.linearize()
+		r.buf = append(r.buf, evs...)
+		return 0
+	}
+	dropped := len(r.buf) + len(evs) - limit
+	evs = evs[max(0, len(evs)-limit):]
+	if len(r.buf) != limit {
+		// First overflow since the last drain, or a changed limit: keep
+		// the newest limit-len(evs) events oldest first, then the ring is
+		// full.
+		r.linearize()
+		keep := limit - len(evs)
+		r.buf = append(append(r.buf[:0], r.buf[len(r.buf)-keep:]...), evs...)
+		return dropped
+	}
+	n := copy(r.buf[r.head:], evs)
+	copy(r.buf, evs[n:])
+	r.head = (r.head + len(evs)) % limit
+	return dropped
+}
+
+// drain returns the events oldest first and empties the ring.
+func (r *eventRing) drain() []SubEvent {
+	r.linearize()
+	out := r.buf
+	r.buf = nil
+	return out
+}
+
+// linearize rotates the ring in place so its oldest event is buf[0].
+func (r *eventRing) linearize() {
+	if r.head == 0 {
+		return
+	}
+	slices.Reverse(r.buf[:r.head])
+	slices.Reverse(r.buf[r.head:])
+	slices.Reverse(r.buf)
+	r.head = 0
 }
 
 // SubscribeRange installs a standing range query and returns its handle
@@ -590,7 +603,6 @@ func (e *Subscriptions) Stats() SubStats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	st := e.stats
-	st.ReconcileShards = e.shardWidth()
 	n := int(e.latCount)
 	if n > reconLatWindow {
 		n = reconLatWindow

@@ -621,8 +621,6 @@ type ReconcileStats struct {
 	// epoch untouched, both summed over commits.
 	TopoAdmitted uint64 `json:"topoAdmitted"`
 	TopoCarried  uint64 `json:"topoCarried"`
-	// Shards is the shard width reconciliation passes fan out over.
-	Shards int `json:"shards"`
 	// BatchMeanMicros/P50/P99 aggregate per-batch reconciliation wall
 	// time (microseconds) over the engine's recent-batch window.
 	BatchMeanMicros int64 `json:"batchMeanMicros"`
