@@ -4,12 +4,15 @@ package indoorq
 // correctness contract of BatchRangeQuery/BatchKNNQuery: for any seed, the
 // batch answers must be byte-identical (IDs and distance bits) to looping
 // the serial queries — parallelism must never change an answer, whatever
-// the worker count (more workers than requests included), and a failing
-// query fails alone. Throughput is measured, not asserted:
-// BenchmarkBatchThroughput reports the workers sweep.
+// the fan-out width (more workers than requests included), and a failing
+// query fails alone. A batch fans out GOMAXPROCS wide, so each test sets
+// its width with runtime.GOMAXPROCS and restores it on return. Throughput
+// is measured, not asserted: BenchmarkBatchThroughput under -cpu reports
+// the width sweep.
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -52,6 +55,7 @@ func sameResults(t *testing.T, label string, serial, batch []Result) {
 }
 
 func TestBatchRangeEquivalence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	for _, seed := range []int64{1, 2, 3} {
 		db, queries := batchFixture(t, seed)
 		reqs := make([]RangeRequest, 0, len(queries)*2)
@@ -66,7 +70,7 @@ func TestBatchRangeEquivalence(t *testing.T) {
 			}
 			serial[i] = res
 		}
-		resps, m := db.BatchRangeQuery(reqs, ServeConfig{Workers: 8})
+		resps, m := db.BatchRangeQuery(reqs, ServeConfig{})
 		if m.Queries != len(reqs) || m.Errors != 0 {
 			t.Fatalf("seed %d: metrics %d queries %d errors, want %d and 0", seed, m.Queries, m.Errors, len(reqs))
 		}
@@ -98,7 +102,9 @@ func TestRangeBatchOrderAndEquivalence(t *testing.T) {
 		serial[i] = res
 	}
 	for _, workers := range []int{1, 3, 64} {
-		resps, m := db.BatchRangeQuery(reqs, ServeConfig{Workers: workers})
+		prev := runtime.GOMAXPROCS(workers)
+		resps, m := db.BatchRangeQuery(reqs, ServeConfig{})
+		runtime.GOMAXPROCS(prev)
 		if len(resps) != len(reqs) || m.Queries != len(reqs) || m.Errors != 0 {
 			t.Fatalf("workers %d: %d responses, metrics %d queries %d errors, want %d, %d and 0",
 				workers, len(resps), m.Queries, m.Errors, len(reqs), len(reqs))
@@ -127,6 +133,7 @@ func TestEmptyBatch(t *testing.T) {
 }
 
 func TestBatchKNNEquivalence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	for _, seed := range []int64{4, 5, 6} {
 		db, queries := batchFixture(t, seed)
 		reqs := make([]KNNRequest, 0, len(queries))
@@ -141,7 +148,7 @@ func TestBatchKNNEquivalence(t *testing.T) {
 			}
 			serial[i] = res
 		}
-		resps, _ := db.BatchKNNQuery(reqs, ServeConfig{Workers: 8})
+		resps, _ := db.BatchKNNQuery(reqs, ServeConfig{})
 		for i := range reqs {
 			if resps[i].Err != nil {
 				t.Fatalf("seed %d: batch kNN %d: %v", seed, i, resps[i].Err)
@@ -155,13 +162,14 @@ func TestBatchKNNEquivalence(t *testing.T) {
 // errors for that request only, the requests around it still match their
 // serial answers, and the metrics count the one failure.
 func TestKNNBatchErrorPropagation(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	db, queries := batchFixture(t, 7)
 	reqs := []KNNRequest{
 		{Q: queries[0], K: 5},
 		{Q: Pos(-5000, -5000, 0), K: 5},
 		{Q: queries[1], K: 5},
 	}
-	resps, m := db.BatchKNNQuery(reqs, ServeConfig{Workers: 2})
+	resps, m := db.BatchKNNQuery(reqs, ServeConfig{})
 	if m.Queries != len(reqs) || m.Errors != 1 {
 		t.Fatalf("metrics %d queries %d errors, want %d and 1", m.Queries, m.Errors, len(reqs))
 	}
@@ -184,6 +192,7 @@ func TestKNNBatchErrorPropagation(t *testing.T) {
 // writers completes without error — answers are time-dependent, so only
 // integrity is asserted.
 func TestBatchWhileWriting(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	db, queries := batchFixture(t, 9)
 	reqs := make([]RangeRequest, 0, 48)
 	for i := 0; i < 48; i++ {
@@ -203,7 +212,7 @@ func TestBatchWhileWriting(t *testing.T) {
 			}
 		}
 	}()
-	resps, m := db.BatchRangeQuery(reqs, ServeConfig{Workers: 4})
+	resps, m := db.BatchRangeQuery(reqs, ServeConfig{})
 	<-done
 	if m.Errors != 0 {
 		t.Fatalf("batch under writes: %d errors", m.Errors)

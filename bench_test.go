@@ -1,8 +1,8 @@
 package indoorq
 
 // Kernel benchmarks: single-query hot paths, batch serving, queries under
-// paced churn, time-travel reconstruction, reconciliation and
-// scoped topology commits. The
+// paced churn, time-travel reconstruction, reconciliation, scoped
+// topology commits and structural (split and merge) commits. The
 // paper's Figure 12–15 series live in cmd/benchfig (`benchfig -fig all`),
 // and end-to-end numbers through the daemons live in benchmark/; README
 // "Performance" discusses both.
@@ -70,10 +70,11 @@ func BenchmarkKNNQuery(b *testing.B) {
 
 // BenchmarkBatchThroughput is the concurrent-serving experiment (not in
 // the paper): aggregate batch throughput of the facade's batch queries vs
-// worker count, on the Floors=2, N=1000 mall, where index contention
-// rather than raw query cost dominates. On multi-core hardware the
-// queries/sec metric scales with workers (≥2× at 8 workers vs 1); on one
-// CPU the series is flat — the interesting number is the metric, not the
+// fan-out width, on the Floors=2, N=1000 mall, where index contention
+// rather than raw query cost dominates. A batch fans out GOMAXPROCS wide,
+// so `-cpu 1,2,4,8` is the width sweep. On multi-core hardware the
+// queries/sec metric scales with the width (≥2× at 8 vs 1); on one CPU
+// the series is flat — the interesting number is the metric, not the
 // ns/op. A batch of 200 queries cycles the fixture's query pool; p50-ns
 // and p99-ns are percentiles of the last batch's per-query latencies.
 func BenchmarkBatchThroughput(b *testing.B) {
@@ -87,35 +88,32 @@ func BenchmarkBatchThroughput(b *testing.B) {
 		ranges[i] = RangeRequest{Q: q, R: bench.DefaultRange}
 		knns[i] = KNNRequest{Q: q, K: 10}
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		cfg := ServeConfig{Workers: workers}
-		for _, kind := range []struct {
-			name string
-			run  func() ([]BatchResponse, BatchMetrics)
-		}{
-			{"iRQ", func() ([]BatchResponse, BatchMetrics) { return db.BatchRangeQuery(ranges, cfg) }},
-			{"ikNN", func() ([]BatchResponse, BatchMetrics) { return db.BatchKNNQuery(knns, cfg) }},
-		} {
-			b.Run(fmt.Sprintf("%s/workers=%d", kind.name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				var resps []BatchResponse
-				var m BatchMetrics
-				for i := 0; i < b.N; i++ {
-					resps, m = kind.run()
-					if m.Errors > 0 {
-						b.Fatalf("%d of %d queries failed", m.Errors, m.Queries)
-					}
+	for _, kind := range []struct {
+		name string
+		run  func() ([]BatchResponse, BatchMetrics)
+	}{
+		{"iRQ", func() ([]BatchResponse, BatchMetrics) { return db.BatchRangeQuery(ranges, ServeConfig{}) }},
+		{"ikNN", func() ([]BatchResponse, BatchMetrics) { return db.BatchKNNQuery(knns, ServeConfig{}) }},
+	} {
+		b.Run(kind.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var resps []BatchResponse
+			var m BatchMetrics
+			for i := 0; i < b.N; i++ {
+				resps, m = kind.run()
+				if m.Errors > 0 {
+					b.Fatalf("%d of %d queries failed", m.Errors, m.Queries)
 				}
-				lats := make([]time.Duration, len(resps))
-				for i, r := range resps {
-					lats[i] = r.Latency
-				}
-				sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-				b.ReportMetric(m.Throughput, "queries/sec")
-				b.ReportMetric(float64(lats[len(lats)/2].Nanoseconds()), "p50-ns")
-				b.ReportMetric(float64(lats[len(lats)*99/100].Nanoseconds()), "p99-ns")
-			})
-		}
+			}
+			lats := make([]time.Duration, len(resps))
+			for i, r := range resps {
+				lats[i] = r.Latency
+			}
+			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+			b.ReportMetric(m.Throughput, "queries/sec")
+			b.ReportMetric(float64(lats[len(lats)/2].Nanoseconds()), "p50-ns")
+			b.ReportMetric(float64(lats[len(lats)*99/100].Nanoseconds()), "p99-ns")
+		})
 	}
 }
 
@@ -372,6 +370,45 @@ func BenchmarkTopologyCommit(b *testing.B) {
 	n := float64(b.N)
 	b.ReportMetric(float64(st.TopoAdmitted-before.TopoAdmitted)/n, "admitted/op")
 	b.ReportMetric(float64(st.TopoCarried-before.TopoCarried)/n, "carried/op")
+}
+
+// BenchmarkStructuralCommit is the structural counterpart of
+// BenchmarkTopologyCommit on the same workload: one iteration splits a
+// convex room in two and merges the halves back, both through the
+// subscription engine under 1,000 standing queries. On top of a toggle's
+// work, each commit re-packs the tree tier and re-locates the objects the
+// room held. admitted/op counts subscriptions per iteration (two commits).
+func BenchmarkStructuralCommit(b *testing.B) {
+	e, idx, _ := cityChurn(b, 1000)
+	var rooms []indoor.PartitionID
+	for _, p := range idx.Building().Partitions() {
+		if p.Kind == indoor.Room && p.Shape.IsConvex() {
+			rooms = append(rooms, p.ID)
+		}
+	}
+	rng := rand.New(rand.NewSource(7108))
+	before := e.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := rng.Intn(len(rooms))
+		r := idx.Building().Partition(rooms[k]).Bounds()
+		alongX, at := r.Width() >= r.Height(), (r.MinY+r.MaxY)/2
+		if alongX {
+			at = (r.MinX + r.MaxX) / 2
+		}
+		split, _, err := e.Topology(index.Mutation{Kind: index.MutSplit, PartID: rooms[k], AlongX: alongX, At: at})
+		if err != nil {
+			b.Fatal(err)
+		}
+		merged, _, err := e.Topology(index.Mutation{Kind: index.MutMerge, PartID: split.ResultA, PartID2: split.ResultB})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rooms[k] = merged.ResultA
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(e.Stats().TopoAdmitted-before.TopoAdmitted)/float64(b.N), "admitted/op")
 }
 
 // cityChurn builds the reconciliation workload: a 2×3 city of 3–6-floor

@@ -11,6 +11,7 @@ package indoorq
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -252,6 +253,7 @@ func TestBatchQueriesUnderTopologyChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test in -short mode")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // the batches' fan-out width
 	b, _, idx := epochFixture(t)
 	db := newDB(idx)
 	queries := gen.QueryPoints(b, 16, 11)
@@ -322,7 +324,7 @@ func TestBatchQueriesUnderTopologyChurn(t *testing.T) {
 	}()
 
 	for round := 0; round < 20; round++ {
-		resps, _ := db.BatchRangeQuery(reqs, ServeConfig{Workers: 4})
+		resps, _ := db.BatchRangeQuery(reqs, ServeConfig{})
 		for i, r := range resps {
 			if r.Err == nil {
 				continue

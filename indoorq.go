@@ -69,7 +69,7 @@
 //	for i, q := range points {
 //		reqs[i] = indoorq.RangeRequest{Q: q, R: 100}
 //	}
-//	resps, m := db.BatchRangeQuery(reqs, indoorq.ServeConfig{}) // Workers: GOMAXPROCS
+//	resps, m := db.BatchRangeQuery(reqs, indoorq.ServeConfig{}) // GOMAXPROCS wide
 //	fmt.Printf("%.0f queries/sec, %d failed\n", m.Throughput, m.Errors) // per query: resps[i].Latency
 //
 // # Durability
@@ -248,14 +248,12 @@ func (db *DB) KNNQuery(q Position, k int) ([]Result, *QueryStats, error) {
 }
 
 // Batch serving. A batch pins ONE index snapshot and fans its queries
-// across CPUs; every query evaluates lock-free against that snapshot.
+// GOMAXPROCS wide; every query evaluates lock-free against that snapshot.
 type (
-	// ServeConfig sizes a batch's fan-out.
-	ServeConfig struct {
-		// Workers is the number of goroutines evaluating the batch; zero
-		// means GOMAXPROCS.
-		Workers int
-	}
+	// ServeConfig configures a batch. It has no fields: a batch always
+	// fans out GOMAXPROCS wide. It stays so that existing callers, which
+	// pass ServeConfig{}, keep compiling.
+	ServeConfig struct{}
 	// RangeRequest is one iRQ of a batch: objects within expected
 	// distance R of Q.
 	RangeRequest struct {
@@ -294,28 +292,28 @@ type (
 // concurrent updates every query of the batch still observes the same
 // consistent point-in-time state. Writers are never blocked by a running
 // batch; their snapshots take effect from the next batch.
-func (db *DB) BatchRangeQuery(reqs []RangeRequest, cfg ServeConfig) ([]BatchResponse, BatchMetrics) {
+func (db *DB) BatchRangeQuery(reqs []RangeRequest, _ ServeConfig) ([]BatchResponse, BatchMetrics) {
 	snap := db.idx.Current()
-	return runBatch(len(reqs), cfg, func(i int) ([]Result, *QueryStats, error) {
+	return runBatch(len(reqs), func(i int) ([]Result, *QueryStats, error) {
 		return db.proc.RangeQueryOn(snap, reqs[i].Q, reqs[i].R)
 	})
 }
 
 // BatchKNNQuery is BatchRangeQuery for k-nearest-neighbour queries.
-func (db *DB) BatchKNNQuery(reqs []KNNRequest, cfg ServeConfig) ([]BatchResponse, BatchMetrics) {
+func (db *DB) BatchKNNQuery(reqs []KNNRequest, _ ServeConfig) ([]BatchResponse, BatchMetrics) {
 	snap := db.idx.Current()
-	return runBatch(len(reqs), cfg, func(i int) ([]Result, *QueryStats, error) {
+	return runBatch(len(reqs), func(i int) ([]Result, *QueryStats, error) {
 		return db.proc.KNNQueryOn(snap, reqs[i].Q, reqs[i].K)
 	})
 }
 
-// runBatch fans n evaluations over cfg.Workers goroutines (query.FanOut,
-// the fan-out the subscription reconciler runs one item per affected
-// subscription). A worker's only shared writes are its own response slots.
-func runBatch(n int, cfg ServeConfig, eval func(int) ([]Result, *QueryStats, error)) ([]BatchResponse, BatchMetrics) {
+// runBatch fans n evaluations GOMAXPROCS wide (query.FanOut, the fan-out
+// the subscription reconciler runs one item per affected subscription). A
+// worker's only shared writes are its own response slots.
+func runBatch(n int, eval func(int) ([]Result, *QueryStats, error)) ([]BatchResponse, BatchMetrics) {
 	resps := make([]BatchResponse, n)
 	start := time.Now()
-	query.FanOut(cfg.Workers, n, func(i int) {
+	query.FanOut(n, func(i int) {
 		t0 := time.Now()
 		res, st, err := eval(i)
 		resps[i] = BatchResponse{Results: res, Stats: st, Err: err, Latency: time.Since(t0)}

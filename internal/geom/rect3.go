@@ -8,8 +8,7 @@ import (
 // Rect3 is an axis-aligned box in three dimensions: a planar rectangle plus
 // a vertical range [MinZ, MaxZ]. The indR-tree stores every index unit as a
 // Rect3 whose vertical extent is the 1 cm sliver described in §III-A.2 of
-// the paper, so that R*-tree volume optimisation remains meaningful while
-// query-time distances neglect the sliver.
+// the paper; query-time distances neglect the sliver.
 type Rect3 struct {
 	Rect
 	MinZ, MaxZ float64

@@ -282,9 +282,10 @@ func (idx *Index) commit(ed *editor, logged Mutation, building func()) error {
 	return nil
 }
 
-// addPartition is §III-C.1 insertion: decomposition, tree insertion,
-// sibling links, door attachment and h-table maintenance. The building
-// gains the partition only after the hook accepted it.
+// addPartition is §III-C.1 insertion: decomposition, sibling links, door
+// attachment and h-table maintenance; the tree tier is re-packed before
+// the edit next locates a point or at freeze. The building gains the
+// partition only after the hook accepted it.
 func (idx *Index) addPartition(ed *editor, m Mutation) (Mutation, error) {
 	if m.Part == nil {
 		return m, fmt.Errorf("index: add partition %d without its geometry", m.PartID)
@@ -311,9 +312,8 @@ func (ed *editor) addPartition(p *indoor.Partition) error {
 		return fmt.Errorf("index: partition %d already indexed", p.ID)
 	}
 	t := ed.ownTopo()
-	for _, u := range t.makeUnits(p, ed.opts) {
-		t.tree.Insert(unitBox(ed.b, u), int(u.ID))
-	}
+	t.makeUnits(p, ed.opts)
+	t.tree = nil // stale until repack
 	t.linkSiblingUnits(p.ID)
 	for _, did := range p.Doors {
 		d := ed.b.Door(did)
@@ -411,14 +411,13 @@ func (ed *editor) unindexPartitionKeepBuilding(pid indoor.PartitionID) []object.
 		return nil
 	}
 	t := ed.ownTopo()
+	t.tree = nil // stale until repack
 	for _, did := range p.Doors {
 		t.detachDoor(did)
 	}
 	seen := make(map[object.ID]bool)
 	var affected []object.ID
 	for _, uid := range t.partUnits[pid] {
-		u := t.units[uid]
-		t.tree.Delete(unitBox(ed.b, u), int(uid))
 		for _, oid := range ed.bucketAt(uid) {
 			slot := ed.slotOf(oid)
 			e := ed.entryAt(slot)

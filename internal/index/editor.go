@@ -12,8 +12,9 @@ import (
 // base snapshot. Layers are cloned lazily and only as deep as the edit
 // needs: object updates never touch the topological layer (units, tree,
 // door refs, skeleton, compiled doors graph are shared with the base
-// snapshot pointer-for-pointer), and topology updates share the object
-// layer's untouched chunks through the persistent structures. An editor
+// snapshot pointer-for-pointer), topology updates share the object
+// layer's untouched chunks through the persistent structures, and only
+// structural ones re-pack the immutable tree. An editor
 // that is dropped without freeze/publish leaves the base snapshot — and
 // the live building, provided the edit failed before mutating it — fully
 // intact, which is what makes mutator error paths rollback-free.
@@ -27,7 +28,8 @@ type editor struct {
 
 	// topo is the owned deep clone of the topological layer, nil while the
 	// edit has not needed one. Its epoch is base+1, its graph is compiled
-	// at freeze.
+	// at freeze, and its tree is nil while a structural edit has left it
+	// stale (see repack).
 	topo        *topoLayer
 	rebuildSkel bool
 
@@ -197,9 +199,19 @@ func (ed *editor) bucketRemove(uid UnitID, id object.ID) {
 	m.Set(int(uid), fresh)
 }
 
+// repack packs the owned layer's tree tier over its live units when a
+// structural edit left it stale (nil). Every structural commit pays it
+// once, before its first point location or at freeze.
+func (ed *editor) repack() {
+	if t := ed.topo; t != nil && t.tree == nil {
+		t.tree = t.packTree(ed.b, ed.opts.Fanout)
+	}
+}
+
 // locateUnit is point-location through the edit's current tree tier (the
-// mutated clone during topology edits, the shared base tree otherwise).
+// re-packed clone after structural edits, the shared base tree otherwise).
 func (ed *editor) locateUnit(pos indoor.Position) *Unit {
+	ed.repack()
 	return ed.curTopo().locateUnit(ed.b, pos)
 }
 
@@ -211,6 +223,7 @@ func (ed *editor) freeze() *Snapshot {
 	if topo == nil {
 		topo = ed.base.topo
 	} else {
+		ed.repack()
 		if ed.rebuildSkel {
 			topo.skeleton = buildSkeleton(ed.b)
 		}

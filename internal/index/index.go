@@ -223,15 +223,12 @@ func Build(b *indoor.Building, objs []*object.Object, opts Options) (*Index, Bui
 	ed := newBuildEditor(idx)
 	var stats BuildStats
 
-	// Tree tier: decompose every partition and bulk-load the indR-tree.
+	// Tree tier: decompose every partition and pack the indR-tree.
 	start := time.Now()
-	var entries []rtree.Entry
 	for _, p := range b.Partitions() {
-		for _, u := range ed.topo.makeUnits(p, opts) {
-			entries = append(entries, rtree.Entry{Box: unitBox(b, u), ID: int(u.ID)})
-		}
+		ed.topo.makeUnits(p, opts)
 	}
-	ed.topo.tree = rtree.Bulk(opts.Fanout, entries)
+	ed.repack()
 	stats.TreeTier = time.Since(start)
 
 	// Topological layer: virtual doors between sibling units, then real

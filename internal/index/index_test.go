@@ -2,6 +2,7 @@ package index
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
@@ -550,4 +551,84 @@ func TestTopoDelta(t *testing.T) {
 	if _, all := idx.Current().TopoDelta(prev); !all {
 		t.Fatal("skeleton rebuild must change every unit")
 	}
+}
+
+// TestEpochTreeSharedAndRepacked pins the tree tier's life cycle: door
+// toggles, attaches and detaches publish a successor that shares the
+// predecessor's tree pointer, and partition adds, removes, splits and
+// merges publish a tree equal to a fresh pack of the live units in id
+// order. A snapshot pinned before any edit keeps locating every point as
+// it did.
+func TestEpochTreeSharedAndRepacked(t *testing.T) {
+	b := mall(t, 2)
+	objs := gen.Objects(b, gen.ObjectSpec{N: 100, Radius: 5, Seed: 9})
+	idx := buildIdx(t, b, objs)
+
+	var room *indoor.Partition
+	for _, p := range b.Partitions() {
+		if p.Kind == indoor.Room && len(p.Doors) > 0 {
+			room = p
+			break
+		}
+	}
+	door := *b.Door(room.Doors[0])
+	shape := geom.RectPoly(room.Bounds())
+	mid := room.Bounds().Center().X
+
+	type probe struct {
+		pos  indoor.Position
+		unit *Unit
+	}
+	var pinned []*Snapshot
+	var probes [][]probe
+	step := func(name string, structural bool, m Mutation) Mutation {
+		t.Helper()
+		prev := idx.Current()
+		var ps []probe
+		for _, u := range prev.topo.units {
+			if u != nil {
+				pos := indoor.Position{Pt: u.Rect.Center(), Floor: u.FloorLo}
+				ps = append(ps, probe{pos, prev.LocateUnit(pos)})
+			}
+		}
+		pinned, probes = append(pinned, prev), append(probes, ps)
+
+		got, err := idx.Apply(m)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cur := idx.Current()
+		if err := cur.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if structural {
+			if cur.topo.tree == prev.topo.tree {
+				t.Fatalf("%s: structural commit kept the predecessor's tree", name)
+			}
+			if want := cur.topo.packTree(b, idx.Options().Fanout); !reflect.DeepEqual(cur.topo.tree, want) {
+				t.Fatalf("%s: tree differs from a fresh pack of the live units", name)
+			}
+		} else if cur.topo.tree != prev.topo.tree {
+			t.Fatalf("%s: non-structural commit replaced the tree", name)
+		}
+		for i, s := range pinned {
+			for _, p := range probes[i] {
+				if u := s.LocateUnit(p.pos); u != p.unit {
+					t.Fatalf("%s: snapshot pinned before step %d now locates %v in unit %v, was %v",
+						name, i, p.pos, u, p.unit)
+				}
+			}
+		}
+		return got
+	}
+
+	step("close", false, Mutation{Kind: MutSetDoorClosed, DoorID: door.ID, Closed: true})
+	step("open", false, Mutation{Kind: MutSetDoorClosed, DoorID: door.ID, Closed: false})
+	step("detach", false, Mutation{Kind: MutDetachDoor, DoorID: door.ID})
+	step("attach", false, Mutation{Kind: MutAttachDoor, DoorID: door.ID, Door: &door})
+	split := step("split", true, Mutation{Kind: MutSplit, PartID: room.ID, AlongX: true, At: mid})
+	merged := step("merge", true, Mutation{Kind: MutMerge, PartID: split.ResultA, PartID2: split.ResultB})
+	step("remove", true, Mutation{Kind: MutRemovePartition, PartID: merged.ResultA})
+	step("add", true, Mutation{Kind: MutAddPartition, PartID: indoor.NoPartition,
+		Part: &indoor.Partition{Kind: indoor.Room, Floor: room.Floor, Shape: shape}})
 }

@@ -22,8 +22,9 @@ import (
 //
 // Versions share structure: an object update reuses the whole topology
 // (units, tree, doors graph, skeleton) and copies only the object-layer
-// chunks it touches; a topology update clones the topological layer but
-// reuses the persistent object store's untouched storage.
+// chunks it touches; a topology update clones the units and door refs but
+// shares the tree unless it adds or removes units, and reuses the
+// persistent object store's untouched storage.
 type Snapshot struct {
 	b    *indoor.Building
 	opts Options
@@ -45,7 +46,11 @@ type topoLayer struct {
 	units    []*Unit
 	numUnits int
 	nextUnit UnitID
-	tree     *rtree.Tree
+
+	// tree is the indR-tree tier: rtree.Bulk over the live units in id
+	// order. It is immutable and shared between layers until a structural
+	// edit replaces it.
+	tree *rtree.Tree
 
 	// hTable maps index units to their indoor partition; partUnits is the
 	// reverse (§III-A.2).
@@ -244,8 +249,9 @@ func (s *Snapshot) FloorsOfBox(b geom.Rect3) (lo, hi int) {
 
 // CheckInvariants validates cross-layer consistency for tests: h-table and
 // partUnits are inverse, o-table records and buckets are inverse, every
-// door ref is attached to the units it names, and every unit's box is in
-// the tree. Snapshots are immutable, so it needs no locking.
+// door ref is attached to the units it names, and the tree is a healthy
+// packed tree holding exactly the live units. Snapshots are immutable, so
+// it needs no locking.
 func (s *Snapshot) CheckInvariants() error {
 	t := s.topo
 	for uid, pid := range t.hTable {
@@ -317,17 +323,22 @@ func (s *Snapshot) CheckInvariants() error {
 			}
 		}
 	}
-	count := 0
+	if err := t.tree.CheckInvariants(); err != nil {
+		return fmt.Errorf("index: %w", err)
+	}
+	if t.tree.Len() != t.numUnits {
+		return fmt.Errorf("index: tree holds %d entries, registry has %d live units", t.tree.Len(), t.numUnits)
+	}
+	var stale error
 	t.tree.Search(
 		func(geom.Rect3) bool { return true },
-		func(id int, _ geom.Rect3) {
-			if t.unitAt(UnitID(id)) != nil {
-				count++
+		func(id int, box geom.Rect3) {
+			if u := t.unitAt(UnitID(id)); u == nil {
+				stale = fmt.Errorf("index: tree holds dead unit %d", id)
+			} else if box != unitBox(s.b, u) {
+				stale = fmt.Errorf("index: tree box of unit %d is %v, unit box is %v", id, box, unitBox(s.b, u))
 			}
 		},
 	)
-	if count != t.numUnits {
-		return fmt.Errorf("index: tree holds %d live units, registry has %d", count, t.numUnits)
-	}
-	return nil
+	return stale
 }

@@ -5,20 +5,22 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/indoor"
+	"repro/internal/rtree"
 )
 
 // clone deep-copies the topological layer for a copy-on-write edit: fresh
 // Unit structs, fresh DoorRefs (identity-mapped, so a ref shared by two
-// units stays one ref), a deep tree clone and fresh maps. The skeleton is
-// shared (it is immutable; edits that change staircases rebuild it) and
-// the door graph is left for freeze to compile. The clone's epoch is the
-// base's plus one — exactly one advance per topology mutation.
+// units stays one ref) and fresh maps. The tree and the skeleton are
+// shared: both are immutable, and the structural edits that change them
+// replace them (a re-pack, a skeleton rebuild). The door graph is left for
+// freeze to compile. The clone's epoch is the base's plus one — exactly
+// one advance per topology mutation.
 func (t *topoLayer) clone() *topoLayer {
 	nt := &topoLayer{
 		units:          make([]*Unit, len(t.units)),
 		numUnits:       t.numUnits,
 		nextUnit:       t.nextUnit,
-		tree:           t.tree.Clone(),
+		tree:           t.tree,
 		hTable:         make(map[UnitID]indoor.PartitionID, len(t.hTable)),
 		partUnits:      make(map[indoor.PartitionID][]UnitID, len(t.partUnits)),
 		doorRefs:       make(map[indoor.DoorID]*DoorRef, len(t.doorRefs)),
@@ -83,9 +85,9 @@ func (t *topoLayer) rebakeDoors() {
 	}
 }
 
-// makeUnits decomposes a partition into units and registers them (without
-// tree insertion; callers handle the tree for bulk vs dynamic paths).
-func (t *topoLayer) makeUnits(p *indoor.Partition, opts Options) []*Unit {
+// makeUnits decomposes a partition into units and registers them; the
+// caller re-packs the tree.
+func (t *topoLayer) makeUnits(p *indoor.Partition, opts Options) {
 	var rects []geom.Rect
 	if p.Kind == indoor.Staircase {
 		// Staircases stay whole: their geometry is the footprint and their
@@ -95,7 +97,6 @@ func (t *topoLayer) makeUnits(p *indoor.Partition, opts Options) []*Unit {
 		rects = indoor.Decompose(p.Shape, opts.Tshape)
 	}
 	lo, hi := p.FloorSpan()
-	units := make([]*Unit, 0, len(rects))
 	for _, r := range rects {
 		u := &Unit{
 			ID: t.nextUnit, Part: p.ID, Rect: r,
@@ -107,9 +108,18 @@ func (t *topoLayer) makeUnits(p *indoor.Partition, opts Options) []*Unit {
 		t.numUnits++
 		t.hTable[u.ID] = p.ID
 		t.partUnits[p.ID] = append(t.partUnits[p.ID], u.ID)
-		units = append(units, u)
 	}
-	return units
+}
+
+// packTree packs the tree tier over the layer's live units in id order.
+func (t *topoLayer) packTree(b *indoor.Building, fanout int) *rtree.Tree {
+	entries := make([]rtree.Entry, 0, t.numUnits)
+	for _, u := range t.units {
+		if u != nil {
+			entries = append(entries, rtree.Entry{Box: unitBox(b, u), ID: int(u.ID)})
+		}
+	}
+	return rtree.Bulk(fanout, entries)
 }
 
 // linkSiblingUnits creates virtual doors between touching units of one

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"cmp"
 	"math"
 	"runtime"
 	"slices"
@@ -25,7 +26,9 @@ import (
 // Fan-out model. Each affected subscription is one FanOut work item,
 // GOMAXPROCS wide, and item i writes only its own slot (reconSlot): its
 // events, its first error, and its old footprint when it refreshed
-// wholesale. Workers never touch shared state; every subscription
+// wholesale. The slots live on the engine and are reused pass after pass
+// under its mutex, events buffers included. Workers never touch shared
+// state; every subscription
 // reconciles against private cached engines, and the router, stats and
 // event log are only touched serially under the engine mutex after the
 // fan-out returns.
@@ -52,8 +55,6 @@ type reconSlot struct {
 	// the fan-out).
 	refreshed bool
 	oldUnits  []index.UnitID
-	// topo marks a topology pass (see evalFailed).
-	topo bool
 }
 
 // ApplyObjectUpdates applies a batch of object-layer mutations as ONE
@@ -143,11 +144,14 @@ func (e *Subscriptions) reconcile(cur *index.Snapshot, routed map[int][]object.I
 		return nil, nil
 	}
 
-	slots := make([]reconSlot, len(ids))
-	FanOut(0, len(ids), func(i int) {
+	if n := len(ids) - cap(e.slots); n > 0 {
+		e.slots = append(e.slots[:cap(e.slots)], make([]reconSlot, n)...)
+	}
+	slots := e.slots[:len(ids)]
+	FanOut(len(ids), func(i int) {
 		sl := &slots[i]
-		sl.topo = topo
-		e.reconcileSubInto(sl, e.standing[ids[i]], cur, routed[ids[i]])
+		*sl = reconSlot{evs: sl.evs[:0]} // SubEvent holds no pointers
+		e.reconcileSubInto(sl, e.standing[ids[i]], cur, routed[ids[i]], topo)
 		// All slot events share the subscription, so this orders by
 		// (object, kind) — the within-subscription order of the contract.
 		sortEvents(sl.evs)
@@ -192,7 +196,7 @@ func (e *Subscriptions) noteBatchLatency(d time.Duration) {
 // wholesale; when even the refresh fails (e.g. the query point's partition
 // was removed) it keeps answering from its last good snapshot —
 // reconciliation must not crash the stream.
-func (e *Subscriptions) reconcileSubInto(sl *reconSlot, s *standingQuery, cur *index.Snapshot, objs []object.ID) {
+func (e *Subscriptions) reconcileSubInto(sl *reconSlot, s *standingQuery, cur *index.Snapshot, objs []object.ID, topo bool) {
 	if !s.rebind(cur) {
 		e.refreshInto(sl, s)
 		return
@@ -200,21 +204,21 @@ func (e *Subscriptions) reconcileSubInto(sl *reconSlot, s *standingQuery, cur *i
 	seq, lsn := cur.Seq(), cur.LSN()
 	switch s.kind {
 	case SubKNN:
-		e.reconcileKNNInto(sl, s, seq, lsn, objs)
+		e.reconcileKNNInto(sl, s, seq, lsn, objs, topo)
 	default:
-		e.reconcileRangeInto(sl, s, seq, lsn, objs)
+		e.reconcileRangeInto(sl, s, seq, lsn, objs, topo)
 	}
 }
 
 // evalFailed handles a routed evaluation that failed part-way through a
 // subscription. An object batch reports the error (the first by
-// subscription order is returned). A topology pass must not leave a
+// subscription order is returned). A topology pass (topo) must not leave a
 // carried subscription bound to the new epoch with objects unevaluated:
 // it refreshes the subscription wholesale and, when even that fails,
 // marks it stale so the next routed update or topology operation repairs
 // it.
-func (e *Subscriptions) evalFailed(sl *reconSlot, s *standingQuery, err error) {
-	if !sl.topo {
+func (e *Subscriptions) evalFailed(sl *reconSlot, s *standingQuery, err error, topo bool) {
+	if !topo {
 		sl.err = err
 		return
 	}
@@ -223,11 +227,11 @@ func (e *Subscriptions) evalFailed(sl *reconSlot, s *standingQuery, err error) {
 	}
 }
 
-func (e *Subscriptions) reconcileRangeInto(sl *reconSlot, s *standingQuery, seq, lsn uint64, objs []object.ID) {
+func (e *Subscriptions) reconcileRangeInto(sl *reconSlot, s *standingQuery, seq, lsn uint64, objs []object.ID, topo bool) {
 	for _, oid := range objs {
 		in, err := s.decideRange(oid)
 		if err != nil {
-			e.evalFailed(sl, s, err)
+			e.evalFailed(sl, s, err, topo)
 			return
 		}
 		was := s.members[oid]
@@ -242,10 +246,10 @@ func (e *Subscriptions) reconcileRangeInto(sl *reconSlot, s *standingQuery, seq,
 	}
 }
 
-func (e *Subscriptions) reconcileKNNInto(sl *reconSlot, s *standingQuery, seq, lsn uint64, objs []object.ID) {
+func (e *Subscriptions) reconcileKNNInto(sl *reconSlot, s *standingQuery, seq, lsn uint64, objs []object.ID, topo bool) {
 	for _, oid := range objs {
 		if err := s.evalKNNCand(oid, s.cand); err != nil {
-			e.evalFailed(sl, s, err)
+			e.evalFailed(sl, s, err, topo)
 			return
 		}
 	}
@@ -402,25 +406,20 @@ func (e *Subscriptions) scope(prev, cur *index.Snapshot) map[object.ID][]index.U
 	return touched
 }
 
-// FanOut runs fn(0..n-1) across min(workers, n) goroutines (workers ≤ 0
-// means runtime.GOMAXPROCS(0)) via an atomic work-claiming cursor: workers
-// claim the next unserved index until the range drains, which balances
-// load even when per-item costs vary wildly. It returns after every call
+// FanOut runs fn(0..n-1) across min(GOMAXPROCS, n) goroutines via an
+// atomic work-claiming cursor: workers claim the next unserved index until
+// the range drains, which balances load even when per-item costs vary
+// wildly. It returns after every call
 // completed; one worker runs the calls serially on the caller's goroutine.
 // fn must be safe to call from multiple goroutines on distinct indices;
 // FanOut itself adds no locking around fn. Both the reconciler's
 // per-subscription items and the serving layer's query batches run
 // through it.
-func FanOut(workers, n int, fn func(int)) {
+func FanOut(n int, fn func(int)) {
 	if n <= 0 {
 		return
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -448,13 +447,13 @@ func FanOut(workers, n int, fn func(int)) {
 // sortEvents orders events by (subscription, object, kind) — the
 // deterministic stream order the engine guarantees per operation.
 func sortEvents(evs []SubEvent) {
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].Sub != evs[j].Sub {
-			return evs[i].Sub < evs[j].Sub
+	slices.SortFunc(evs, func(a, b SubEvent) int {
+		if c := cmp.Compare(a.Sub, b.Sub); c != 0 {
+			return c
 		}
-		if evs[i].Object != evs[j].Object {
-			return evs[i].Object < evs[j].Object
+		if c := cmp.Compare(a.Object, b.Object); c != 0 {
+			return c
 		}
-		return evs[i].Kind < evs[j].Kind
+		return cmp.Compare(a.Kind, b.Kind)
 	})
 }

@@ -61,6 +61,10 @@ type Subscriptions struct {
 	latWin   [reconLatWindow]time.Duration
 	latCount uint64
 
+	// slots are the reconciliation pass's per-subscription outputs,
+	// reused across passes under mu (see reconcile).
+	slots []reconSlot
+
 	// log accumulates events for DrainEvents when logging is enabled (the
 	// facade's pull API); with the log off, events are only returned per
 	// call. The log is bounded by logCap (DefaultEventLogCap unless

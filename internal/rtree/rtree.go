@@ -1,19 +1,26 @@
-// Package rtree implements the indR-tree substrate: an in-memory R*-tree
-// over three-dimensional boxes [Beckmann et al., SIGMOD 1990] with
-// Sort-Tile-Recursive bulk packing (the paper uses a packed R*-tree with
+// Package rtree implements the indR-tree substrate: an immutable R-tree
+// over three-dimensional boxes, packed with Sort-Tile-Recursive
+// [Leutenegger et al., ICDE 1997] (the paper uses a packed R*-tree with
 // fanout 20, §V-A). Leaf entries carry opaque integer ids that the
 // composite index maps to index units.
 //
+// A tree never changes once Bulk returns it. The paper maintains its tree
+// by dynamic insertion and deletion when a partition is added, removed,
+// split or merged (§III-C.1); the composite index instead re-packs the
+// whole tier once per such commit. Searches answer the same either way,
+// and every other commit shares the tree by pointer.
+//
 // The tree follows the 1 cm vertical-extent convention of §III-A.2: callers
 // store planar partitions as boxes whose z range spans one centimetre, so
-// volume-based R* optimisation remains meaningful while the geometry stays
-// effectively planar.
+// the geometry stays effectively planar while floors stay apart.
 package rtree
 
 import (
+	"cmp"
 	"fmt"
+	"iter"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -21,22 +28,10 @@ import (
 // DefaultFanout is the paper's tree fanout (§V-A, after [9]).
 const DefaultFanout = 20
 
-// reinsertFraction is the share of entries evicted on overflow by the R*
-// forced-reinsert heuristic (30% per the original R*-tree paper).
-const reinsertFraction = 0.3
-
 // Entry is a leaf payload: a box and an opaque identifier.
 type Entry struct {
 	Box geom.Rect3
 	ID  int
-}
-
-// slot is a uniform view of one node entry: a leaf item (child == nil) or a
-// subtree.
-type slot struct {
-	box   geom.Rect3
-	id    int
-	child *node
 }
 
 type node struct {
@@ -56,46 +51,7 @@ func (n *node) mbr() geom.Rect3 {
 	return b
 }
 
-func (n *node) slots() []slot {
-	out := make([]slot, n.len())
-	for i, b := range n.boxes {
-		out[i] = slot{box: b}
-		if n.leaf {
-			out[i].id = n.ids[i]
-		} else {
-			out[i].child = n.children[i]
-		}
-	}
-	return out
-}
-
-func (n *node) setSlots(ss []slot) {
-	n.boxes = n.boxes[:0]
-	if n.leaf {
-		n.ids = n.ids[:0]
-	} else {
-		n.children = n.children[:0]
-	}
-	for _, s := range ss {
-		n.boxes = append(n.boxes, s.box)
-		if n.leaf {
-			n.ids = append(n.ids, s.id)
-		} else {
-			n.children = append(n.children, s.child)
-		}
-	}
-}
-
-func (n *node) removeAt(i int) {
-	n.boxes = append(n.boxes[:i], n.boxes[i+1:]...)
-	if n.leaf {
-		n.ids = append(n.ids[:i], n.ids[i+1:]...)
-	} else {
-		n.children = append(n.children[:i], n.children[i+1:]...)
-	}
-}
-
-// Tree is an R*-tree. Construct with New or Bulk; the zero value is not
+// Tree is a packed R-tree. Construct with Bulk; the zero value is not
 // usable.
 type Tree struct {
 	root    *node
@@ -105,26 +61,8 @@ type Tree struct {
 	height  int // number of levels; leaves sit at level 0
 }
 
-// New returns an empty tree with the given fanout (maximum entries per
-// node). Fanouts below 4 are raised to 4 so the 40% minimum fill stays
-// meaningful.
-func New(fanout int) *Tree {
-	if fanout < 4 {
-		fanout = 4
-	}
-	return &Tree{
-		root:    &node{leaf: true},
-		fanout:  fanout,
-		minFill: (fanout*2 + 4) / 5, // ceil(0.4 * fanout)
-		height:  1,
-	}
-}
-
-// Clone returns a deep copy of the tree that shares no mutable state with
-// the original: mutating either side never affects the other. The MVCC
-// index clones the tree tier when a topology mutation starts editing a
-// snapshot copy-on-write (object updates never touch the tree, so they
-// share it).
+// Clone returns a deep copy of the tree. No commit needs one, since trees
+// are immutable; it stays so the cost of copying a tree can be measured.
 func (t *Tree) Clone() *Tree {
 	c := *t
 	c.root = t.root.clone()
@@ -156,319 +94,6 @@ func (t *Tree) Fanout() int { return t.fanout }
 // Bounds returns the MBR of all entries.
 func (t *Tree) Bounds() geom.Rect3 { return t.root.mbr() }
 
-// Insert adds one entry using the R* choose-subtree, forced-reinsert and
-// split heuristics.
-func (t *Tree) Insert(box geom.Rect3, id int) {
-	t.place(slot{box: box, id: id}, 0, make(map[int]bool))
-	t.size++
-}
-
-// place inserts a slot (leaf item or subtree root) at the given level.
-// reinserted records the levels that already ran forced reinsert during the
-// current public operation.
-func (t *Tree) place(s slot, level int, reinserted map[int]bool) {
-	n, path := t.chooseSubtree(s.box, level)
-	n.boxes = append(n.boxes, s.box)
-	if n.leaf {
-		n.ids = append(n.ids, s.id)
-	} else {
-		n.children = append(n.children, s.child)
-	}
-	if n.len() > t.fanout {
-		t.overflow(n, path, level, reinserted)
-	} else {
-		t.refreshPath(path)
-	}
-}
-
-// chooseSubtree descends to the node at the target level minimising the R*
-// criteria for box, returning the node and its ancestor path (root first).
-func (t *Tree) chooseSubtree(box geom.Rect3, level int) (*node, []*node) {
-	var path []*node
-	n := t.root
-	depth := t.height - 1
-	for depth > level {
-		path = append(path, n)
-		n = n.children[t.chooseChild(n, box, depth == level+1)]
-		depth--
-	}
-	return n, path
-}
-
-// chooseChild picks the child of n to receive box: minimum overlap
-// enlargement when the children are leaves, else minimum volume
-// enlargement; ties break on volume enlargement then volume.
-func (t *Tree) chooseChild(n *node, box geom.Rect3, childrenAreLeaves bool) int {
-	best := 0
-	bestOverlap := math.Inf(1)
-	bestEnlarge := math.Inf(1)
-	bestVolume := math.Inf(1)
-	for i, nb := range n.boxes {
-		enlarged := nb.Union3(box)
-		enlarge := enlarged.Volume() - nb.Volume()
-		vol := nb.Volume()
-		overlap := 0.0
-		if childrenAreLeaves {
-			for j, other := range n.boxes {
-				if j == i {
-					continue
-				}
-				overlap += enlarged.IntersectionVolume(other) - nb.IntersectionVolume(other)
-			}
-		}
-		if definitelyLess(overlap, bestOverlap) ||
-			(nearlyEq(overlap, bestOverlap) && definitelyLess(enlarge, bestEnlarge)) ||
-			(nearlyEq(overlap, bestOverlap) && nearlyEq(enlarge, bestEnlarge) && vol < bestVolume) {
-			best, bestOverlap, bestEnlarge, bestVolume = i, overlap, enlarge, vol
-		}
-	}
-	return best
-}
-
-// nearlyEq reports that two heuristic scores (overlap volumes, volume
-// enlargements) are equal up to floating-point noise, under a RELATIVE
-// tolerance. The tolerance must scale with the operands: city-scale
-// boxes produce volumes around 1e5-1e9 m^3, where one ULP is far larger
-// than any absolute epsilon — an absolute comparison would declare
-// every tie "distinct" and the R*-tie-breaks (volume enlargement, then
-// volume) would never engage, silently degrading split quality on large
-// coordinates. The max(1, ...) floor keeps the comparison absolute near
-// zero, where relative error is meaningless.
-func nearlyEq(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return math.Abs(a-b) <= 1e-12*scale
-}
-
-// definitelyLess reports a < b by more than the tie tolerance.
-func definitelyLess(a, b float64) bool { return a < b && !nearlyEq(a, b) }
-
-// refreshPath recomputes the stored MBRs along an ancestor path bottom-up.
-func (t *Tree) refreshPath(path []*node) {
-	for i := len(path) - 1; i >= 0; i-- {
-		p := path[i]
-		for j, c := range p.children {
-			p.boxes[j] = c.mbr()
-		}
-	}
-}
-
-// overflow handles a node exceeding fanout: forced reinsert once per level
-// per operation (except at the root), otherwise split.
-func (t *Tree) overflow(n *node, path []*node, level int, reinserted map[int]bool) {
-	if len(path) > 0 && !reinserted[level] {
-		reinserted[level] = true
-		t.forcedReinsert(n, path, level, reinserted)
-		return
-	}
-	t.split(n, path, level, reinserted)
-}
-
-// forcedReinsert evicts the 30% of n's entries whose centres lie farthest
-// from n's centre and re-places them at the same level.
-func (t *Tree) forcedReinsert(n *node, path []*node, level int, reinserted map[int]bool) {
-	center := n.mbr().Center3()
-	ss := n.slots()
-	sort.SliceStable(ss, func(i, j int) bool {
-		return dist3(ss[i].box.Center3(), center) > dist3(ss[j].box.Center3(), center)
-	})
-	k := int(reinsertFraction * float64(len(ss)))
-	if k < 1 {
-		k = 1
-	}
-	evicted := append([]slot(nil), ss[:k]...)
-	n.setSlots(ss[k:])
-	t.refreshPath(path)
-	// Far-reinsert order: farthest first, per the R* paper's recommendation.
-	for _, s := range evicted {
-		t.place(s, level, reinserted)
-	}
-}
-
-func dist3(a, b geom.Point3) float64 { return a.DistTo(b) }
-
-// split divides an overflowing node with the R* topological split and
-// pushes the new sibling into the parent, propagating overflow upward.
-func (t *Tree) split(n *node, path []*node, level int, reinserted map[int]bool) {
-	g1, g2 := t.chooseSplit(n.slots())
-	sib := &node{leaf: n.leaf}
-	n.setSlots(g1)
-	sib.setSlots(g2)
-
-	if len(path) == 0 {
-		// n was the root: grow the tree.
-		newRoot := &node{
-			leaf:     false,
-			boxes:    []geom.Rect3{n.mbr(), sib.mbr()},
-			children: []*node{n, sib},
-		}
-		t.root = newRoot
-		t.height++
-		return
-	}
-	parent := path[len(path)-1]
-	// n's stored box predates both the split and the entry that caused it;
-	// it must be exact before the parent itself is reinserted or split.
-	t.refreshPath(path[len(path)-1:])
-	parent.boxes = append(parent.boxes, sib.mbr())
-	parent.children = append(parent.children, sib)
-	if parent.len() > t.fanout {
-		t.overflow(parent, path[:len(path)-1], level+1, reinserted)
-	} else {
-		t.refreshPath(path)
-	}
-}
-
-// chooseSplit implements the R* split: pick the axis with the smallest sum
-// of distribution margins, then the distribution with the least overlap
-// (ties: least total volume).
-func (t *Tree) chooseSplit(ss []slot) (g1, g2 []slot) {
-	type axisSort struct {
-		key func(geom.Rect3) (float64, float64) // (lower, upper)
-	}
-	axes := []axisSort{
-		{func(b geom.Rect3) (float64, float64) { return b.MinX, b.MaxX }},
-		{func(b geom.Rect3) (float64, float64) { return b.MinY, b.MaxY }},
-		{func(b geom.Rect3) (float64, float64) { return b.MinZ, b.MaxZ }},
-	}
-	m := t.minFill
-	n := len(ss)
-
-	bestMargin := math.Inf(1)
-	var bestSorted [][]slot
-	for _, ax := range axes {
-		byLower := append([]slot(nil), ss...)
-		sort.SliceStable(byLower, func(i, j int) bool {
-			li, _ := ax.key(byLower[i].box)
-			lj, _ := ax.key(byLower[j].box)
-			return li < lj
-		})
-		byUpper := append([]slot(nil), ss...)
-		sort.SliceStable(byUpper, func(i, j int) bool {
-			_, ui := ax.key(byUpper[i].box)
-			_, uj := ax.key(byUpper[j].box)
-			return ui < uj
-		})
-		margin := 0.0
-		for _, sorted := range [][]slot{byLower, byUpper} {
-			for k := m; k <= n-m; k++ {
-				margin += mbrOf(sorted[:k]).Margin3() + mbrOf(sorted[k:]).Margin3()
-			}
-		}
-		if margin < bestMargin {
-			bestMargin = margin
-			bestSorted = [][]slot{byLower, byUpper}
-		}
-	}
-
-	bestOverlap := math.Inf(1)
-	bestVolume := math.Inf(1)
-	for _, sorted := range bestSorted {
-		for k := m; k <= n-m; k++ {
-			b1, b2 := mbrOf(sorted[:k]), mbrOf(sorted[k:])
-			overlap := b1.IntersectionVolume(b2)
-			volume := b1.Volume() + b2.Volume()
-			if definitelyLess(overlap, bestOverlap) ||
-				(nearlyEq(overlap, bestOverlap) && volume < bestVolume) {
-				bestOverlap, bestVolume = overlap, volume
-				g1 = append([]slot(nil), sorted[:k]...)
-				g2 = append([]slot(nil), sorted[k:]...)
-			}
-		}
-	}
-	return g1, g2
-}
-
-func mbrOf(ss []slot) geom.Rect3 {
-	b := geom.EmptyRect3
-	for _, s := range ss {
-		b = b.Union3(s.box)
-	}
-	return b
-}
-
-// Delete removes the entry with the given id whose stored box intersects
-// box, condensing underfull nodes by reinsertion. It reports whether an
-// entry was removed.
-func (t *Tree) Delete(box geom.Rect3, id int) bool {
-	leaf, path, idx := findLeaf(t.root, nil, box, id)
-	if leaf == nil {
-		return false
-	}
-	leaf.removeAt(idx)
-	t.size--
-	t.condense(leaf, path)
-	return true
-}
-
-// findLeaf locates the leaf holding (id, box) and returns it with its
-// ancestor path (root first) and the entry index.
-func findLeaf(n *node, path []*node, box geom.Rect3, id int) (*node, []*node, int) {
-	if n.leaf {
-		for i, eid := range n.ids {
-			if eid == id && n.boxes[i].Intersects3(box) {
-				return n, path, i
-			}
-		}
-		return nil, nil, -1
-	}
-	for i, c := range n.children {
-		if n.boxes[i].Intersects3(box) {
-			if l, p, idx := findLeaf(c, append(path, n), box, id); l != nil {
-				return l, p, idx
-			}
-		}
-	}
-	return nil, nil, -1
-}
-
-// condense removes underfull nodes along the path and reinserts their
-// entries, shrinking the root when it degenerates.
-func (t *Tree) condense(n *node, path []*node) {
-	type orphan struct {
-		s     slot
-		level int
-	}
-	var orphans []orphan
-	// Tighten the path first: an orphaned subtree carries its stored box
-	// into its new parent, so that box must already reflect the removal.
-	t.refreshPath(path)
-	level := 0
-	cur := n
-	for i := len(path) - 1; i >= 0; i-- {
-		parent := path[i]
-		if cur.len() < t.minFill {
-			for j, c := range parent.children {
-				if c == cur {
-					parent.removeAt(j)
-					break
-				}
-			}
-			for _, s := range cur.slots() {
-				orphans = append(orphans, orphan{s: s, level: level})
-			}
-		}
-		cur = parent
-		level++
-	}
-	t.refreshPath(path)
-	reinserted := make(map[int]bool)
-	for _, o := range orphans {
-		t.place(o.s, o.level, reinserted)
-	}
-	// Collapse a degenerate root.
-	for !t.root.leaf && t.root.len() == 1 {
-		t.root = t.root.children[0]
-		t.height--
-	}
-	if !t.root.leaf && t.root.len() == 0 {
-		t.root = &node{leaf: true}
-		t.height = 1
-	}
-}
-
 // Search walks the tree, descending into every box accepted by descend and
 // emitting every leaf entry whose box is accepted. Range queries pass a
 // window intersection test; the composite index passes the skeleton
@@ -491,63 +116,85 @@ func (t *Tree) search(n *node, descend func(geom.Rect3) bool, emit func(int, geo
 }
 
 // Bulk builds a tree over the entries with Sort-Tile-Recursive packing.
+// Fanouts below 4 are raised to 4 so the 40% minimum fill stays
+// meaningful. Equal inputs give equal trees: ties in a sort key keep the
+// input order.
 func Bulk(fanout int, entries []Entry) *Tree {
-	t := New(fanout)
+	fanout = max(fanout, 4)
+	t := &Tree{
+		root:    &node{leaf: true},
+		fanout:  fanout,
+		minFill: (fanout*2 + 4) / 5, // ceil(0.4 * fanout)
+		size:    len(entries),
+		height:  1,
+	}
 	if len(entries) == 0 {
 		return t
 	}
-	ss := make([]slot, len(entries))
+	boxes := make([]geom.Rect3, len(entries))
 	for i, e := range entries {
-		ss[i] = slot{box: e.Box, id: e.ID}
+		boxes[i] = e.Box
 	}
-	nodes := packLevel(ss, t.fanout, true)
-	height := 1
-	for len(nodes) > 1 {
-		up := make([]slot, len(nodes))
-		for i, n := range nodes {
-			up[i] = slot{box: n.mbr(), child: n}
+	ids := make([]int, len(entries))
+	nodes := pack(boxes, fanout, func(n *node, run []int32) {
+		n.leaf = true
+		n.ids = ids[:len(run):len(run)]
+		ids = ids[len(run):]
+		for i, j := range run {
+			n.ids[i] = entries[j].ID
 		}
-		nodes = packLevel(up, t.fanout, false)
-		height++
+	})
+	for len(nodes) > 1 {
+		lower := nodes
+		boxes = make([]geom.Rect3, len(lower))
+		for i, n := range lower {
+			boxes[i] = n.mbr()
+		}
+		children := make([]*node, len(lower))
+		nodes = pack(boxes, fanout, func(n *node, run []int32) {
+			n.children = children[:len(run):len(run)]
+			children = children[len(run):]
+			for i, j := range run {
+				n.children[i] = lower[j]
+			}
+		})
+		t.height++
 	}
 	t.root = nodes[0]
-	t.height = height
-	t.size = len(entries)
 	return t
 }
 
-// packLevel groups slots into nodes of up to fanout entries using STR on
-// (x, y, z) centre coordinates.
-func packLevel(ss []slot, fanout int, leaf bool) []*node {
-	nLeaves := (len(ss) + fanout - 1) / fanout
-	sx := int(math.Ceil(math.Cbrt(float64(nLeaves))))
-	if sx < 1 {
-		sx = 1
+// pack tiles one level. It orders the items by the x of their box centres
+// and cuts them into slabs, orders each slab by y and cuts it into runs,
+// then orders each run by z and cuts it into nodes of at most fanout
+// items. Every cut is into near-equal parts, so no node but a lone root
+// falls under the minimum fill. fill sets a node's payload from the item
+// indexes of its run; pack sets its boxes.
+func pack(boxes []geom.Rect3, fanout int, fill func(n *node, run []int32)) []*node {
+	centres := make([]geom.Point3, len(boxes))
+	perm := make([]int32, len(boxes))
+	for i, b := range boxes {
+		centres[i] = b.Center3()
+		perm[i] = int32(i)
 	}
-	sort.SliceStable(ss, func(i, j int) bool {
-		return ss[i].box.Center3().X < ss[j].box.Center3().X
-	})
-	var nodes []*node
-	xChunk := (len(ss) + sx - 1) / sx
-	for i := 0; i < len(ss); i += xChunk {
-		xs := ss[i:min(i+xChunk, len(ss))]
-		sy := int(math.Ceil(math.Sqrt(float64((len(xs) + fanout - 1) / fanout))))
-		if sy < 1 {
-			sy = 1
-		}
-		sort.SliceStable(xs, func(a, b int) bool {
-			return xs[a].box.Center3().Y < xs[b].box.Center3().Y
-		})
-		yChunk := (len(xs) + sy - 1) / sy
-		for j := 0; j < len(xs); j += yChunk {
-			ys := xs[j:min(j+yChunk, len(xs))]
-			sort.SliceStable(ys, func(a, b int) bool {
-				return ys[a].box.Center3().Z < ys[b].box.Center3().Z
-			})
-			for k := 0; k < len(ys); k += fanout {
-				chunk := ys[k:min(k+fanout, len(ys))]
-				n := &node{leaf: leaf}
-				n.setSlots(chunk)
+	s := sorter{centres: centres, keys: make([]sortKey, len(boxes))}
+	nodeBoxes := make([]geom.Rect3, len(boxes))
+	nodes := make([]*node, 0, ceilDiv(len(boxes), fanout))
+
+	s.sort(perm, func(p geom.Point3) float64 { return p.X })
+	sx := int(math.Ceil(math.Cbrt(float64(ceilDiv(len(perm), fanout)))))
+	for xs := range cuts(perm, sx) {
+		s.sort(xs, func(p geom.Point3) float64 { return p.Y })
+		sy := int(math.Ceil(math.Sqrt(float64(ceilDiv(len(xs), fanout)))))
+		for ys := range cuts(xs, sy) {
+			s.sort(ys, func(p geom.Point3) float64 { return p.Z })
+			for run := range cuts(ys, ceilDiv(len(ys), fanout)) {
+				n := &node{boxes: nodeBoxes[:len(run):len(run)]}
+				nodeBoxes = nodeBoxes[len(run):]
+				for i, j := range run {
+					n.boxes[i] = boxes[j]
+				}
+				fill(n, run)
 				nodes = append(nodes, n)
 			}
 		}
@@ -555,12 +202,56 @@ func packLevel(ss []slot, fanout int, leaf bool) []*node {
 	return nodes
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+// sortKey is one item of a keyed sort: its coordinate, its position
+// before the sort, and its item index.
+type sortKey struct {
+	key      float64
+	pos, idx int32
 }
+
+// sorter orders runs of item indexes by one centre coordinate, reusing
+// one key buffer across the runs of a level.
+type sorter struct {
+	centres []geom.Point3
+	keys    []sortKey
+}
+
+// sort orders run by coord of each item's centre. Ties keep their order
+// in run, so the result equals a stable sort on coord alone.
+func (s *sorter) sort(run []int32, coord func(geom.Point3) float64) {
+	keys := s.keys[:len(run)]
+	for i, j := range run {
+		keys[i] = sortKey{key: coord(s.centres[j]), pos: int32(i), idx: j}
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	for i, k := range keys {
+		run[i] = k.idx
+	}
+}
+
+// cuts yields s cut into parts runs whose lengths differ by at most one.
+func cuts(s []int32, parts int) iter.Seq[[]int32] {
+	return func(yield func([]int32) bool) {
+		q, r := len(s)/parts, len(s)%parts
+		for i := range parts {
+			n := q
+			if i < r {
+				n++
+			}
+			if !yield(s[:n]) {
+				return
+			}
+			s = s[n:]
+		}
+	}
+}
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // CheckInvariants verifies structural health: uniform leaf depth, fill
 // bounds (root exempt), exact parent MBRs, and a consistent size. Intended

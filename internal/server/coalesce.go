@@ -95,7 +95,7 @@ func execute[Q any](idx *index.Index, batch []*call[Q], eval func(*query.Process
 			slots = append(slots, slot{q: q, out: &cl.out[i]})
 		}
 	}
-	query.FanOut(0, len(slots), func(i int) {
+	query.FanOut(len(slots), func(i int) {
 		t0 := time.Now()
 		res, err := eval(p, snap, slots[i].q)
 		lat := time.Since(t0)
