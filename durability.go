@@ -23,7 +23,6 @@ import (
 	"repro/internal/history"
 	"repro/internal/index"
 	"repro/internal/query"
-	"repro/internal/serde"
 	"repro/internal/store"
 )
 
@@ -256,34 +255,34 @@ func (db *DB) capturedLocked(lsn uint64) (store.Data, error) {
 }
 
 // subRecs returns the current subscription registrations in serde form.
-func (db *DB) subRecs() []serde.SubscriptionRec {
+func (db *DB) subRecs() []store.SubscriptionRec {
 	specs := db.subs.Specs()
-	recs := make([]serde.SubscriptionRec, 0, len(specs))
+	recs := make([]store.SubscriptionRec, 0, len(specs))
 	for _, sp := range specs {
 		recs = append(recs, subRecOf(sp))
 	}
 	return recs
 }
 
-func subRecOf(sp query.SubSpec) serde.SubscriptionRec {
-	rec := serde.SubscriptionRec{
+func subRecOf(sp query.SubSpec) store.SubscriptionRec {
+	rec := store.SubscriptionRec{
 		ID: int64(sp.ID), X: sp.Q.Pt.X, Y: sp.Q.Pt.Y, Floor: int64(sp.Q.Floor),
 		R: sp.R, K: int64(sp.K),
 	}
 	if sp.Kind == query.SubKNN {
-		rec.Kind = serde.SubscriptionKNN
+		rec.Kind = store.SubscriptionKNN
 	} else {
-		rec.Kind = serde.SubscriptionRange
+		rec.Kind = store.SubscriptionRange
 	}
 	return rec
 }
 
-func specOfRec(rec serde.SubscriptionRec) query.SubSpec {
+func specOfRec(rec store.SubscriptionRec) query.SubSpec {
 	sp := query.SubSpec{
 		ID: int(rec.ID), Q: Pos(rec.X, rec.Y, int(rec.Floor)),
 		R: rec.R, K: int(rec.K),
 	}
-	if rec.Kind == serde.SubscriptionKNN {
+	if rec.Kind == store.SubscriptionKNN {
 		sp.Kind = query.SubKNN
 	} else {
 		sp.Kind = query.SubRange
@@ -294,7 +293,7 @@ func specOfRec(rec serde.SubscriptionRec) query.SubSpec {
 // SubscriptionRec is a serialized standing-query registration — the form
 // subscriptions take in checkpoints, in the WAL, and on the replication
 // stream.
-type SubscriptionRec = serde.SubscriptionRec
+type SubscriptionRec = store.SubscriptionRec
 
 // AdoptIndex wraps an already-built index in a DB facade and re-installs
 // the standing-query registrations under their original handles. It is

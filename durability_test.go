@@ -349,3 +349,55 @@ func TestWALChurnOverheadSmoke(t *testing.T) {
 		t.Fatalf("WAL overhead too high: sustained ratio %.3f < 0.85 ("+strconv.Itoa(perTick)+" moves/tick)", ratio)
 	}
 }
+
+// TestInvalidObjectRefusedBeforeLog checks that an object recovery would
+// refuse never reaches the log: a move whose probabilities sum to 0.5
+// and an insert one instance past object.MaxInstances are refused, and
+// the store reopens to the state before them.
+func TestInvalidObjectRefusedBeforeLog(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		apply func(db *DB, at Position) error
+	}{
+		{"move with half the probability mass", func(db *DB, at Position) error {
+			o := object.PointObject(0, at)
+			o.Instances[0].P = 0.5
+			return db.MoveObject(o)
+		}},
+		{"insert past the instance cap", func(db *DB, at Position) error {
+			n := object.MaxInstances + 1
+			o := &object.Object{ID: 100000, Center: at, Instances: make([]object.Instance, n)}
+			for i := range o.Instances {
+				o.Instances[i] = object.Instance{Pos: at, P: 1 / float64(n)}
+			}
+			return db.InsertObject(o)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			b, objs, _ := testWorkload(t)
+			db, _, err := Open(b, objs, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if err := db.Persist(dir, DurabilityOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			want := saveBytes(t, db)
+			if err := c.apply(db, db.Object(0).Center); err == nil {
+				t.Fatal("invalid object accepted")
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db2, err := OpenDir(dir, DurabilityOptions{})
+			if err != nil {
+				t.Fatalf("reopen after a refused object: %v", err)
+			}
+			defer db2.Close()
+			if got := saveBytes(t, db2); !bytes.Equal(got, want) {
+				t.Fatal("recovered state differs from the state before the refused object")
+			}
+		})
+	}
+}

@@ -25,27 +25,6 @@ func R3(r Rect, zmin, zmax float64) Rect3 {
 // IsEmpty reports whether the box contains no points.
 func (b Rect3) IsEmpty() bool { return b.Rect.IsEmpty() || b.MinZ > b.MaxZ }
 
-// Depth returns the vertical extent.
-func (b Rect3) Depth() float64 { return b.MaxZ - b.MinZ }
-
-// Volume returns the 3D volume; the 1 cm sliver convention keeps it nonzero
-// for planar index units.
-func (b Rect3) Volume() float64 {
-	if b.IsEmpty() {
-		return 0
-	}
-	return b.Area() * b.Depth()
-}
-
-// Margin3 returns the sum of the three edge lengths, the R*-tree margin
-// measure generalised to 3D.
-func (b Rect3) Margin3() float64 {
-	if b.IsEmpty() {
-		return 0
-	}
-	return b.Width() + b.Height() + b.Depth()
-}
-
 // Union3 returns the smallest box covering both b and c.
 func (b Rect3) Union3(c Rect3) Rect3 {
 	if b.IsEmpty() {
@@ -64,22 +43,6 @@ func (b Rect3) Union3(c Rect3) Rect3 {
 // Intersects3 reports whether the boxes share at least one point.
 func (b Rect3) Intersects3(c Rect3) bool {
 	return b.Rect.Intersects(c.Rect) && b.MinZ <= c.MaxZ+Eps && c.MinZ <= b.MaxZ+Eps
-}
-
-// IntersectionVolume returns the volume of the common region of b and c.
-func (b Rect3) IntersectionVolume(c Rect3) float64 {
-	dx := math.Min(b.MaxX, c.MaxX) - math.Max(b.MinX, c.MinX)
-	dy := math.Min(b.MaxY, c.MaxY) - math.Max(b.MinY, c.MinY)
-	dz := math.Min(b.MaxZ, c.MaxZ) - math.Max(b.MinZ, c.MinZ)
-	if dx <= 0 || dy <= 0 || dz <= 0 {
-		return 0
-	}
-	return dx * dy * dz
-}
-
-// EnlargementVolume returns how much b's volume would grow to absorb c.
-func (b Rect3) EnlargementVolume(c Rect3) float64 {
-	return b.Union3(c).Volume() - b.Volume()
 }
 
 // Center3 returns the centre of the box.

@@ -91,6 +91,9 @@ func (idx *Index) MoveObject(o *object.Object) error {
 }
 
 func (ed *editor) moveObject(o *object.Object) error {
+	if err := o.Validate(); err != nil {
+		return err
+	}
 	slot := ed.slotOf(o.ID)
 	if slot < 0 {
 		return fmt.Errorf("index: no object %d", o.ID)

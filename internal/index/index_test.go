@@ -234,7 +234,7 @@ func TestObjectLayer(t *testing.T) {
 		// Inverse mapping: the object appears in each listed bucket.
 		for _, uid := range units {
 			found := false
-			for _, oid := range idx.Current().BucketObjects(uid) {
+			for _, oid := range idx.Current().BucketObjectsView(uid) {
 				if oid == o.ID {
 					found = true
 					break

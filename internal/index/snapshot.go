@@ -171,12 +171,6 @@ func (s *Snapshot) ObjectUnitsView(id object.ID) []UnitID {
 	return s.entryOf(id).units
 }
 
-// BucketObjects returns a copy of the ids in a unit's object bucket,
-// ascending.
-func (s *Snapshot) BucketObjects(u UnitID) []object.ID {
-	return append([]object.ID(nil), s.BucketObjectsView(u)...)
-}
-
 // BucketObjectsView returns the ids in a unit's object bucket, ascending.
 // The slice is owned by the snapshot and must not be modified; the query
 // hot path uses this accessor to iterate buckets without copying.

@@ -41,11 +41,19 @@ type Object struct {
 // probTol is the acceptable deviation of the probability mass from 1.
 const probTol = 1e-6
 
-// Validate checks the §II-B contract: at least one instance, non-negative
-// probabilities summing to 1, and a single floor.
+// MaxInstances bounds an object's instance count. Every object the index
+// admits can be logged and recovered, and the store's decoder refuses a
+// larger count before allocating for it.
+const MaxInstances = 1 << 20
+
+// Validate checks the §II-B contract: between one and MaxInstances
+// instances, non-negative probabilities summing to 1, and a single floor.
 func (o *Object) Validate() error {
 	if len(o.Instances) == 0 {
 		return fmt.Errorf("object %d: no instances", o.ID)
+	}
+	if len(o.Instances) > MaxInstances {
+		return fmt.Errorf("object %d: %d instances, more than %d", o.ID, len(o.Instances), MaxInstances)
 	}
 	var sum float64
 	for i, in := range o.Instances {

@@ -2,9 +2,11 @@ package replica
 
 // LocalSource adapts an in-process store into a replication Source: the
 // same tailing machinery the network daemon serves remotely, without the
-// transport. Tests and benchmarks use it to exercise the full
-// bootstrap/replay/gap/heartbeat protocol against a live leader in one
-// process (and under the race detector).
+// transport. The leader daemon serves its replication feed from one
+// (server.NewLeader hands each /v1/repl request to it), and tests and
+// benchmarks use it to exercise the full bootstrap/replay/gap/heartbeat
+// protocol against a live leader in one process (and under the race
+// detector).
 
 import (
 	"context"
@@ -12,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/store"
-	"repro/internal/wire"
 )
 
 // LocalSource streams a leader store's WAL from inside the process.
@@ -47,10 +48,10 @@ const streamBatchMax = 512
 // the subscriber sees a clean end of stream, reconnects, and observes
 // the closed store as a connection failure, exactly like the network
 // path.
-func (s *LocalSource) StreamWAL(ctx context.Context, afterLSN uint64, fn func(wire.Frame) error) error {
+func (s *LocalSource) StreamWAL(ctx context.Context, afterLSN uint64, fn func(store.Record) error) error {
 	tl, err := s.st.TailWAL(afterLSN)
 	if errors.Is(err, store.ErrLogGap) {
-		return fn(wire.Frame{Kind: wire.GapKind, LSN: s.st.DurableLSN()})
+		return s.control(fn, store.GapKind)
 	}
 	if err != nil {
 		return err
@@ -58,7 +59,7 @@ func (s *LocalSource) StreamWAL(ctx context.Context, afterLSN uint64, fn func(wi
 	defer tl.Close()
 	tick := time.NewTicker(s.hb)
 	defer tick.Stop()
-	if err := fn(wire.Heartbeat(s.st.DurableLSN())); err != nil {
+	if err := s.control(fn, store.HeartbeatKind); err != nil {
 		return err
 	}
 	// watch is armed (non-nil) once a poll came up short; the next poll is
@@ -69,12 +70,12 @@ func (s *LocalSource) StreamWAL(ctx context.Context, afterLSN uint64, fn func(wi
 	for {
 		recs, err := tl.Next(streamBatchMax)
 		for _, rec := range recs {
-			if ferr := fn(wire.Frame{Kind: rec.Kind, LSN: rec.LSN, Body: rec.Body}); ferr != nil {
+			if ferr := fn(rec); ferr != nil {
 				return ferr
 			}
 		}
 		if errors.Is(err, store.ErrLogGap) {
-			return fn(wire.Frame{Kind: wire.GapKind, LSN: s.st.DurableLSN()})
+			return s.control(fn, store.GapKind)
 		}
 		if err != nil {
 			return err
@@ -95,10 +96,15 @@ func (s *LocalSource) StreamWAL(ctx context.Context, afterLSN uint64, fn func(wi
 			return ctx.Err()
 		case <-watch:
 		case <-tick.C:
-			if err := fn(wire.Heartbeat(s.st.DurableLSN())); err != nil {
+			if err := s.control(fn, store.HeartbeatKind); err != nil {
 				return err
 			}
 		}
 		watch = nil
 	}
+}
+
+// control sends a stream control frame advertising the durable horizon.
+func (s *LocalSource) control(fn func(store.Record) error, kind byte) error {
+	return fn(store.Record{Kind: kind, LSN: s.st.DurableLSN()})
 }

@@ -43,20 +43,19 @@ import (
 
 	"repro/internal/history"
 	"repro/internal/index"
-	"repro/internal/serde"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
 
 // Source is where a replica gets its data: a checkpoint to bootstrap
 // from and the record stream to follow. wire.Client (network) and
-// LocalSource (same-process leader, used by tests and benchmarks) both
-// satisfy it. StreamWAL delivers records and stream-control frames
+// LocalSource (a same-process store: the leader daemon's own feed, tests
+// and benchmarks) both satisfy it. StreamWAL delivers records and stream-control frames
 // (heartbeats, gap signals) in order and returns when the context
 // cancels, the stream ends, or fn errors.
 type Source interface {
 	FetchCheckpoint(ctx context.Context) ([]byte, uint64, error)
-	StreamWAL(ctx context.Context, afterLSN uint64, fn func(wire.Frame) error) error
+	StreamWAL(ctx context.Context, afterLSN uint64, fn func(store.Record) error) error
 }
 
 // Config tunes a replica's streaming loop.
@@ -235,21 +234,20 @@ func (r *Replica) run(ctx context.Context) {
 
 // onFrame handles one stream frame: control frames update the gauges,
 // record frames replay under the contiguity rule.
-func (r *Replica) onFrame(f wire.Frame) error {
-	switch f.Kind {
-	case wire.HeartbeatKind:
+func (r *Replica) onFrame(rec store.Record) error {
+	switch rec.Kind {
+	case store.HeartbeatKind:
 		r.healthy.Store(true)
-		r.observeDurable(f.LSN)
+		r.observeDurable(rec.LSN)
 		return nil
-	case wire.GapKind:
+	case store.GapKind:
 		// A gap is a resync order, not evidence of a healthy stream — it
 		// does not reset the backoff ladder.
-		r.observeDurable(f.LSN)
+		r.observeDurable(rec.LSN)
 		return errResync
 	}
 	r.healthy.Store(true)
 	st := r.st.Load()
-	rec := store.Record{LSN: f.LSN, Kind: f.Kind, Body: f.Body}
 	r.subsMu.Lock()
 	applied, err := st.Apply(rec)
 	r.subsMu.Unlock()
@@ -262,7 +260,7 @@ func (r *Replica) onFrame(f wire.Frame) error {
 	if !applied {
 		return nil // stale re-log racing a leader rotation; already applied
 	}
-	r.applied.Store(f.LSN)
+	r.applied.Store(rec.LSN)
 	if r.hist.Append(rec) {
 		// The open history segment is full: capture the state just
 		// applied as a fresh base so the window slides instead of
@@ -271,7 +269,7 @@ func (r *Replica) onFrame(f wire.Frame) error {
 			r.hist.Seal(data)
 		}
 	}
-	r.observeDurable(f.LSN) // a shipped record is on the leader's log file
+	r.observeDurable(rec.LSN) // a shipped record is on the leader's log file
 	return nil
 }
 
@@ -322,7 +320,7 @@ func (r *Replica) History() *history.Provider { return r.histProv }
 
 // Subscriptions returns the standing-query registrations the replica has
 // replayed, sorted by id, for re-registration on promotion.
-func (r *Replica) Subscriptions() []serde.SubscriptionRec {
+func (r *Replica) Subscriptions() []store.SubscriptionRec {
 	r.subsMu.Lock()
 	defer r.subsMu.Unlock()
 	return r.st.Load().Subs()
@@ -343,7 +341,7 @@ func (r *Replica) Close() {
 // standing-query registrations — everything a facade needs to adopt the
 // replica as a primary. Index keeps returning the same index, but its
 // state is now the caller's to mutate.
-func (r *Replica) Promote() (*index.Index, []serde.SubscriptionRec) {
+func (r *Replica) Promote() (*index.Index, []store.SubscriptionRec) {
 	r.Close()
 	return r.Index(), r.Subscriptions()
 }

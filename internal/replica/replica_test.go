@@ -20,7 +20,7 @@ import (
 	"repro/internal/object"
 	"repro/internal/query"
 	"repro/internal/replica"
-	"repro/internal/wire"
+	"repro/internal/store"
 )
 
 // leaderDB builds a durable leader over a synthetic mall with automatic
@@ -241,7 +241,7 @@ func (g *gatedSource) FetchCheckpoint(ctx context.Context) ([]byte, uint64, erro
 	return g.inner.FetchCheckpoint(ctx)
 }
 
-func (g *gatedSource) StreamWAL(ctx context.Context, after uint64, fn func(wire.Frame) error) error {
+func (g *gatedSource) StreamWAL(ctx context.Context, after uint64, fn func(store.Record) error) error {
 	select {
 	case <-g.gate:
 	case <-ctx.Done():

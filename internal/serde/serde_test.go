@@ -169,3 +169,71 @@ func TestDecodeErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeExactPreservesIDs pins the property the WAL depends on:
+// after removals leave the id space sparse, an encode/DecodeExact round
+// trip reproduces ids and allocator positions exactly, so replayed
+// splits allocate the same ids.
+func TestDecodeExactPreservesIDs(t *testing.T) {
+	b := indoor.NewBuilding(4)
+	r0 := b.AddRoom(0, geom.R(0, 0, 10, 10))
+	r1 := b.AddRoom(0, geom.R(10, 0, 20, 10))
+	r2 := b.AddRoom(0, geom.R(20, 0, 30, 10))
+	if _, err := b.AddDoor(geom.Pt(10, 5), 0, r0.ID, r1.ID); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := b.AddDoor(geom.Pt(20, 5), 0, r1.ID, r2.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.AddOneWayDoor(geom.Pt(25, 0), 0, r2.ID, indoor.NoPartition); err != nil {
+		t.Fatal(err)
+	}
+	// Make both id spaces sparse: drop the middle room (and with it
+	// doors 0 and 1) — max-id entities stay, interior ids are holes.
+	if err := b.RemovePartition(r1.ID); err != nil {
+		t.Fatal(err)
+	}
+	if b.Door(d2.ID) != nil {
+		t.Fatal("door to removed partition survived")
+	}
+
+	var buf bytes.Buffer
+	if err := Encode(&buf, b, nil); err != nil {
+		t.Fatal(err)
+	}
+	encoded := buf.Bytes()
+	b2, _, err := DecodeExact(bytes.NewReader(encoded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	np1, nd1 := b.AllocBounds()
+	np2, nd2 := b2.AllocBounds()
+	if np1 != np2 || nd1 != nd2 {
+		t.Fatalf("allocators differ: (%d,%d) vs (%d,%d)", np1, nd1, np2, nd2)
+	}
+	for _, p := range b.Partitions() {
+		if b2.Partition(p.ID) == nil {
+			t.Fatalf("partition %d lost", p.ID)
+		}
+	}
+	for _, d := range b.Doors() {
+		if b2.Door(d.ID) == nil {
+			t.Fatalf("door %d lost", d.ID)
+		}
+	}
+	// The round trip is a fixpoint: re-encoding yields identical bytes.
+	var buf2 bytes.Buffer
+	if err := Encode(&buf2, b2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encoded, buf2.Bytes()) {
+		t.Fatal("DecodeExact round trip is not byte-identical")
+	}
+	// New allocations continue the original timeline.
+	pa := b.AddRoom(1, geom.R(0, 0, 5, 5))
+	pb := b2.AddRoom(1, geom.R(0, 0, 5, 5))
+	if pa.ID != pb.ID {
+		t.Fatalf("allocation diverged: %d vs %d", pa.ID, pb.ID)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	indoorq "repro"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -439,8 +440,10 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 	// The stream ends when the subscriber goes away, the transport breaks
 	// or the store closes; the status is already sent, so its error has
 	// nowhere to go.
-	_ = s.feed.StreamWAL(r.Context(), after, func(f wire.Frame) error {
-		if err := wire.WriteFrame(w, f); err != nil {
+	var buf []byte
+	_ = s.feed.StreamWAL(r.Context(), after, func(rec store.Record) error {
+		buf = store.AppendFrame(buf[:0], rec)
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 		fl.Flush()

@@ -2,10 +2,7 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"path/filepath"
 	"sort"
 
@@ -22,8 +19,8 @@ import (
 //	u64   LSN of the last WAL record covered
 //	i64   index fanout | f64 Tshape | u8 reserved (= 0)
 //	u32   building length | serde JSON document (id-exact, allocators included)
-//	u64   object count   | binary objects (serde.AppendObject)
-//	u64   subscription count | binary registrations (serde.AppendSubscription)
+//	u64   object count   | binary objects (appendObject)
+//	u64   subscription count | binary registrations (appendSubscription)
 //	u32   CRC32 over everything after the magic
 //
 // Files are written to a temporary name and atomically renamed into
@@ -53,14 +50,14 @@ type Data struct {
 	// Objects is the indexed object set.
 	Objects []*object.Object
 	// Subs are the registered standing queries.
-	Subs []serde.SubscriptionRec
+	Subs []SubscriptionRec
 }
 
 // Capture assembles checkpoint data from a live index. The caller must
 // have stilled mutators (index.RLock) for the whole call so the building
 // and the pinned snapshot agree; subs is the subscription capture taken
 // under the same stillness.
-func Capture(idx *index.Index, subs []serde.SubscriptionRec, lsn uint64) (Data, error) {
+func Capture(idx *index.Index, subs []SubscriptionRec, lsn uint64) (Data, error) {
 	var bb bytes.Buffer
 	if err := serde.Encode(&bb, idx.Building(), nil); err != nil {
 		return Data{}, fmt.Errorf("store: encode building: %w", err)
@@ -84,20 +81,19 @@ func Capture(idx *index.Index, subs []serde.SubscriptionRec, lsn uint64) (Data, 
 func encodeSnapshot(d Data) []byte {
 	out := make([]byte, 0, 64+len(d.BuildingJSON)+len(d.Objects)*256)
 	out = append(out, snapMagic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, snapVersion)
-	out = binary.LittleEndian.AppendUint64(out, d.LSN)
-	out = binary.LittleEndian.AppendUint64(out, uint64(int64(d.IndexOpts.Fanout)))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(d.IndexOpts.Tshape))
+	out = appendU32(out, snapVersion)
+	out = appendU64(out, d.LSN)
+	out = appendI64(out, int64(d.IndexOpts.Fanout))
+	out = appendF64(out, d.IndexOpts.Tshape)
 	out = append(out, 0) // reserved
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(d.BuildingJSON)))
+	out = appendU32(out, uint32(len(d.BuildingJSON)))
 	out = append(out, d.BuildingJSON...)
-	out = serde.AppendObjects(out, d.Objects)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(d.Subs)))
+	out = appendObjects(out, d.Objects)
+	out = appendU64(out, uint64(len(d.Subs)))
 	for _, s := range d.Subs {
-		out = serde.AppendSubscription(out, s)
+		out = appendSubscription(out, s)
 	}
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out[len(snapMagic):]))
-	return out
+	return appendU32(out, checksum(out[len(snapMagic):]))
 }
 
 func decodeSnapshot(raw []byte) (Data, error) {
@@ -105,65 +101,40 @@ func decodeSnapshot(raw []byte) (Data, error) {
 	if len(raw) < len(snapMagic)+4+4 || !bytes.Equal(raw[:len(snapMagic)], snapMagic[:]) {
 		return d, fmt.Errorf("store: not a checkpoint file")
 	}
-	body, tail := raw[len(snapMagic):len(raw)-4], raw[len(raw)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
+	body := raw[len(snapMagic) : len(raw)-4]
+	if sum := (&reader{data: raw[len(raw)-4:]}).u32(); checksum(body) != sum {
 		return d, fmt.Errorf("store: checkpoint checksum mismatch")
 	}
-	if v := binary.LittleEndian.Uint32(body); v != snapVersion {
+	r := &reader{data: body}
+	if v := r.u32(); v != snapVersion {
 		return d, fmt.Errorf("store: unsupported checkpoint version %d", v)
 	}
-	body = body[4:]
-	take := func(n int) ([]byte, error) {
-		if len(body) < n {
-			return nil, fmt.Errorf("store: checkpoint truncated")
-		}
-		out := body[:n]
-		body = body[n:]
-		return out, nil
+	d.LSN = r.u64()
+	d.IndexOpts.Fanout = int(r.i64())
+	d.IndexOpts.Tshape = r.f64()
+	if b := r.u8(); b != 0 {
+		return d, fmt.Errorf("store: checkpoint reserved byte is %d, want 0", b)
 	}
-	b8, err := take(8)
-	if err != nil {
-		return d, err
+	d.BuildingJSON = r.take(int(r.u32()))
+	if r.err != nil {
+		return d, fmt.Errorf("store: checkpoint %w", r.err)
 	}
-	d.LSN = binary.LittleEndian.Uint64(b8)
-	if b8, err = take(8); err != nil {
-		return d, err
-	}
-	d.IndexOpts.Fanout = int(int64(binary.LittleEndian.Uint64(b8)))
-	if b8, err = take(8); err != nil {
-		return d, err
-	}
-	d.IndexOpts.Tshape = math.Float64frombits(binary.LittleEndian.Uint64(b8))
-	b1, err := take(1)
-	if err != nil {
-		return d, err
-	}
-	if b1[0] != 0 {
-		return d, fmt.Errorf("store: checkpoint reserved byte is %d, want 0", b1[0])
-	}
-	if b8, err = take(4); err != nil {
-		return d, err
-	}
-	blen := int(binary.LittleEndian.Uint32(b8))
-	if d.BuildingJSON, err = take(blen); err != nil {
-		return d, err
-	}
-	if d.Objects, body, err = serde.DecodeObjects(body); err != nil {
+	var err error
+	if d.Objects, err = decodeObjects(r); err != nil {
 		return d, fmt.Errorf("store: checkpoint objects: %w", err)
 	}
-	if b8, err = take(8); err != nil {
-		return d, err
-	}
-	nsubs := binary.LittleEndian.Uint64(b8)
-	for i := uint64(0); i < nsubs; i++ {
-		var s serde.SubscriptionRec
-		if s, body, err = serde.DecodeSubscription(body); err != nil {
+	for n := r.u64(); n > 0 && r.err == nil; n-- {
+		s, err := decodeSubscription(r)
+		if err != nil {
 			return d, fmt.Errorf("store: checkpoint subscriptions: %w", err)
 		}
 		d.Subs = append(d.Subs, s)
 	}
-	if len(body) != 0 {
-		return d, fmt.Errorf("store: %d trailing bytes in checkpoint", len(body))
+	if r.err != nil {
+		return d, fmt.Errorf("store: checkpoint subscriptions: %w", r.err)
+	}
+	if len(r.data) != 0 {
+		return d, fmt.Errorf("store: %d trailing bytes in checkpoint", len(r.data))
 	}
 	return d, nil
 }

@@ -5,7 +5,9 @@
 // hook, inside the writer mutex — strictly before each MVCC snapshot
 // publishes, and crash recovery that loads the newest valid checkpoint,
 // replays the WAL tail (truncating any torn final record) and
-// re-registers subscriptions.
+// re-registers subscriptions. The package is the only owner of these
+// binary formats: frame.go frames every record (on disk and on the
+// replication stream) and codec.go encodes every field.
 //
 // Replay is deterministic by construction: checkpoints restore the
 // building with exact ids and allocator state (serde.DecodeExact), so a
@@ -31,18 +33,13 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
 	"repro/internal/fsfault"
-	"repro/internal/geom"
 	"repro/internal/index"
-	"repro/internal/indoor"
-	"repro/internal/object"
 	"repro/internal/serde"
 )
 
@@ -122,7 +119,7 @@ type RecoveryStats struct {
 // OpenInfo is recovery output the facade needs beyond the index: the
 // subscriptions to re-register.
 type OpenInfo struct {
-	Subs  []serde.SubscriptionRec
+	Subs  []SubscriptionRec
 	Stats RecoveryStats
 }
 
@@ -131,7 +128,7 @@ type OpenInfo struct {
 // attaches the commit hook. The index must not be mutated concurrently
 // with Create; subs is the subscription capture at this moment (empty
 // for a fresh database). Fails if dir already holds a store.
-func Create(dir string, idx *index.Index, subs []serde.SubscriptionRec, opts Options) (*Store, error) {
+func Create(dir string, idx *index.Index, subs []SubscriptionRec, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -215,28 +212,28 @@ func Open(dir string, opts Options) (*Store, *index.Index, OpenInfo, error) {
 		if gen < ckptGen {
 			continue
 		}
-		recs, validEnd, serr := scanWAL(opts.FS, walPath(dir, gen))
-		if serr != nil {
-			return nil, nil, info, serr
-		}
-		if gen >= activeGen {
-			activeGen, activeEnd = gen, validEnd
-		}
-		for _, r := range recs {
-			applied, err := st.Apply(Record{LSN: r.lsn, Kind: r.kind, Body: r.body})
+		validEnd, err := scanWAL(opts.FS, walPath(dir, gen), func(rec Record, _ int64) error {
+			applied, err := st.Apply(rec)
 			if errors.Is(err, ErrLogGap) {
 				// Generations are named by the LSN they start after, so
 				// the records missing here belong to walName(st.LSN()).
-				return nil, nil, info, fmt.Errorf("store: replay %s: %s is missing or damaged: %w", walName(gen), walName(st.LSN()), err)
+				return fmt.Errorf("store: replay %s: %s is missing or damaged: %w", walName(gen), walName(st.LSN()), err)
 			}
 			if err != nil {
-				return nil, nil, info, fmt.Errorf("store: replay %s: %w", walName(gen), err)
+				return fmt.Errorf("store: replay %s: %w", walName(gen), err)
 			}
 			if applied {
 				info.Stats.Replayed++
 			} else {
 				info.Stats.SkippedStale++
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, nil, info, err
+		}
+		if gen >= activeGen {
+			activeGen, activeEnd = gen, validEnd
 		}
 	}
 	info.Subs = st.Subs()
@@ -292,8 +289,8 @@ func (s *Store) onCommit(m index.Mutation) (uint64, error) {
 // LogSubscribe appends a subscription registration. Call it after the
 // engine assigned the handle; replay is idempotent, so the record may
 // race a concurrent checkpoint in either direction.
-func (s *Store) LogSubscribe(rec serde.SubscriptionRec) error {
-	_, err := s.w.Append(recSubscribe, serde.AppendSubscription(nil, rec))
+func (s *Store) LogSubscribe(rec SubscriptionRec) error {
+	_, err := s.w.Append(recSubscribe, appendSubscription(nil, rec))
 	if err == nil {
 		s.maybeSignalCompact()
 	}
@@ -302,7 +299,7 @@ func (s *Store) LogSubscribe(rec serde.SubscriptionRec) error {
 
 // LogUnsubscribe appends a subscription removal.
 func (s *Store) LogUnsubscribe(id int64) error {
-	_, err := s.w.Append(recUnsubscribe, binary.LittleEndian.AppendUint64(nil, uint64(id)))
+	_, err := s.w.Append(recUnsubscribe, appendI64(nil, id))
 	if err == nil {
 		s.maybeSignalCompact()
 	}
@@ -413,141 +410,6 @@ func (s *Store) Close() error {
 	return s.w.Close()
 }
 
-// WAL record kinds. Values are part of the on-disk format.
-const (
-	recObjects         byte = 1
-	recSetDoorClosed   byte = 2
-	recAddPartition    byte = 3
-	recRemovePartition byte = 4
-	recAttachDoor      byte = 5
-	recDetachDoor      byte = 6
-	recSplit           byte = 7
-	recMerge           byte = 8
-	recRebuildSkeleton byte = 9
-	recSubscribe       byte = 10
-	recUnsubscribe     byte = 11
-)
-
-func appendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
-func appendI64(dst []byte, v int64) []byte  { return binary.LittleEndian.AppendUint64(dst, uint64(v)) }
-func appendF64(dst []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-}
-
-// reader decodes a record body. The first short read sticks in err and
-// every later read returns zero, so a decoder checks err once at the end.
-type reader struct {
-	data []byte
-	err  error
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err == nil && len(r.data) < n {
-		r.err = fmt.Errorf("record truncated")
-	}
-	if r.err != nil {
-		return make([]byte, n)
-	}
-	v := r.data[:n]
-	r.data = r.data[n:]
-	return v
-}
-
-func (r *reader) u64() uint64  { return binary.LittleEndian.Uint64(r.take(8)) }
-func (r *reader) i64() int64   { return int64(r.u64()) }
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *reader) u8() byte     { return r.take(1)[0] }
-
-// encodeMutation turns an index mutation into its WAL record kind and
-// body. It runs synchronously inside the commit hook, so the live
-// Partition/Door/Object payloads it reads cannot change underneath it.
-func encodeMutation(m index.Mutation) (byte, []byte, error) {
-	switch m.Kind {
-	case index.MutObjects:
-		body := appendU64(nil, uint64(len(m.Updates)))
-		for _, up := range m.Updates {
-			body = append(body, byte(up.Op))
-			if up.Op == index.UpdateDelete {
-				body = appendI64(body, int64(up.ID))
-			} else {
-				if up.Object == nil {
-					return 0, nil, fmt.Errorf("store: object update without object")
-				}
-				body = serde.AppendObject(body, up.Object)
-			}
-		}
-		return recObjects, body, nil
-	case index.MutSetDoorClosed:
-		body := appendI64(nil, int64(m.DoorID))
-		if m.Closed {
-			body = append(body, 1)
-		} else {
-			body = append(body, 0)
-		}
-		return recSetDoorClosed, body, nil
-	case index.MutAddPartition:
-		p := m.Part
-		if p == nil {
-			return 0, nil, fmt.Errorf("store: AddPartition mutation without partition payload")
-		}
-		body := appendI64(nil, int64(m.PartID))
-		body = append(body, byte(p.Kind))
-		body = appendI64(body, int64(p.Floor))
-		body = appendF64(body, p.StairLength)
-		body = appendU64(body, uint64(len(p.Shape.V)))
-		for _, v := range p.Shape.V {
-			body = appendF64(body, v.X)
-			body = appendF64(body, v.Y)
-		}
-		return recAddPartition, body, nil
-	case index.MutRemovePartition:
-		return recRemovePartition, appendI64(nil, int64(m.PartID)), nil
-	case index.MutAttachDoor:
-		d := m.Door
-		if d == nil {
-			return 0, nil, fmt.Errorf("store: AttachDoor mutation without door payload")
-		}
-		body := appendI64(nil, int64(m.DoorID))
-		body = appendF64(body, d.Pos.X)
-		body = appendF64(body, d.Pos.Y)
-		body = appendI64(body, int64(d.Floor))
-		body = appendI64(body, int64(d.P1))
-		body = appendI64(body, int64(d.P2))
-		flags := byte(0)
-		if d.OneWay {
-			flags |= 1
-		}
-		if d.Closed {
-			flags |= 2
-		}
-		body = append(body, flags)
-		body = appendI64(body, int64(d.From))
-		body = appendI64(body, int64(d.To))
-		return recAttachDoor, body, nil
-	case index.MutDetachDoor:
-		return recDetachDoor, appendI64(nil, int64(m.DoorID)), nil
-	case index.MutSplit:
-		body := appendI64(nil, int64(m.PartID))
-		if m.AlongX {
-			body = append(body, 1)
-		} else {
-			body = append(body, 0)
-		}
-		body = appendF64(body, m.At)
-		body = appendI64(body, int64(m.ResultA))
-		body = appendI64(body, int64(m.ResultB))
-		return recSplit, body, nil
-	case index.MutMerge:
-		body := appendI64(nil, int64(m.PartID))
-		body = appendI64(body, int64(m.PartID2))
-		body = appendI64(body, int64(m.ResultA))
-		return recMerge, body, nil
-	case index.MutRebuildSkeleton:
-		return recRebuildSkeleton, nil, nil
-	}
-	return 0, nil, fmt.Errorf("store: unknown mutation kind %d", m.Kind)
-}
-
 // State is the log fold: an index rebuilt from a checkpoint, every WAL
 // record applied on top of it, the standing-query registrations those
 // records maintain, and the LSN reached. Crash recovery, replica
@@ -558,7 +420,7 @@ type State struct {
 	// Idx is the index the records replay against.
 	Idx  *index.Index
 	lsn  uint64
-	subs map[int64]serde.SubscriptionRec
+	subs map[int64]SubscriptionRec
 }
 
 // Load rebuilds a State from checkpoint data: the building is restored
@@ -576,7 +438,7 @@ func Load(data Data) (*State, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: rebuild index: %w", err)
 	}
-	subs := make(map[int64]serde.SubscriptionRec, len(data.Subs))
+	subs := make(map[int64]SubscriptionRec, len(data.Subs))
 	for _, sr := range data.Subs {
 		subs[sr.ID] = sr
 	}
@@ -611,8 +473,8 @@ func (s *State) Apply(rec Record) (applied bool, err error) {
 }
 
 // Subs returns the standing-query registrations, sorted by id.
-func (s *State) Subs() []serde.SubscriptionRec {
-	out := make([]serde.SubscriptionRec, 0, len(s.subs))
+func (s *State) Subs() []SubscriptionRec {
+	out := make([]SubscriptionRec, 0, len(s.subs))
 	for _, sr := range s.subs {
 		out = append(out, sr)
 	}
@@ -630,7 +492,7 @@ func (s *State) Capture() (Data, error) { return Capture(s.Idx, s.Subs(), s.lsn)
 func (s *State) applyRecord(rec Record) error {
 	switch rec.Kind {
 	case recSubscribe:
-		sr, _, err := serde.DecodeSubscription(rec.Body)
+		sr, err := decodeSubscription(&reader{data: rec.Body})
 		if err != nil {
 			return err
 		}
@@ -660,117 +522,4 @@ func (s *State) applyRecord(rec Record) error {
 			rec.Kind, got.ResultA, got.ResultB, m.ResultA, m.ResultB)
 	}
 	return nil
-}
-
-// decodeMutation is the inverse of encodeMutation: it parses a mutation
-// record back into the index mutation it logged, without applying it.
-func decodeMutation(rec Record) (index.Mutation, error) {
-	var m index.Mutation
-	r := &reader{data: rec.Body}
-	switch rec.Kind {
-	case recObjects:
-		m.Kind = index.MutObjects
-		var err error
-		m.Updates, err = decodeObjectBatch(rec.Body)
-		return m, err
-	case recSetDoorClosed:
-		m.Kind = index.MutSetDoorClosed
-		m.DoorID = indoor.DoorID(r.i64())
-		m.Closed = r.u8() != 0
-	case recAddPartition:
-		m.Kind = index.MutAddPartition
-		m.PartID = indoor.PartitionID(r.i64())
-		p := &indoor.Partition{Kind: indoor.Kind(r.u8()), Floor: int(r.i64()), StairLength: r.f64()}
-		nv := r.u64()
-		if nv > uint64(len(r.data))/16 {
-			return m, fmt.Errorf("implausible vertex count %d", nv)
-		}
-		for i := uint64(0); i < nv; i++ {
-			p.Shape.V = append(p.Shape.V, geom.Pt(r.f64(), r.f64()))
-		}
-		m.Part = p
-	case recRemovePartition:
-		m.Kind = index.MutRemovePartition
-		m.PartID = indoor.PartitionID(r.i64())
-	case recAttachDoor:
-		m.Kind = index.MutAttachDoor
-		m.DoorID = indoor.DoorID(r.i64())
-		d := &indoor.Door{Pos: geom.Pt(r.f64(), r.f64()), Floor: int(r.i64()),
-			P1: indoor.PartitionID(r.i64()), P2: indoor.PartitionID(r.i64())}
-		flags := r.u8()
-		d.OneWay, d.Closed = flags&1 != 0, flags&2 != 0
-		d.From, d.To = indoor.PartitionID(r.i64()), indoor.PartitionID(r.i64())
-		m.Door = d
-	case recDetachDoor:
-		m.Kind = index.MutDetachDoor
-		m.DoorID = indoor.DoorID(r.i64())
-	case recSplit:
-		m.Kind = index.MutSplit
-		m.PartID = indoor.PartitionID(r.i64())
-		m.AlongX = r.u8() != 0
-		m.At = r.f64()
-		m.ResultA, m.ResultB = indoor.PartitionID(r.i64()), indoor.PartitionID(r.i64())
-	case recMerge:
-		m.Kind = index.MutMerge
-		m.PartID, m.PartID2 = indoor.PartitionID(r.i64()), indoor.PartitionID(r.i64())
-		m.ResultA = indoor.PartitionID(r.i64())
-	case recRebuildSkeleton:
-		m.Kind = index.MutRebuildSkeleton
-	default:
-		return m, fmt.Errorf("unknown record kind %d", rec.Kind)
-	}
-	return m, r.err
-}
-
-// decodeObjectBatch parses a recObjects body into the update batch it
-// logged, without applying it.
-func decodeObjectBatch(body []byte) ([]index.ObjectUpdate, error) {
-	r := &reader{data: body}
-	n := r.u64()
-	// Every update needs at least an op byte and an 8-byte id, so a
-	// count beyond len/9 is corrupt — reject before the allocation,
-	// not after (a CRC-colliding record must not OOM recovery).
-	if n > uint64(len(r.data))/9+1 {
-		return nil, fmt.Errorf("implausible batch size %d for %d-byte body", n, len(r.data))
-	}
-	ups := make([]index.ObjectUpdate, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		up := index.ObjectUpdate{Op: index.UpdateOp(r.u8())}
-		if up.Op == index.UpdateDelete {
-			up.ID = object.ID(r.i64())
-		} else if r.err == nil {
-			o, rest, err := serde.DecodeObject(r.data)
-			if err != nil {
-				return nil, err
-			}
-			r.data = rest
-			up.Object = o
-		}
-		ups = append(ups, up)
-	}
-	return ups, r.err
-}
-
-// ObjectUpdates decodes the record's object batch when it is one
-// (kind recObjects). ok is false for every other record kind, letting a
-// log scanner pick out object movement without applying anything.
-func (rec Record) ObjectUpdates() (ups []index.ObjectUpdate, ok bool, err error) {
-	if rec.Kind != recObjects {
-		return nil, false, nil
-	}
-	ups, err = decodeObjectBatch(rec.Body)
-	return ups, true, err
-}
-
-// PartitionChanging reports whether replaying the record can move
-// partition boundaries (add/remove/split/merge) — the signal a log
-// scanner uses to refresh the snapshot it locates positions against.
-// Door records and skeleton rebuilds alter routing, not the partition
-// a position falls in.
-func (rec Record) PartitionChanging() bool {
-	switch rec.Kind {
-	case recAddPartition, recRemovePartition, recSplit, recMerge:
-		return true
-	}
-	return false
 }

@@ -69,9 +69,9 @@ func stateBytes(t *testing.T, idx *index.Index) []byte {
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	idx, _ := testIndex(t)
 	idx.RLock()
-	data, err := Capture(idx, []serde.SubscriptionRec{
-		{ID: 0, Kind: serde.SubscriptionRange, X: 5, Y: 5, R: 40},
-		{ID: 2, Kind: serde.SubscriptionKNN, X: 1, Y: 1, K: 2},
+	data, err := Capture(idx, []SubscriptionRec{
+		{ID: 0, Kind: SubscriptionRange, X: 5, Y: 5, R: 40},
+		{ID: 2, Kind: SubscriptionKNN, X: 1, Y: 1, K: 2},
 	}, 17)
 	idx.RUnlock()
 	if err != nil {
@@ -88,7 +88,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if got.LSN != 17 || len(got.Objects) != 4 || len(got.Subs) != 2 {
 		t.Fatalf("decoded %+v", got)
 	}
-	if got.Subs[1].Kind != serde.SubscriptionKNN || got.Subs[1].K != 2 {
+	if got.Subs[1].Kind != SubscriptionKNN || got.Subs[1].K != 2 {
 		t.Fatalf("subscription mismatch: %+v", got.Subs[1])
 	}
 	st, err := Load(got)
@@ -289,8 +289,8 @@ func TestStaleSubscriptionRecordSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(recSubscribe, serde.AppendSubscription(nil,
-		serde.SubscriptionRec{ID: 7, Kind: serde.SubscriptionRange, X: 5, Y: 5, R: 30})); err != nil {
+	if _, err := w.Append(recSubscribe, appendSubscription(nil,
+		SubscriptionRec{ID: 7, Kind: SubscriptionRange, X: 5, Y: 5, R: 30})); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

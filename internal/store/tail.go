@@ -13,24 +13,14 @@ package store
 // replica that missed arbitrary history follows.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/fsfault"
 )
-
-// Record is one committed WAL record in stream form: the globally
-// sequential LSN, the record kind and the kind-specific body. It is what
-// a Tailer yields and what State.Apply folds.
-type Record struct {
-	LSN  uint64
-	Kind byte
-	Body []byte
-}
 
 // ErrLogGap reports that the records after the requested LSN are no
 // longer on disk (compaction pruned their generation): the reader cannot
@@ -173,11 +163,10 @@ func (t *Tailer) Next(max int) ([]Record, error) {
 	}
 	var out []Record
 	for len(out) < max {
-		rec, n, ok, err := readFrame(t.f, t.off)
-		if err != nil {
-			return out, err
-		}
-		if !ok {
+		fr := io.NewSectionReader(t.f, t.off, math.MaxInt64-t.off)
+		rec, err := ReadFrame(fr)
+		switch {
+		case endOfValid(err):
 			// No complete valid frame here. In the active generation that
 			// means we are caught up; in a finished one, that the
 			// generation is exhausted and the stream continues in the
@@ -189,18 +178,21 @@ func (t *Tailer) Next(max int) ([]Record, error) {
 				return out, err
 			}
 			continue
+		case err != nil:
+			return out, err
 		}
-		if rec.lsn > t.s.w.WrittenLSN() {
+		if rec.LSN > t.s.w.WrittenLSN() {
 			// Bytes from an in-flight flush that the appender has not
 			// published yet; pretend not to have seen them.
 			return out, nil
 		}
+		n, _ := fr.Seek(0, io.SeekCurrent)
 		t.off += n
-		if rec.lsn <= t.after {
+		if rec.LSN <= t.after {
 			continue // stale re-log racing a rotation; already yielded
 		}
-		t.after = rec.lsn
-		out = append(out, Record{LSN: rec.lsn, Kind: rec.kind, Body: rec.body})
+		t.after = rec.LSN
+		out = append(out, rec)
 	}
 	return out, nil
 }
@@ -248,37 +240,4 @@ func (t *Tailer) advanceGen() error {
 	t.f.Close()
 	t.f, t.gen, t.off = f, next, 0
 	return nil
-}
-
-// readFrame parses the frame at off. ok is false when no complete valid
-// frame starts there (EOF, torn tail, or bytes still being written);
-// err reports real I/O failures only.
-func readFrame(f fsfault.File, off int64) (rec rawRecord, size int64, ok bool, err error) {
-	var hdr [frameHeaderSize]byte
-	if _, rerr := f.ReadAt(hdr[:], off); rerr != nil {
-		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-			return rawRecord{}, 0, false, nil
-		}
-		return rawRecord{}, 0, false, rerr
-	}
-	plen := int64(binary.LittleEndian.Uint32(hdr[:4]))
-	crc := binary.LittleEndian.Uint32(hdr[4:])
-	if plen < 9 || plen > maxRecordSize {
-		return rawRecord{}, 0, false, nil
-	}
-	payload := make([]byte, plen)
-	if _, rerr := f.ReadAt(payload, off+frameHeaderSize); rerr != nil {
-		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-			return rawRecord{}, 0, false, nil
-		}
-		return rawRecord{}, 0, false, rerr
-	}
-	if crc32.ChecksumIEEE(payload) != crc {
-		return rawRecord{}, 0, false, nil
-	}
-	return rawRecord{
-		kind: payload[0],
-		lsn:  binary.LittleEndian.Uint64(payload[1:9]),
-		body: payload[9:],
-	}, frameHeaderSize + plen, true, nil
 }

@@ -1,9 +1,8 @@
 package store
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"runtime"
 	"sync"
@@ -14,10 +13,7 @@ import (
 
 // The write-ahead log. One file per checkpoint generation, named
 // wal-<gen>.log where <gen> is the LSN of the checkpoint it follows.
-// Records are length-prefixed and CRC32-checked:
-//
-//	u32 payload length | u32 CRC32(payload) | payload
-//	payload = u8 kind | u64 LSN | body
+// The file is a sequence of frames (frame.go), one per record.
 //
 // A crash can tear at most the final record: recovery scans forward,
 // stops at the first frame whose length or checksum does not validate,
@@ -27,13 +23,6 @@ import (
 // background flusher that writes and fsyncs everything buffered; records
 // arriving during its fsync form the next group. SyncAlways trades that
 // throughput for per-record durability.
-
-// frameHeaderSize is the per-record framing overhead.
-const frameHeaderSize = 8
-
-// maxRecordSize bounds a decoded length prefix: a torn or corrupt
-// header must not drive a giant allocation.
-const maxRecordSize = 1 << 30
 
 // flushThreshold forces an inline (non-fsync) write when the buffer
 // outgrows it, bounding memory while the flusher's fsync runs.
@@ -132,16 +121,9 @@ func (w *wal) Append(kind byte, body []byte) (uint64, error) {
 		w.buf = w.spare[:0]
 		w.spare = nil
 	}
-	payloadLen := 1 + 8 + len(body)
 	start := len(w.buf)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(payloadLen))
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, 0) // CRC placeholder
-	w.buf = append(w.buf, kind)
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, lsn)
-	w.buf = append(w.buf, body...)
-	crc := crc32.ChecksumIEEE(w.buf[start+frameHeaderSize:])
-	binary.LittleEndian.PutUint32(w.buf[start+4:], crc)
-	w.size += int64(frameHeaderSize + payloadLen)
+	w.buf = AppendFrame(w.buf, Record{LSN: lsn, Kind: kind, Body: body})
+	w.size += int64(len(w.buf) - start)
 	w.bufLast = lsn
 	needSync := w.policy == SyncAlways
 	needWrite := needSync || len(w.buf) >= flushThreshold
@@ -370,66 +352,44 @@ func (w *wal) Close() error {
 	return err
 }
 
-// rawRecord is one decoded WAL frame.
-type rawRecord struct {
-	kind byte
-	lsn  uint64
-	body []byte
-	end  int64 // file offset one past this record
-}
-
-// scanWAL reads every valid record of a log file in order. The first
-// frame that fails validation — short header, implausible length, bad
-// CRC, truncated payload — ends the scan: everything before it is the
-// durable prefix (validEnd is its length in bytes), everything after is
-// a torn tail or trailing corruption. A missing file is an empty log.
-func scanWAL(fs fsfault.FS, path string) (recs []rawRecord, validEnd int64, err error) {
+// scanWAL calls fn for every valid record of a log file in order, with
+// the file offset one past the record. The first frame that fails
+// validation — short header, implausible length, bad CRC, truncated
+// payload — ends the scan: everything before it is the durable prefix
+// (validEnd is its length in bytes), everything after is a torn tail or
+// trailing corruption. A missing file is an empty log. An error from fn
+// stops the scan and is returned.
+func scanWAL(fs fsfault.FS, path string, fn func(rec Record, end int64) error) (validEnd int64, err error) {
 	data, err := fs.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, 0, nil
+			return 0, nil
 		}
-		return nil, 0, err
+		return 0, err
 	}
-	off := int64(0)
+	r := bytes.NewReader(data)
 	for {
-		rest := data[off:]
-		if len(rest) < frameHeaderSize {
-			break
+		rec, err := ReadFrame(r)
+		if err != nil {
+			return validEnd, nil // reading memory fails only at the end of the valid prefix
 		}
-		plen := int64(binary.LittleEndian.Uint32(rest))
-		crc := binary.LittleEndian.Uint32(rest[4:])
-		if plen < 9 || plen > maxRecordSize || int64(len(rest)) < frameHeaderSize+plen {
-			break
+		validEnd = int64(len(data) - r.Len())
+		if err := fn(rec, validEnd); err != nil {
+			return validEnd, err
 		}
-		payload := rest[frameHeaderSize : frameHeaderSize+plen]
-		if crc32.ChecksumIEEE(payload) != crc {
-			break
-		}
-		off += frameHeaderSize + plen
-		recs = append(recs, rawRecord{
-			kind: payload[0],
-			lsn:  binary.LittleEndian.Uint64(payload[1:9]),
-			body: payload[9:],
-			end:  off,
-		})
 	}
-	return recs, off, nil
 }
 
 // RecordEnds returns the end offset of every valid record of a WAL file,
 // in order — the exact truncation points the crash-recovery property
 // suite sweeps. Offset 0 (the empty prefix) is not included.
 func RecordEnds(path string) ([]int64, error) {
-	recs, _, err := scanWAL(fsfault.OS, path)
-	if err != nil {
-		return nil, err
-	}
-	ends := make([]int64, len(recs))
-	for i, r := range recs {
-		ends[i] = r.end
-	}
-	return ends, nil
+	var ends []int64
+	_, err := scanWAL(fsfault.OS, path, func(_ Record, end int64) error {
+		ends = append(ends, end)
+		return nil
+	})
+	return ends, err
 }
 
 // flusher is the group-commit loop. Each kick wakes it to write and fsync

@@ -18,6 +18,20 @@ func tmpWAL(t *testing.T, policy SyncPolicy) (*wal, string) {
 	return w, filepath.Join(dir, walName(0))
 }
 
+// scanAll collects every valid record of a log file.
+func scanAll(t *testing.T, path string) ([]Record, int64) {
+	t.Helper()
+	var recs []Record
+	validEnd, err := scanWAL(fsfault.OS, path, func(rec Record, _ int64) error {
+		recs = append(recs, rec)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs, validEnd
+}
+
 func TestWALAppendScanRoundTrip(t *testing.T) {
 	w, path := tmpWAL(t, SyncGrouped)
 	bodies := [][]byte{{1, 2, 3}, {}, {42}, make([]byte, 1000)}
@@ -33,10 +47,7 @@ func TestWALAppendScanRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	recs, validEnd, err := scanWAL(fsfault.OS, path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs, validEnd := scanAll(t, path)
 	if len(recs) != len(bodies) {
 		t.Fatalf("scanned %d records, want %d", len(recs), len(bodies))
 	}
@@ -45,8 +56,8 @@ func TestWALAppendScanRoundTrip(t *testing.T) {
 		t.Fatalf("validEnd %d, file size %d", validEnd, st.Size())
 	}
 	for i, r := range recs {
-		if r.kind != byte(i+1) || r.lsn != uint64(i+1) || len(r.body) != len(bodies[i]) {
-			t.Fatalf("record %d mismatch: kind=%d lsn=%d len=%d", i, r.kind, r.lsn, len(r.body))
+		if r.Kind != byte(i+1) || r.LSN != uint64(i+1) || len(r.Body) != len(bodies[i]) {
+			t.Fatalf("record %d mismatch: kind=%d lsn=%d len=%d", i, r.Kind, r.LSN, len(r.Body))
 		}
 	}
 	if err := w.Close(); err != nil {
@@ -83,10 +94,7 @@ func TestWALTornTail(t *testing.T) {
 		if err := os.WriteFile(p, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		recs, validEnd, err := scanWAL(fsfault.OS, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		recs, validEnd := scanAll(t, p)
 		wantN := 0
 		for _, e := range ends {
 			if int64(cut) >= e {
@@ -118,10 +126,7 @@ func TestWALCorruptMiddle(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs, validEnd, err := scanWAL(fsfault.OS, path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs, validEnd := scanAll(t, path)
 	if len(recs) != 2 || validEnd != ends[1] {
 		t.Fatalf("got %d records valid to %d, want 2 records valid to %d", len(recs), validEnd, ends[1])
 	}
@@ -152,18 +157,12 @@ func TestWALRotate(t *testing.T) {
 	}
 	w.Close()
 
-	recs0, _, err := scanWAL(fsfault.OS, path0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs0, _ := scanAll(t, path0)
 	if len(recs0) != 2 {
 		t.Fatalf("old generation holds %d records, want 2", len(recs0))
 	}
-	recs1, _, err := scanWAL(fsfault.OS, filepath.Join(filepath.Dir(path0), walName(cut)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs1) != 1 || recs1[0].lsn != 3 {
+	recs1, _ := scanAll(t, filepath.Join(filepath.Dir(path0), walName(cut)))
+	if len(recs1) != 1 || recs1[0].LSN != 3 {
 		t.Fatalf("new generation: %d records, first lsn %v", len(recs1), recs1)
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"repro/internal/store"
 )
 
 // Client is the HTTP side of the protocol: one method per endpoint,
@@ -244,11 +246,12 @@ func (c *Client) FetchCheckpoint(ctx context.Context) ([]byte, uint64, error) {
 }
 
 // StreamWAL subscribes to the leader's record stream from just after
-// afterLSN, invoking fn for every frame (records and heartbeats) until
-// the context cancels, the stream ends, or fn errors. A clean server-side
-// close returns nil; fn's error is returned verbatim so the consumer can
-// carry typed signals (e.g. a resync decision) out of the loop.
-func (c *Client) StreamWAL(ctx context.Context, afterLSN uint64, fn func(Frame) error) error {
+// afterLSN, invoking fn for every frame (records, heartbeats and the gap
+// signal; store.ReadFrame validates each) until the context cancels, the
+// stream ends, or fn errors. A clean server-side close returns nil; fn's
+// error is returned verbatim so the consumer can carry typed signals
+// (e.g. a resync decision) out of the loop.
+func (c *Client) StreamWAL(ctx context.Context, afterLSN uint64, fn func(store.Record) error) error {
 	url := fmt.Sprintf("%s%s?after=%d", c.base, PathReplWAL, afterLSN)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -265,7 +268,7 @@ func (c *Client) StreamWAL(ctx context.Context, afterLSN uint64, fn func(Frame) 
 	}
 	br := bufio.NewReaderSize(r.Body, 64<<10)
 	for {
-		f, err := ReadFrame(br)
+		rec, err := store.ReadFrame(br)
 		if err == io.EOF {
 			return nil
 		}
@@ -275,7 +278,7 @@ func (c *Client) StreamWAL(ctx context.Context, afterLSN uint64, fn func(Frame) 
 			}
 			return err
 		}
-		if err := fn(f); err != nil {
+		if err := fn(rec); err != nil {
 			return err
 		}
 	}

@@ -1,12 +1,12 @@
 // Package wire is the serving protocol: the JSON request/response types
-// the indoorqd daemon speaks over HTTP, the binary frame codec the
-// WAL-shipping replication stream uses (deliberately identical to the
-// on-disk log framing, so a shipped record is byte-for-byte the durable
-// record), and an HTTP client covering every endpoint. The package holds
-// no server logic — internal/server implements the endpoints,
-// internal/replica consumes the replication side through the client —
-// and translates faithfully between wire form and the domain types, so
-// protocol evolution stays in one place.
+// the indoorqd daemon speaks over HTTP and an HTTP client covering every
+// endpoint. The WAL-shipping replication stream is a sequence of
+// internal/store frames, the on-disk log framing itself, so a shipped
+// record is byte-for-byte the durable record; the client reads it with
+// store.ReadFrame. The package holds no server logic — internal/server
+// implements the endpoints, internal/replica consumes the replication
+// side through the client — and translates faithfully between wire form
+// and the domain types, so protocol evolution stays in one place.
 //
 // Endpoints (all rooted at /v1):
 //

@@ -2,9 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/geom"
@@ -12,44 +15,70 @@ import (
 	"repro/internal/indoor"
 	"repro/internal/object"
 	"repro/internal/query"
+	"repro/internal/store"
 )
 
+// streamClient returns a client whose leader serves raw as its
+// replication stream.
+func streamClient(t *testing.T, raw []byte) *Client {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != PathReplWAL {
+			http.NotFound(w, r)
+			return
+		}
+		_, _ = w.Write(raw)
+	}))
+	t.Cleanup(srv.Close)
+	return NewClient(srv.URL, nil)
+}
+
+// TestFrameRoundTrip checks that StreamWAL hands back every frame the
+// leader wrote, control frames included, and ends cleanly with the
+// stream.
 func TestFrameRoundTrip(t *testing.T) {
-	frames := []Frame{
+	recs := []store.Record{
 		{Kind: 1, LSN: 42, Body: []byte("object batch payload")},
-		Heartbeat(999),
-		{Kind: 7, LSN: 43, Body: nil},
+		{Kind: store.HeartbeatKind, LSN: 999},
+		{Kind: 7, LSN: 43},
 	}
-	var buf bytes.Buffer
-	for _, f := range frames {
-		if err := WriteFrame(&buf, f); err != nil {
-			t.Fatal(err)
-		}
+	var raw []byte
+	for _, rec := range recs {
+		raw = store.AppendFrame(raw, rec)
 	}
-	r := bytes.NewReader(buf.Bytes())
-	for i, want := range frames {
-		got, err := ReadFrame(r)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if got.Kind != want.Kind || got.LSN != want.LSN || !bytes.Equal(got.Body, want.Body) {
-			t.Fatalf("frame %d: got %+v want %+v", i, got, want)
-		}
+	var got []store.Record
+	err := streamClient(t, raw).StreamWAL(context.Background(), 41, func(rec store.Record) error {
+		got = append(got, rec)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("clean stream end = %v, want nil", err)
 	}
-	if _, err := ReadFrame(r); err != io.EOF {
-		t.Fatalf("stream end = %v, want io.EOF", err)
+	if len(got) != len(recs) {
+		t.Fatalf("streamed %d frames, want %d", len(got), len(recs))
+	}
+	for i, want := range recs {
+		if got[i].Kind != want.Kind || got[i].LSN != want.LSN || !bytes.Equal(got[i].Body, want.Body) {
+			t.Fatalf("frame %d: got %+v want %+v", i, got[i], want)
+		}
 	}
 }
 
+// TestFrameCorruptionDetected checks that StreamWAL refuses a damaged
+// frame and reports a stream cut mid-frame as io.ErrUnexpectedEOF, never
+// handing either to the consumer.
 func TestFrameCorruptionDetected(t *testing.T) {
-	raw := AppendFrame(nil, Frame{Kind: 1, LSN: 7, Body: []byte("payload")})
-	raw[len(raw)-1] ^= 0xff
-	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
-		t.Fatal("corrupt frame read back without error")
+	never := func(rec store.Record) error {
+		t.Fatalf("damaged frame delivered: %+v", rec)
+		return nil
 	}
-	// Mid-frame cut is ErrUnexpectedEOF, not a clean end.
-	raw = AppendFrame(nil, Frame{Kind: 1, LSN: 7, Body: []byte("payload")})
-	if _, err := ReadFrame(bytes.NewReader(raw[:len(raw)-3])); err != io.ErrUnexpectedEOF {
+	raw := store.AppendFrame(nil, store.Record{Kind: 1, LSN: 7, Body: []byte("payload")})
+	bad := append([]byte(nil), raw...)
+	bad[len(bad)-1] ^= 0xff
+	if err := streamClient(t, bad).StreamWAL(context.Background(), 0, never); err == nil {
+		t.Fatal("corrupt frame streamed without error")
+	}
+	if err := streamClient(t, raw[:len(raw)-3]).StreamWAL(context.Background(), 0, never); err != io.ErrUnexpectedEOF {
 		t.Fatalf("torn frame = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
