@@ -212,28 +212,31 @@ func Open(dir string, opts Options) (*Store, *index.Index, OpenInfo, error) {
 		if gen < ckptGen {
 			continue
 		}
-		validEnd, err := scanWAL(opts.FS, walPath(dir, gen), func(rec Record, _ int64) error {
+		recs, ends, serr := scanWAL(opts.FS, walPath(dir, gen))
+		if serr != nil {
+			return nil, nil, info, serr
+		}
+		if gen >= activeGen {
+			activeGen, activeEnd = gen, 0
+			if len(ends) > 0 {
+				activeEnd = ends[len(ends)-1]
+			}
+		}
+		for _, rec := range recs {
 			applied, err := st.Apply(rec)
 			if errors.Is(err, ErrLogGap) {
 				// Generations are named by the LSN they start after, so
 				// the records missing here belong to walName(st.LSN()).
-				return fmt.Errorf("store: replay %s: %s is missing or damaged: %w", walName(gen), walName(st.LSN()), err)
+				return nil, nil, info, fmt.Errorf("store: replay %s: %s is missing or damaged: %w", walName(gen), walName(st.LSN()), err)
 			}
 			if err != nil {
-				return fmt.Errorf("store: replay %s: %w", walName(gen), err)
+				return nil, nil, info, fmt.Errorf("store: replay %s: %w", walName(gen), err)
 			}
 			if applied {
 				info.Stats.Replayed++
 			} else {
 				info.Stats.SkippedStale++
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, nil, info, err
-		}
-		if gen >= activeGen {
-			activeGen, activeEnd = gen, validEnd
 		}
 	}
 	info.Subs = st.Subs()

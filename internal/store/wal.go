@@ -352,31 +352,28 @@ func (w *wal) Close() error {
 	return err
 }
 
-// scanWAL calls fn for every valid record of a log file in order, with
-// the file offset one past the record. The first frame that fails
-// validation — short header, implausible length, bad CRC, truncated
-// payload — ends the scan: everything before it is the durable prefix
-// (validEnd is its length in bytes), everything after is a torn tail or
-// trailing corruption. A missing file is an empty log. An error from fn
-// stops the scan and is returned.
-func scanWAL(fs fsfault.FS, path string, fn func(rec Record, end int64) error) (validEnd int64, err error) {
+// scanWAL reads every valid record of a log file in order, with the file
+// offset one past each. The first frame that fails validation — short
+// header, implausible length, bad CRC, truncated payload — ends the
+// scan: everything before it is the durable prefix (the last end is its
+// length in bytes), everything after is a torn tail or trailing
+// corruption. A missing file is an empty log.
+func scanWAL(fs fsfault.FS, path string) (recs []Record, ends []int64, err error) {
 	data, err := fs.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return 0, nil
+			return nil, nil, nil
 		}
-		return 0, err
+		return nil, nil, err
 	}
 	r := bytes.NewReader(data)
 	for {
 		rec, err := ReadFrame(r)
 		if err != nil {
-			return validEnd, nil // reading memory fails only at the end of the valid prefix
+			return recs, ends, nil // reading memory fails only at the end of the valid prefix
 		}
-		validEnd = int64(len(data) - r.Len())
-		if err := fn(rec, validEnd); err != nil {
-			return validEnd, err
-		}
+		recs = append(recs, rec)
+		ends = append(ends, int64(len(data)-r.Len()))
 	}
 }
 
@@ -384,11 +381,7 @@ func scanWAL(fs fsfault.FS, path string, fn func(rec Record, end int64) error) (
 // in order — the exact truncation points the crash-recovery property
 // suite sweeps. Offset 0 (the empty prefix) is not included.
 func RecordEnds(path string) ([]int64, error) {
-	var ends []int64
-	_, err := scanWAL(fsfault.OS, path, func(_ Record, end int64) error {
-		ends = append(ends, end)
-		return nil
-	})
+	_, ends, err := scanWAL(fsfault.OS, path)
 	return ends, err
 }
 

@@ -18,18 +18,18 @@ func tmpWAL(t *testing.T, policy SyncPolicy) (*wal, string) {
 	return w, filepath.Join(dir, walName(0))
 }
 
-// scanAll collects every valid record of a log file.
+// scanAll scans a log file, returning its valid records and the length
+// of its valid prefix.
 func scanAll(t *testing.T, path string) ([]Record, int64) {
 	t.Helper()
-	var recs []Record
-	validEnd, err := scanWAL(fsfault.OS, path, func(rec Record, _ int64) error {
-		recs = append(recs, rec)
-		return nil
-	})
+	recs, ends, err := scanWAL(fsfault.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return recs, validEnd
+	if len(ends) == 0 {
+		return recs, 0
+	}
+	return recs, ends[len(ends)-1]
 }
 
 func TestWALAppendScanRoundTrip(t *testing.T) {
