@@ -349,7 +349,9 @@ func BenchmarkReconcile(b *testing.B) {
 // topology diff, admission, and the pass that refreshes the
 // admitted subscriptions and routes the changed units' objects to the
 // carried ones. admitted/op and carried/op count subscriptions per
-// iteration (two commits).
+// iteration (two commits); partial/op counts the admitted ones that
+// re-resolved only their full rung's objects, and refreshes/op the
+// wholesale refreshes.
 func BenchmarkTopologyCommit(b *testing.B) {
 	e, idx, _ := cityChurn(b, 1000)
 	doors := idx.Building().Doors()
@@ -370,6 +372,8 @@ func BenchmarkTopologyCommit(b *testing.B) {
 	n := float64(b.N)
 	b.ReportMetric(float64(st.TopoAdmitted-before.TopoAdmitted)/n, "admitted/op")
 	b.ReportMetric(float64(st.TopoCarried-before.TopoCarried)/n, "carried/op")
+	b.ReportMetric(float64(st.TopoPartial-before.TopoPartial)/n, "partial/op")
+	b.ReportMetric(float64(st.Refreshes-before.Refreshes)/n, "refreshes/op")
 }
 
 // BenchmarkStructuralCommit is the structural counterpart of
@@ -377,7 +381,8 @@ func BenchmarkTopologyCommit(b *testing.B) {
 // convex room in two and merges the halves back, both through the
 // subscription engine under 1,000 standing queries. On top of a toggle's
 // work, each commit re-packs the tree tier and re-locates the objects the
-// room held. admitted/op counts subscriptions per iteration (two commits).
+// room held. admitted/op, partial/op and refreshes/op count subscriptions
+// per iteration (two commits), as in BenchmarkTopologyCommit.
 func BenchmarkStructuralCommit(b *testing.B) {
 	e, idx, _ := cityChurn(b, 1000)
 	var rooms []indoor.PartitionID
@@ -408,7 +413,11 @@ func BenchmarkStructuralCommit(b *testing.B) {
 		rooms[k] = merged.ResultA
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(e.Stats().TopoAdmitted-before.TopoAdmitted)/float64(b.N), "admitted/op")
+	st := e.Stats()
+	n := float64(b.N)
+	b.ReportMetric(float64(st.TopoAdmitted-before.TopoAdmitted)/n, "admitted/op")
+	b.ReportMetric(float64(st.TopoPartial-before.TopoPartial)/n, "partial/op")
+	b.ReportMetric(float64(st.Refreshes-before.Refreshes)/n, "refreshes/op")
 }
 
 // cityChurn builds the reconciliation workload: a 2×3 city of 3–6-floor

@@ -79,7 +79,14 @@ func New(idx *index.Snapshot, q indoor.Position, a *index.SkelAnchor, unitIDs []
 // reads the doors near q never walks the rest of the building. The
 // distances are bit-identical to a search run to completion.
 func NewFull(idx *index.Snapshot, q indoor.Position) (*Engine, error) {
-	return build(idx, q, idx.NewSkelAnchor(q), nil, true)
+	return NewFullAnchored(idx, q, idx.NewSkelAnchor(q))
+}
+
+// NewFullAnchored is NewFull with q's skeleton anchor on idx supplied, as
+// New takes it: a query evaluation hands its full rung the anchor its
+// filtering phase already built.
+func NewFullAnchored(idx *index.Snapshot, q indoor.Position, a *index.SkelAnchor) (*Engine, error) {
+	return build(idx, q, a, nil, true)
 }
 
 // build performs the subgraph phase against the precompiled door-graph

@@ -252,6 +252,12 @@ func (s *Snapshot) NewSkelAnchor(q indoor.Position) *SkelAnchor {
 	return a
 }
 
+// BoundTo reports whether the anchor was built on s's skeleton tier, so
+// that it evaluates Equation 10 against s exactly. The skeleton is
+// immutable and replaced only when a staircase entrance changes, so an
+// anchor outlives every other commit.
+func (a *SkelAnchor) BoundTo(s *Snapshot) bool { return a.sk == s.topo.skeleton }
+
 // MinDistRect is Skeleton.MinDistRect evaluated through the anchor; the
 // two agree exactly. Each floor's scan breaks at the first entrance with
 // to >= best: MinDist is never negative, so no later entrance can win.

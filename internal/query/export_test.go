@@ -8,5 +8,5 @@ import (
 
 // KSeedsForTest exposes kSeedsSelection to the package tests.
 func (p *Processor) KSeedsForTest(q indoor.Position, k int) ([]index.UnitID, []object.ID, error) {
-	return newExec(p.Pin(), q, p.opts).kSeedsSelection(k)
+	return newExec(p.Pin(), q, p.opts, nil).kSeedsSelection(k)
 }

@@ -111,8 +111,8 @@ func (p *Processor) Pin() *index.Snapshot { return p.idx.Current() }
 
 // exec is one query evaluation bound to a pinned snapshot and a query
 // point. Its skeleton anchor is the evaluation's only one: the filtering
-// bounds, the seed flood and every restricted engine evaluate Equation 10
-// through it; only the full rung anchors its own.
+// bounds, the seed flood, every restricted engine and the full rung
+// evaluate Equation 10 through it.
 type exec struct {
 	s    *index.Snapshot
 	opts Options
@@ -120,8 +120,14 @@ type exec struct {
 	a    *index.SkelAnchor
 }
 
-func newExec(s *index.Snapshot, q indoor.Position, opts Options) *exec {
-	return &exec{s: s, opts: opts, q: q, a: s.NewSkelAnchor(q)}
+// newExec binds an evaluation of q to s. a is an earlier anchor of q to
+// reuse — a subscription's, across its refreshes — and is kept while it is
+// bound to s's skeleton; otherwise (or when nil) q is anchored afresh.
+func newExec(s *index.Snapshot, q indoor.Position, opts Options, a *index.SkelAnchor) *exec {
+	if a == nil || !a.BoundTo(s) {
+		a = s.NewSkelAnchor(q)
+	}
+	return &exec{s: s, opts: opts, q: q, a: a}
 }
 
 // geomBound returns the geometric lower bound used by the filtering phase:
@@ -179,9 +185,10 @@ func (ex *exec) rangeSearch(r float64) (units []index.UnitID, objs []object.ID) 
 // one-shot query releases it after deciding its candidates; a standing
 // query keeps it (see standingQuery). Refinement has two rungs: the phase
 // engine's bracket, then the full engine, built on first need and kept
-// for the phase's lifetime. The full engine is lazy (distance.NewFull):
-// it settles only the doors the objects it resolves read, so an object
-// near the query point costs the doors around it, not the building.
+// until a topology commit releases it. The full engine is lazy
+// (distance.NewFullAnchored): it settles only the doors the objects it
+// resolves read, so an object near the query point costs the doors around
+// it, not the building.
 type phase struct {
 	ex    *exec
 	r     float64 // the filtering radius: r, or the kNN kbound R
@@ -191,10 +198,13 @@ type phase struct {
 	eng  *distance.Engine
 	full *distance.Engine
 
-	// fullReach accumulates the full rung's Reach over the phase's
-	// lifetime, across the full engines a standing query releases and
-	// rebuilds (see phase.carry).
+	// fullReach accumulates the full rung's Reach, and fullObjs records
+	// each object the full rung resolved, across the full engines a
+	// standing query releases and rebuilds (see phase.carry). Only these
+	// answers depend on topology beyond the phase radius; a commit that
+	// reaches no farther in re-resolves just them (see phase.carryFull).
 	fullReach float64
+	fullObjs  map[object.ID]struct{}
 }
 
 // buildPhase runs filtering (Algorithm 4 at radius r) and the subgraph
@@ -261,22 +271,27 @@ func (ph *phase) refine(o *object.Object) (bool, float64, error) {
 
 // resolve brackets one object's expected distance with the phase engine
 // and returns that [low, high] if settled accepts it. Otherwise the full
-// engine resolves the object exactly: it returns (d, d) and counts a
-// FullFallback. An iRQ decision settles on decided(r) and the object
-// qualifies iff high <= r; an exact distance settles on closed and is
-// high.
+// engine, anchored on the evaluation's anchor, resolves the object
+// exactly: it returns (d, d), counts a FullFallback, and records the
+// object and the engine's reach in the phase. An iRQ decision settles on
+// decided(r) and the object qualifies iff high <= r; an exact distance
+// settles on closed and is high.
 func (ph *phase) resolve(o *object.Object, settled func(low, high float64) bool) (low, high float64, err error) {
 	if low, high = ph.eng.ExactDistBracket(o, ph.r); settled(low, high) {
 		return low, high, nil
 	}
 	if ph.full == nil {
-		if ph.full, err = distance.NewFull(ph.ex.s, ph.ex.q); err != nil {
+		if ph.full, err = distance.NewFullAnchored(ph.ex.s, ph.ex.q, ph.ex.a); err != nil {
 			return 0, 0, err
 		}
 	}
 	ph.st.FullFallbacks++
 	d, _ := ph.full.ExactDist(o)
 	ph.fullReach = max(ph.fullReach, ph.full.Reach())
+	if ph.fullObjs == nil {
+		ph.fullObjs = make(map[object.ID]struct{})
+	}
+	ph.fullObjs[o.ID] = struct{}{}
 	return d, d, nil
 }
 
@@ -322,7 +337,7 @@ func (p *Processor) RangeQuery(q indoor.Position, r float64) ([]Result, *Stats, 
 // RangeQueryOn is RangeQuery against an explicitly pinned snapshot.
 func (p *Processor) RangeQueryOn(s *index.Snapshot, q indoor.Position, r float64) ([]Result, *Stats, error) {
 	st := &Stats{TotalObjects: s.Objects().Len()}
-	ph, results, err := newExec(s, q, p.opts).rangeQuery(r, st)
+	ph, results, err := newExec(s, q, p.opts, nil).rangeQuery(r, st)
 	if err != nil {
 		return nil, st, err
 	}
@@ -568,7 +583,7 @@ func (p *Processor) KNNQueryOn(s *index.Snapshot, q indoor.Position, k int) ([]R
 	scr := knnScratchPool.Get().(*knnScratch)
 	defer knnScratchPool.Put(scr)
 
-	ph, candidates, err := newExec(s, q, p.opts).knnPhase(k, st, ar)
+	ph, candidates, err := newExec(s, q, p.opts, nil).knnPhase(k, st, ar)
 	if err != nil {
 		return nil, st, err
 	}

@@ -19,9 +19,10 @@ import (
 // paths of the subscription engine: one index mutation (one snapshot swap)
 // followed by one reconciliation pass over the subscriptions the router
 // and the topology-epoch gate admit. A topology commit first scopes
-// itself: only the subscriptions whose dependency radius reaches a changed
-// unit are left stale for the pass to refresh, and the objects bucketed in
-// changed units are routed to the rest as if they had moved.
+// itself: only the subscriptions with a changed unit within their phase
+// radius are left stale for the pass to refresh, and the objects bucketed
+// in changed units are routed to the rest as if they had moved, together
+// with the full rung's objects where the change reaches that rung.
 //
 // Fan-out model. Each affected subscription is one FanOut work item,
 // GOMAXPROCS wide, and item i writes only its own slot (reconSlot): its
@@ -332,16 +333,18 @@ func (sl *reconSlot) diffInto(s *standingQuery, was map[object.ID]bool, wasDist 
 
 // Topology commits one topology mutation through the engine: Index.Apply
 // runs under the engine mutex, then scope splits the standing queries.
-// The ones whose dependency radius reaches a changed unit (or all of
-// them, when the skeleton changed) stay stale and refresh wholesale in
-// the same pass an object batch uses; the rest are carried to the
-// new epoch with their door distances intact, and the objects bucketed in
-// the changed units are routed to them exactly as if they had moved. The
-// events come in the pass's (subscription, object, kind) order. It
-// returns the committed mutation (with the ids Apply allocated) and
-// Apply's error: a refresh that fails (e.g. the query point's partition
-// was removed) leaves its subscription on its last good state, exactly as
-// in an object batch, and the next topology operation retries it.
+// The ones with a changed unit within their phase radius (or all of them,
+// when the skeleton changed) stay stale and refresh wholesale in the same
+// pass an object batch uses; the rest are carried to the new epoch with
+// their door distances intact, and the objects bucketed in the changed
+// units are routed to them exactly as if they had moved — together, for
+// a carried subscription whose full rung the change reaches, with the
+// objects that rung resolved. The events come in the pass's (subscription,
+// object, kind) order. It returns the committed mutation (with the ids
+// Apply allocated) and Apply's error: a refresh that fails (e.g. the query
+// point's partition was removed) leaves its subscription on its last good
+// state, exactly as in an object batch, and the next topology operation
+// retries it.
 func (e *Subscriptions) Topology(m index.Mutation) (index.Mutation, []SubEvent, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -353,21 +356,24 @@ func (e *Subscriptions) Topology(m index.Mutation) (index.Mutation, []SubEvent, 
 	cur := e.p.Pin()
 	// A topology pass repairs its own evaluation failures (evalFailed),
 	// so reconcile reports no error here.
-	evs, _ := e.reconcile(cur, e.route(e.scope(prev, cur)), true)
+	evs, _ := e.reconcile(cur, e.scope(prev, cur), true)
 	e.record(evs)
 	return m, evs, nil
 }
 
 // scope admits and carries the standing queries across a topology commit
-// from prev to cur and returns the objects to route to the carried ones:
-// every object bucketed in a changed unit, before or after the commit,
-// with its units in both snapshots. A subscription is admitted — left
-// stale for the pass to refresh — when it is already stale (bound to an
+// from prev to cur and returns what the pass re-decides for the carried
+// ones: every object bucketed in a changed unit, before or after the
+// commit, routed by its units in both snapshots. A subscription is left
+// stale for the pass to refresh when it is already stale (bound to an
 // epoch older than prev's, or without a phase), when the skeleton changed,
 // or when the tree box of a changed unit in either snapshot lies within
-// its dependency radius; every other one is carried. Topology passes do
-// not count towards Updates or RoutedPairs: those measure object batches.
-func (e *Subscriptions) scope(prev, cur *index.Snapshot) map[object.ID][]index.UnitID {
+// its phase radius. One whose boxes all lie beyond that but some within
+// its dependency radius is admitted too, yet only partially: it is
+// carried, and the objects its full rung resolved join its routed list
+// (carryFull). Every other one is carried. Topology passes do not count
+// towards Updates or RoutedPairs: those measure object batches.
+func (e *Subscriptions) scope(prev, cur *index.Snapshot) map[int][]object.ID {
 	if cur.TopoEpoch() == prev.TopoEpoch() {
 		return nil
 	}
@@ -381,16 +387,25 @@ func (e *Subscriptions) scope(prev, cur *index.Snapshot) map[object.ID][]index.U
 		}
 	}
 	carried := 0
+	full := make(map[int][]object.ID)
 	for _, s := range e.standing {
-		if all || s.ex == nil || s.ex.s.TopoEpoch() != prev.TopoEpoch() || s.reaches(boxes) {
+		if all || s.ex == nil || s.ex.s.TopoEpoch() != prev.TopoEpoch() {
 			continue
 		}
-		s.carry(cur)
-		carried++
+		switch s.reaches(boxes) {
+		case reachesPhase:
+			continue
+		case reachesFull:
+			full[s.id] = s.carryFull(cur)
+		default:
+			s.carry(cur)
+			carried++
+		}
 	}
 	e.stats.TopoCarried += uint64(carried)
+	e.stats.TopoPartial += uint64(len(full))
 	e.stats.TopoAdmitted += uint64(len(e.standing) - carried)
-	if carried == 0 {
+	if carried+len(full) == 0 {
 		return nil
 	}
 	touched := make(map[object.ID][]index.UnitID)
@@ -403,7 +418,13 @@ func (e *Subscriptions) scope(prev, cur *index.Snapshot) map[object.ID][]index.U
 			}
 		}
 	}
-	return touched
+	routed := e.route(touched)
+	for id, objs := range full {
+		merged := append(routed[id], objs...)
+		slices.Sort(merged)
+		routed[id] = slices.Compact(merged)
+	}
+	return routed
 }
 
 // FanOut runs fn(0..n-1) across min(GOMAXPROCS, n) goroutines via an

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -175,11 +176,14 @@ type SubStats struct {
 	// Refreshes counts wholesale re-runs of a subscription's filtering and
 	// subgraph phases (topology changes, kNN candidate exhaustion).
 	Refreshes uint64
-	// TopoAdmitted counts, per topology commit, the subscriptions admitted
-	// to wholesale refresh (their dependency radius reaches a changed
-	// unit, or they were already stale); TopoCarried counts the ones
-	// carried to the new epoch with their door distances intact.
-	TopoAdmitted, TopoCarried uint64
+	// TopoAdmitted counts, per topology commit, the subscriptions whose
+	// dependency radius reaches a changed unit, or that were already
+	// stale; TopoCarried counts the ones carried to the new epoch with
+	// their door distances intact. TopoPartial is the subset of
+	// TopoAdmitted the change reached only through the full rung: they are
+	// carried too, and re-resolve just the objects the full rung decided
+	// instead of refreshing wholesale.
+	TopoAdmitted, TopoCarried, TopoPartial uint64
 	// EventsDropped counts events discarded by event-log overflow (the
 	// log's cap was hit before the consumer drained).
 	EventsDropped uint64
@@ -246,35 +250,64 @@ func (ph *phase) rebind(cur *index.Snapshot) bool {
 // distances by one of refinement's two rungs: the phase engine, whose door
 // distances lie within the phase radius (r, or the kNN kbound R), or the
 // full engine, whose accumulated Reach bounds the door distances it handed
-// out. A topology change farther out than the larger cannot move any of
-// them.
+// out to the objects in fullObjs. A topology change farther out than the
+// larger cannot move any of them; one beyond the phase radius can move
+// only the full rung's answers.
 func (ph *phase) dependRadius() float64 {
 	return max(ph.r, ph.fullReach)
 }
 
-// reaches reports whether any of the boxes — the tree boxes of the units
-// a topology commit changed — lies within the phase's dependency radius.
-func (ph *phase) reaches(boxes []geom.Rect3) bool {
-	r := ph.dependRadius()
+// rung is how far into a phase a topology commit reaches: the rung of
+// refinement whose answers it can move.
+type rung uint8
+
+const (
+	reachesNone  rung = iota // beyond the dependency radius: carry
+	reachesFull              // only within the full rung's reach: carryFull
+	reachesPhase             // within the phase radius: refresh
+)
+
+// reaches classifies the boxes — the tree boxes of the units a topology
+// commit changed — by the nearest one's place against the phase radius
+// and the dependency radius.
+func (ph *phase) reaches(boxes []geom.Rect3) rung {
+	out, dep := reachesNone, ph.dependRadius()
 	for _, b := range boxes {
-		if ph.ex.geomBound(b) <= r {
-			return true
+		switch d := ph.ex.geomBound(b); {
+		case d <= ph.r:
+			return reachesPhase
+		case d <= dep:
+			out = reachesFull
 		}
 	}
-	return false
+	return out
 }
 
 // carry moves the phase to cur across a topology commit that changed no
-// unit within its dependency radius: the phase engine keeps its door
-// distances (distance.Engine.Carry), while the full engine is released —
-// it is unrestricted, so its distances beyond its reach may be stale —
-// and rebuilt on first need. The footprint, anchor and result state stay
-// as they are.
+// unit within its phase radius: the phase engine keeps its door distances
+// (distance.Engine.Carry), while the full engine is released — it is
+// unrestricted, so its distances beyond its reach may be stale — and
+// rebuilt on first need. The footprint, anchor, result state, fullReach
+// and fullObjs stay as they are, which is exact only when the commit lies
+// beyond the dependency radius too; otherwise carryFull follows.
 func (ph *phase) carry(cur *index.Snapshot) {
 	ph.eng.Carry(cur)
 	ph.full.Close()
 	ph.full = nil
 	ph.ex.s = cur
+}
+
+// carryFull is carry for a commit that reaches the full rung's answers
+// but not the phase radius: it returns the objects the full rung
+// resolved and clears their record and reach. The caller
+// re-decides them on cur like routed objects, which resolves each anew on
+// a fresh full engine and records it again; every other answer the phase
+// holds came from the carried phase engine and stays exact.
+func (ph *phase) carryFull(cur *index.Snapshot) []object.ID {
+	ph.carry(cur)
+	objs := slices.Collect(maps.Keys(ph.fullObjs))
+	ph.fullObjs, ph.fullReach = nil, 0
+	return objs
 }
 
 // NewSubscriptions returns a subscription engine over the index.
@@ -629,7 +662,9 @@ func (e *Subscriptions) Stats() SubStats {
 
 // refresh re-evaluates a subscription from scratch against a freshly
 // pinned snapshot — the one-shot evaluation of its query, with the phase
-// kept — and rebuilds its result state. The rebuild is all-or-nothing:
+// kept — and rebuilds its result state. Only the skeleton anchor carries
+// over, while the snapshot's skeleton is the one it was built on. The
+// rebuild is all-or-nothing:
 // the replacement phase and result maps are staged completely before the
 // swap, so a failed refresh (e.g. the query point's partition was
 // removed, or a refinement engine failed to build) leaves the
@@ -638,7 +673,11 @@ func (e *Subscriptions) Stats() SubStats {
 // changed.
 func (e *Subscriptions) refresh(s *standingQuery) error {
 	snap := e.p.Pin()
-	ex := newExec(snap, s.q, e.p.opts)
+	var a *index.SkelAnchor
+	if s.ex != nil {
+		a = s.ex.a
+	}
+	ex := newExec(snap, s.q, e.p.opts, a)
 	st := &Stats{TotalObjects: snap.Objects().Len()}
 	if s.kind == SubKNN {
 		return e.refreshKNN(s, ex, st)

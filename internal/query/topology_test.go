@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/distance"
@@ -104,7 +105,7 @@ func xyzw(t *testing.T) (*indoor.Building, *indoor.Door) {
 // The object's far instance sits in Y, 68 m round through Z and W. Its
 // expected distance, 29.3 m, is decided by the full rung, so closing the
 // Z–W door 31 m out — beyond the 30 m footprint but inside the full
-// rung's reach — must refresh the subscription.
+// rung's reach — must admit the subscription.
 func TestTopologyBeyondFootprint(t *testing.T) {
 	b, zw := xyzw(t)
 	q, r := indoor.Pos(0.5, 5, 0), 30.0
@@ -147,12 +148,12 @@ func TestTopologyAttachBeyondRadius(t *testing.T) {
 	matchesFreshRange(t, e, idx, id, q, r, true)
 }
 
-// Y is across a wall from X but reachable only round a corridor that runs
-// 340 m out and back (about 670 m). The object's expected distance,
-// 96.9 m, needs the full rung, so closing the door between C1b and T —
-// two rooms more than 300 m out, beyond 2r+100 — must refresh the
-// subscription: its full-rung reach covers them.
-func TestTopologyFullReachCoversFarDoor(t *testing.T) {
+// farLoop is a one-floor building where Y, across a wall from X, is
+// reachable only round a corridor that runs 340 m out and back (about
+// 670 m); it returns the door between C1b and T, the two rooms more than
+// 300 m out.
+func farLoop(t *testing.T) (*indoor.Building, *indoor.Door) {
+	t.Helper()
 	b := indoor.NewBuilding(4)
 	x := b.AddRoom(0, geom.R(0, 0, 40, 20))
 	y := b.AddRoom(0, geom.R(40, 0, 60, 20))
@@ -165,6 +166,14 @@ func TestTopologyFullReachCoversFarDoor(t *testing.T) {
 	far := mustDoor(t, b, 340, 25, c1b, turn)
 	mustDoor(t, b, 340, -5, turn, c3)
 	mustDoor(t, b, 50, 0, c3, y)
+	return b, far
+}
+
+// On farLoop the object's expected distance, 96.9 m, needs the full
+// rung, so closing the far door — beyond 2r+100 — must admit the
+// subscription: its full-rung reach covers the door.
+func TestTopologyFullReachCoversFarDoor(t *testing.T) {
+	b, far := farLoop(t)
 	q, r := indoor.Pos(5, 10, 0), 100.0
 	e, idx, id := scopedRange(t, b, []*object.Object{twoPoint(0, 38, 10, 0.9, 41, 10, 0.1)}, q, r, true)
 	if reach := e.standing[id].fullReach; reach <= 2*r+100 {
@@ -208,6 +217,155 @@ func TestTopologyCounters(t *testing.T) {
 	if st.Batches != before.Batches+2 {
 		t.Fatalf("Batches %d, want %d", st.Batches, before.Batches+2)
 	}
+}
+
+// partialStep commits a mutation through the engine and checks that it
+// took the partial path for exactly one subscription and refreshed none.
+func partialStep(t *testing.T, e *Subscriptions, m index.Mutation) []SubEvent {
+	t.Helper()
+	before := e.Stats()
+	_, evs, err := e.Topology(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := e.Stats()
+	if p := after.TopoPartial - before.TopoPartial; p != 1 {
+		t.Fatalf("TopoPartial moved by %d, want 1", p)
+	}
+	if n := after.Refreshes - before.Refreshes; n != 0 {
+		t.Fatalf("%d refreshes, want none", n)
+	}
+	return evs
+}
+
+// The Z–W door lies beyond the 30 m radius but inside the full rung's
+// reach, so both toggles take the partial path: the subscription is
+// carried, and the object the full rung decided is re-resolved on the
+// new snapshot, leaving when its far instance is cut off and entering
+// again when it is not.
+func TestTopologyPartialRange(t *testing.T) {
+	b, zw := xyzw(t)
+	q, r := indoor.Pos(0.5, 5, 0), 30.0
+	e, idx, id := scopedRange(t, b, []*object.Object{twoPoint(0, 23, 5, 0.85, 33, 5, 0.15)}, q, r, true)
+	for _, closed := range []bool{true, false} {
+		partialStep(t, e, index.Mutation{Kind: index.MutSetDoorClosed, DoorID: zw.ID, Closed: closed})
+		matchesFreshRange(t, e, idx, id, q, r, !closed)
+	}
+}
+
+// A kNN subscription on farLoop (k = 2, kbound R ≈ 98 m from the seeds 1
+// and 2) caches object 0 at 96.9 m, which only the full rung resolves.
+// The far door lies beyond R but inside the full rung's reach, so each
+// toggle takes the partial path. The top-k must hold a fresh KNNQuery's
+// ids, equal a fresh engine's top-k in ids and distance bits, and be what
+// the events replay to.
+func TestTopologyPartialKNN(t *testing.T) {
+	b, far := farLoop(t)
+	objs := []*object.Object{
+		twoPoint(0, 38, 10, 0.9, 41, 10, 0.1),
+		{ID: 1, Instances: []object.Instance{{Pos: indoor.Pos(10, 10, 0), P: 1}}},
+		{ID: 2, Instances: []object.Instance{{Pos: indoor.Pos(100, 25, 0), P: 1}}},
+	}
+	idx, _, err := index.Build(b, objs, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewSubscriptions(idx)
+	q, k := indoor.Pos(5, 10, 0), 2
+	id, _, err := e.SubscribeKNN(q, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := e.standing[id]
+	if _, ok := s.fullObjs[0]; !ok || s.cand[0] > s.phase.r {
+		t.Fatalf("object 0 must be a cached candidate the full rung resolved (record %v, cand %v, R %g)", s.fullObjs, s.cand, s.phase.r)
+	}
+	replay := map[object.ID]float64{}
+	for _, res := range e.TopK(id) {
+		replay[res.ID] = res.Distance
+	}
+	for _, closed := range []bool{true, false} {
+		for _, ev := range partialStep(t, e, index.Mutation{Kind: index.MutSetDoorClosed, DoorID: far.ID, Closed: closed}) {
+			if ev.Kind == EventLeave {
+				delete(replay, ev.Object)
+			} else {
+				replay[ev.Object] = ev.Distance
+			}
+		}
+		oneShot, _, err := New(idx, Options{}).KNNQuery(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameIDs(e.Results(id), idsOf(oneShot)) {
+			t.Fatalf("closed=%v: standing %v, one-shot %v", closed, e.Results(id), idsOf(oneShot))
+		}
+		fresh := NewSubscriptions(idx)
+		for _, sp := range e.Specs() {
+			if err := fresh.Restore(sp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, want := e.TopK(id), fresh.TopK(id)
+		if len(got) != len(want) || len(replay) != len(got) {
+			t.Fatalf("closed=%v: standing %v, fresh %v, replayed %v", closed, got, want, replay)
+		}
+		for i := range got {
+			if got[i].ID != want[i].ID || math.Float64bits(got[i].Distance) != math.Float64bits(want[i].Distance) {
+				t.Fatalf("closed=%v: top-k[%d] standing %+v, fresh %+v", closed, i, got[i], want[i])
+			}
+			if d, ok := replay[got[i].ID]; !ok || math.Float64bits(d) != math.Float64bits(got[i].Distance) {
+				t.Fatalf("closed=%v: member %d replayed %v (present %v), top-k %v", closed, got[i].ID, d, ok, got[i].Distance)
+			}
+		}
+		if in := slices.ContainsFunc(got, func(r Result) bool { return r.ID == 0 }); in == closed {
+			t.Fatalf("closed=%v: object 0 in the top-k = %v", closed, in)
+		}
+	}
+}
+
+// The record of full-rung objects holds each object once: fifty routed
+// moves of the object the full rung decides leave one entry.
+func TestTopologyFullRecordBounded(t *testing.T) {
+	b, _ := xyzw(t)
+	o := twoPoint(0, 23, 5, 0.85, 33, 5, 0.15)
+	e, _, id := scopedRange(t, b, []*object.Object{o}, indoor.Pos(0.5, 5, 0), 30, true)
+	for i := 0; i < 50; i++ {
+		if _, err := e.ApplyObjectUpdates([]index.ObjectUpdate{{Op: index.UpdateMove, Object: o}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rec := e.standing[id].fullObjs; len(rec) != 1 {
+		t.Fatalf("record %v after 50 moves, want object 0 once", rec)
+	}
+}
+
+// A refresh keeps the subscription's skeleton anchor while the skeleton
+// stays the same: a door toggle within the radius refreshes the
+// subscription on the same anchor, and a skeleton rebuild gives it a new
+// one. The answers equal a fresh query's after both.
+func TestRefreshKeepsAnchor(t *testing.T) {
+	b, zw := xyzw(t)
+	q, r := indoor.Pos(0.5, 5, 0), 40.0
+	e, idx, id := scopedRange(t, b, []*object.Object{twoPoint(0, 23, 5, 0.85, 33, 5, 0.15)}, q, r, true)
+	a := e.standing[id].ex.a
+	before := e.Stats().Refreshes
+	if _, _, err := e.Topology(index.Mutation{Kind: index.MutSetDoorClosed, DoorID: zw.ID, Closed: true}); err != nil {
+		t.Fatal(err)
+	}
+	if e.Stats().Refreshes != before+1 {
+		t.Fatal("the door toggle within the radius must refresh the subscription")
+	}
+	if e.standing[id].ex.a != a {
+		t.Fatal("the refresh built a new anchor on an unchanged skeleton")
+	}
+	matchesFreshRange(t, e, idx, id, q, r, false)
+	if _, _, err := e.Topology(index.Mutation{Kind: index.MutRebuildSkeleton}); err != nil {
+		t.Fatal(err)
+	}
+	if a2 := e.standing[id].ex.a; a2 == a || !a2.BoundTo(idx.Current()) {
+		t.Fatal("a skeleton rebuild must give the subscription a new anchor on the new skeleton")
+	}
+	matchesFreshRange(t, e, idx, id, q, r, false)
 }
 
 // The scoped rule against refresh-all on a three-floor mall: moves, door

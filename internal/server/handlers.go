@@ -370,6 +370,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Refreshes:       ss.Refreshes,
 			TopoAdmitted:    ss.TopoAdmitted,
 			TopoCarried:     ss.TopoCarried,
+			TopoPartial:     ss.TopoPartial,
 			BatchMeanMicros: ss.ReconcileBatchMean.Microseconds(),
 			BatchP50Micros:  ss.ReconcileBatchP50.Microseconds(),
 			BatchP99Micros:  ss.ReconcileBatchP99.Microseconds(),

@@ -188,8 +188,9 @@ func TestConcurrentTopologyAddsUnderCompaction(t *testing.T) {
 }
 
 // TestStatsReportTopologyScope: a door toggle over the wire shows up in
-// /v1/stats as subscriptions admitted to refresh plus subscriptions
-// carried, one per standing query, matching the engine's counters.
+// /v1/stats as subscriptions admitted plus subscriptions carried, one per
+// standing query, with the partially refreshed ones a subset of the
+// admitted, all matching the engine's counters.
 func TestStatsReportTopologyScope(t *testing.T) {
 	db, c, _, queries := newLeader(t, server.Config{})
 	for i, q := range queries {
@@ -212,7 +213,11 @@ func TestStatsReportTopologyScope(t *testing.T) {
 	if rc.TopoAdmitted+rc.TopoCarried != uint64(len(queries)) {
 		t.Fatalf("admitted %d + carried %d, want %d subscriptions", rc.TopoAdmitted, rc.TopoCarried, len(queries))
 	}
-	if rc.TopoAdmitted != want.TopoAdmitted || rc.TopoCarried != want.TopoCarried {
-		t.Fatalf("/v1/stats %d/%d, engine %d/%d", rc.TopoAdmitted, rc.TopoCarried, want.TopoAdmitted, want.TopoCarried)
+	if rc.TopoAdmitted != want.TopoAdmitted || rc.TopoCarried != want.TopoCarried || rc.TopoPartial != want.TopoPartial {
+		t.Fatalf("/v1/stats %d/%d/%d, engine %d/%d/%d", rc.TopoAdmitted, rc.TopoCarried, rc.TopoPartial,
+			want.TopoAdmitted, want.TopoCarried, want.TopoPartial)
+	}
+	if rc.TopoPartial > rc.TopoAdmitted {
+		t.Fatalf("partial %d exceeds admitted %d", rc.TopoPartial, rc.TopoAdmitted)
 	}
 }

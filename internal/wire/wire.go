@@ -616,11 +616,15 @@ type ReconcileStats struct {
 	RoutedPairs  uint64 `json:"routedPairs"`
 	AffectedSubs uint64 `json:"affectedSubs"`
 	Refreshes    uint64 `json:"refreshes"`
-	// TopoAdmitted counts the subscriptions topology commits admitted to
-	// wholesale refresh, TopoCarried the ones they carried to the new
-	// epoch untouched, both summed over commits.
+	// TopoAdmitted counts the subscriptions a topology commit reached,
+	// TopoCarried the ones it carried to the new epoch untouched, so the
+	// two add up to the registry size per commit; both are summed over
+	// commits. TopoPartial is the part of TopoAdmitted reached only
+	// through the full refinement rung: those re-resolve just that rung's
+	// objects, and the rest of TopoAdmitted refreshes wholesale.
 	TopoAdmitted uint64 `json:"topoAdmitted"`
 	TopoCarried  uint64 `json:"topoCarried"`
+	TopoPartial  uint64 `json:"topoPartial"`
 	// BatchMeanMicros/P50/P99 aggregate per-batch reconciliation wall
 	// time (microseconds) over the engine's recent-batch window.
 	BatchMeanMicros int64 `json:"batchMeanMicros"`
